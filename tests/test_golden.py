@@ -1,0 +1,133 @@
+"""Byte-level golden corpus for the command line.
+
+Each case runs `sqtaut.cli.main` in process and compares the exit code and
+the sha256 of stdout with `golden/cli.json`.  An argument of the form
+`@ID` is replaced by a file holding the stdout of the earlier case ID, and
+a case with a `stdin` entry reads that case's stdout from standard input,
+so `push`, `mult` and `lambda-to-kappa` consume outputs that are pinned
+themselves.  The corpus covers every command shown in README.md except the
+bare `verify-paper` and `verify-paper --json`, which run all eleven checks.
+
+To record the digests again after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from sqtaut.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+T5 = ["relation", "--theorem5"]
+P8 = ["relation", "--prop8"]
+
+# (id, argv, id of the case whose stdout is piped to stdin, or None)
+CASES = (
+    ("t5-6-2-1-ko", T5 + ["-g", "6", "-d", "2", "-k", "1", "--kappa-only"], None),
+    ("t5-6-2-1", T5 + ["-g", "6", "-d", "2", "-k", "1"], None),
+    ("t5-6-2-1-json", T5 + ["-g", "6", "-d", "2", "-k", "1", "--json"], None),
+    ("t5-6-2-1-ko-json",
+     T5 + ["-g", "6", "-d", "2", "-k", "1", "--kappa-only", "--json"], None),
+    ("t5-5-1-1-json", T5 + ["-g", "5", "-d", "1", "-k", "1", "--json"], None),
+    ("t5-8-3-2", T5 + ["-g", "8", "-d", "3", "-k", "2"], None),
+    ("t5-8-3-2-ko", T5 + ["-g", "8", "-d", "3", "-k", "2", "--kappa-only"], None),
+    ("p8-5-1-0-1-2-json",
+     P8 + ["-g", "5", "-d", "1", "-a", "0", "-b", "1", "-c", "2", "--json"], None),
+    ("p8-5-1-0-1-2", P8 + ["-g", "5", "-d", "1", "-a", "0", "-b", "1", "-c", "2"], None),
+    ("p8-5-1-0-1-2-ko",
+     P8 + ["-g", "5", "-d", "1", "-a", "0", "-b", "1", "-c", "2", "--kappa-only"], None),
+    ("p8-6-2-1-1-2", P8 + ["-g", "6", "-d", "2", "-a", "1", "-b", "1", "-c", "2"], None),
+    ("p8-6-2-1-1-2-ko-json",
+     P8 + ["-g", "6", "-d", "2", "-a", "1", "-b", "1", "-c", "2",
+           "--kappa-only", "--json"], None),
+    ("t5-10-3-1-ko-json",
+     T5 + ["-g", "10", "-d", "3", "-k", "1", "--kappa-only", "--json"], None),
+    ("p8-6-1-1-1-1", P8 + ["-g", "6", "-d", "1", "-a", "1", "-b", "1", "-c", "1"], None),
+    ("relation-bad", T5 + ["-g", "1", "-d", "1", "-k", "1"], None),
+    ("chern-5-2-2-json", ["chern-f", "-g", "5", "-d", "2", "--degree", "2", "--json"], None),
+    ("chern-5-2-2", ["chern-f", "-g", "5", "-d", "2", "--degree", "2"], None),
+    ("chern-6-3-3", ["chern-f", "-g", "6", "-d", "3", "--degree", "3"], None),
+    ("chern-6-3-3-json", ["chern-f", "-g", "6", "-d", "3", "--degree", "3", "--json"], None),
+    ("chern-4-2-1-json", ["chern-f", "-g", "4", "-d", "2", "--degree", "1", "--json"], None),
+    ("chern-4-2-2-json", ["chern-f", "-g", "4", "-d", "2", "--degree", "2", "--json"], None),
+    ("push-stdin", ["push", "-"], "chern-5-2-2-json"),
+    ("push-file-json", ["push", "@chern-5-2-2-json", "--json"], None),
+    ("push-6-3-3", ["push", "@chern-6-3-3-json"], None),
+    ("mult", ["mult", "@chern-4-2-1-json", "@chern-4-2-1-json"], None),
+    ("mult-json", ["mult", "@chern-4-2-1-json", "@chern-4-2-2-json", "--json"], None),
+    ("mult-trunc", ["mult", "@chern-4-2-1-json", "@chern-4-2-1-json", "--trunc", "1"], None),
+    ("l2k-json", ["lambda-to-kappa", "@t5-6-2-1-json", "--json"], None),
+    ("l2k-text", ["lambda-to-kappa", "@t5-6-2-1-json"], None),
+    ("l2k-stdin", ["lambda-to-kappa", "-"], "p8-5-1-0-1-2-json"),
+    ("betti-4", ["betti", "--d", "4"], None),
+    ("betti-4-json", ["betti", "--d", "4", "--json"], None),
+    ("betti-1", ["betti", "--d", "1"], None),
+    ("betti-7-json", ["betti", "--d", "7", "--json"], None),
+    ("intersect-5-2-2", ["intersect", "--d", "5", "--x1", "2", "--x2", "2"], None),
+    ("intersect-5-2-2-json",
+     ["intersect", "--d", "5", "--x1", "2", "--x2", "2", "--json"], None),
+    ("intersect-y",
+     ["intersect", "--d", "3", "--x1", "1", "--x2", "0", "--y", "1", "0", "0", "--json"], None),
+    ("conifold-3-2", ["conifold", "--max-genus", "3", "--d", "2"], None),
+    ("conifold-3-2-json", ["conifold", "--max-genus", "3", "--d", "2", "--json"], None),
+    ("conifold-13", ["conifold", "--max-genus", "13"], None),
+    ("conifold-6-json", ["conifold", "--max-genus", "6", "--json"], None),
+    ("pairing-2-1", ["pairing", "--d", "2", "--k", "1"], None),
+    ("pairing-2-1-json", ["pairing", "--d", "2", "--k", "1", "--json"], None),
+    ("pairing-3-2", ["pairing", "--d", "3", "--k", "2"], None),
+    ("pairing-5-3-json", ["pairing", "--d", "5", "--k", "3", "--json"], None),
+    ("verify-genus6", ["verify-paper", "--only", "genus6"], None),
+    ("verify-lemma4-json", ["verify-paper", "--only", "lemma4", "--json"], None),
+)
+
+
+def run_corpus() -> dict:
+    """Run every case in order; return {id: {"exit": code, "sha256": hex}}."""
+    outputs: dict = {}
+    results: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case_id, argv, stdin_from in CASES:
+            args = []
+            for arg in argv:
+                if arg.startswith("@"):
+                    path = Path(tmp) / f"{arg[1:]}.out"
+                    path.write_text(outputs[arg[1:]], encoding="utf-8")
+                    arg = str(path)
+                args.append(arg)
+            out = io.StringIO()
+            old_stdin = sys.stdin
+            if stdin_from is not None:
+                sys.stdin = io.StringIO(outputs[stdin_from])
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(args)
+            finally:
+                sys.stdin = old_stdin
+            text = out.getvalue()
+            outputs[case_id] = text
+            results[case_id] = {
+                "exit": code,
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            }
+    return results
+
+
+def test_cli_output_matches_golden_corpus():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_corpus()
+    assert list(got) == list(expected)
+    mismatched = [case_id for case_id in got if got[case_id] != expected[case_id]]
+    assert not mismatched
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(run_corpus(), indent=2) + "\n", encoding="utf-8")
