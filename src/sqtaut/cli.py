@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import verify as verify_mod
 from .conifold import conifold_F, conifold_N
@@ -29,7 +28,6 @@ from .jsonio import (
     emit_pointed,
     emit_poly,
     emit_rational,
-    format_kl,
     parse_kl,
     parse_pointed,
 )
@@ -42,7 +40,7 @@ from .pairing import (
     rank_certificate,
 )
 from .pointed import chern_F, epsilon_push, pc_mul, theorem5_class
-from .rings import DomainError, InputError
+from .rings import InputError, format_series
 
 
 def _write_out(args, text: str) -> None:
@@ -94,7 +92,7 @@ def cmd_relation(args) -> int:
         params = " ".join(f"{k}={v}" for k, v in provenance["params"].items())
         suffix = " (kappa-only)" if args.kappa_only else ""
         header = f"# {provenance['theorem']} {params}{suffix}"
-        _write_out(args, f"{header}\n{format_kl(rel)}")
+        _write_out(args, f"{header}\n{rel}")
     return 0
 
 
@@ -113,7 +111,7 @@ def cmd_push(args) -> int:
     if args.json:
         _write_out(args, _dump(emit_kl(pushed)))
     else:
-        _write_out(args, format_kl(pushed))
+        _write_out(args, str(pushed))
     return 0
 
 
@@ -137,7 +135,7 @@ def cmd_betti(args) -> int:
         payload["d"] = args.d
         _write_out(args, _dump(payload))
     else:
-        _write_out(args, str(poly))
+        _write_out(args, format_series(poly, "t"))
     return 0
 
 
@@ -260,7 +258,7 @@ def cmd_lambda_to_kappa(args) -> int:
     if args.json:
         _write_out(args, _dump(emit_kl(result, payload.get("provenance"))))
     else:
-        _write_out(args, format_kl(result))
+        _write_out(args, str(result))
     return 0
 
 

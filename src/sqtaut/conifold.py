@@ -9,7 +9,8 @@ computed exactly by inverting the squared sine series in the variable
 v = (t/2)^2: with  S(v) = (sum_{j >= 0} (-1)^j v^j / (2j+1)!)^2  one has
 ((t/2)/sin(t/2))^2 = 1/S(v), and N_{g,1} is the v^g coefficient divided
 by 4^g.  The closed form's constant term is 1 and is recorded separately
-from the positive-genus coefficients.
+from the positive-genus coefficients.  Series in v are lists of Fractions
+indexed by the power of v.
 
 Higher degrees scale as N_{g,d} = d^(2g-3) * N_{g,1}; for g = 1 the
 exponent is negative and the value is the exact rational N_{1,1}/d.
@@ -21,17 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .rings import (
-    GradedPoly,
-    InputError,
-    poly_const,
-    poly_gen,
-    poly_mul,
-    single_gen,
-    truncated_inverse,
-)
-
-_V = single_gen("v")
+from .rings import InputError, series_mul, truncated_inverse
 
 
 @dataclass(frozen=True)
@@ -59,13 +50,10 @@ class LocalSeries:
         return self.coeffs[g - 1]
 
 
-def _sine_square_series(max_genus: int) -> GradedPoly:
+def _sine_square_series(max_genus: int) -> list:
     """(sin(u)/u)^2 as a series in v = u^2, truncated at v^max_genus."""
-    half = poly_const(_V, 0)
-    for j in range(max_genus + 1):
-        c = Fraction((-1) ** j, factorial(2 * j + 1))
-        half = half + c * poly_gen(_V, "v", j)
-    return poly_mul(half, half, max_genus)
+    half = [Fraction((-1) ** j, factorial(2 * j + 1)) for j in range(max_genus + 1)]
+    return series_mul(half, half, max_genus)
 
 
 def conifold_F(max_genus: int) -> LocalSeries:
@@ -73,11 +61,8 @@ def conifold_F(max_genus: int) -> LocalSeries:
     if max_genus < 1:
         raise InputError("max_genus must be >= 1")
     inv = truncated_inverse(_sine_square_series(max_genus), max_genus)
-    coeffs = []
-    for g in range(1, max_genus + 1):
-        v_coeff = inv.coefficient((("v", g),))
-        coeffs.append(v_coeff / Fraction(4) ** g)
-    return LocalSeries(max_genus, tuple(coeffs), inv.constant_term)
+    coeffs = tuple(inv[g] / Fraction(4) ** g for g in range(1, max_genus + 1))
+    return LocalSeries(max_genus, coeffs, inv[0])
 
 
 def conifold_N(g: int, d: int, series: LocalSeries) -> Fraction:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .kappa_lambda import KLPoly, kappa_class
 from .pointed import (
@@ -39,46 +40,47 @@ from .pointed import (
     chern_F,
     epsilon_push,
     pc_diagonal,
-    pc_from_kl,
     pc_one,
     pc_psihat,
     pc_zero,
     rank_F,
 )
-from .rings import GradedPoly, InputError
+from .rings import GradedPoly, InputError, power
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CurveClass:
     """Normal-form class on the universal curve over the d-pointed base.
 
     `omega_terms` maps b >= 0 to the pulled-back coefficient of omega^b;
     `sigma_terms` maps a section index i to the pulled-back coefficient of
-    sigma_i.  Treated as immutable.
+    sigma_i.  Both are read-only copies of the tables passed in, with zero
+    coefficients dropped.
     """
 
     genus: int
     d: int
-    omega_terms: dict
-    sigma_terms: dict
+    omega_terms: MappingProxyType
+    sigma_terms: MappingProxyType
 
     def __post_init__(self) -> None:
         if self.genus < 2:
             raise InputError("genus must be >= 2")
         if self.d < 1:
             raise InputError("d must be >= 1")
-        for table, check in (
-            (self.omega_terms, lambda b: isinstance(b, int) and b >= 0),
-            (self.sigma_terms, lambda i: isinstance(i, int) and 1 <= i <= self.d),
+        for field, check in (
+            ("omega_terms", lambda b: isinstance(b, int) and b >= 0),
+            ("sigma_terms", lambda i: isinstance(i, int) and 1 <= i <= self.d),
         ):
-            for key in list(table):
+            clean = {}
+            for key, coeff in getattr(self, field).items():
                 if not check(key):
                     raise InputError(f"bad curve-class key {key!r}")
-                coeff = table[key]
                 if (coeff.genus, coeff.d) != (self.genus, self.d):
                     raise InputError("coefficient on wrong base")
-                if coeff.is_zero:
-                    del table[key]
+                if not coeff.is_zero:
+                    clean[key] = coeff
+            object.__setattr__(self, field, MappingProxyType(clean))
 
     @property
     def is_zero(self) -> bool:
@@ -144,17 +146,7 @@ class CurveClass:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power")
-        result = cc_scalar(self.genus, self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, cc_scalar(self.genus, self.d, 1))
 
     def __eq__(self, other):
         if not isinstance(other, CurveClass):
@@ -164,10 +156,6 @@ class CurveClass:
             and self.omega_terms == other.omega_terms
             and self.sigma_terms == other.sigma_terms
         )
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __str__(self) -> str:
         pieces = []

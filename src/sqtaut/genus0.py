@@ -6,6 +6,7 @@ The space of a rational curve with two distinguished points and d light
 points that may collide deformation-retracts onto a chain of components;
 its Poincare polynomial is assembled from ordered compositions of d, one
 factor t^{2(part-1)} per chain component.  Closed form: (1+t^2)^{d-1}.
+Polynomials in t are lists of Fractions indexed by the power of t.
 
 Intersection numbers against psi classes at the two heavy points and the
 light points satisfy a point-forgetting recursion
@@ -19,33 +20,16 @@ the binomial coefficient binom(d-1; x1, x2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
-from .rings import GradedPoly, InputError, poly_const, poly_gen, single_gen
-
-T_GEN = single_gen("t")
+from .rings import InputError
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integers."""
-
-    parts: tuple
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(p, int) and p >= 1 for p in self.parts):
-            raise InputError("composition parts must be positive integers")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-
-def compositions(d: int) -> Iterator[Composition]:
-    """All ordered compositions of d >= 1, in lexicographic order."""
+def compositions(d: int) -> Iterator[tuple]:
+    """All ordered compositions of d >= 1, as tuples of positive parts, in
+    lexicographic order."""
     if d < 1:
         raise InputError("d must be >= 1")
 
@@ -57,22 +41,20 @@ def compositions(d: int) -> Iterator[Composition]:
             for tail in rec(rest - head):
                 yield (head,) + tail
 
-    for parts in rec(d):
-        yield Composition(parts)
+    yield from rec(d)
 
 
-def poincare_Q02(d: int) -> GradedPoly:
+def poincare_Q02(d: int) -> list:
     """Poincare polynomial of the two-pointed degree-d chain space.
 
     Sum over compositions (d_1,...,d_n) of d of prod_i t^{2 d_i - 2};
-    equals (1 + t^2)^(d-1).
+    equals (1 + t^2)^(d-1).  Returns the coefficients of t^0..t^(2d-2).
     """
     if d < 1:
         raise InputError("d must be >= 1")
-    out = poly_const(T_GEN, 0)
+    out = [Fraction(0)] * (2 * d - 1)
     for comp in compositions(d):
-        e = sum(2 * p - 2 for p in comp.parts)
-        out = out + poly_gen(T_GEN, "t", e) if e else out + poly_const(T_GEN, 1)
+        out[sum(2 * p - 2 for p in comp)] += 1
     return out
 
 

@@ -14,7 +14,8 @@ Each TERM carries exactly one kappa/lambda monomial (classes are emitted
 fully expanded), the partition lists every block including exponent-zero
 singletons, and term order is canonical, so emission is deterministic and
 `parse(emit(x)) == x`.  Relations carry a provenance object naming the
-generating operation and its parameters.
+generating operation and its parameters.  The parsers raise InputError with
+a one-line message on any malformed payload.
 """
 
 from __future__ import annotations
@@ -31,41 +32,81 @@ from .kappa_lambda import (
     lambda_class,
 )
 from .pointed import BlockMonomial, PointedClass
-from .rings import GradedPoly, InputError
+from .rings import GENERATOR_NAMES, InputError
 
 SCHEMA = "sq-taut/1"
 
+# Class constructors by generator kind, in the order of GENERATOR_NAMES.
+_CLASSES = (kappa_class, lambda_class)
+
+
+# -- reading untrusted payloads ------------------------------------------
+# Every malformed value becomes an InputError with a one-line message.
+
+def _get(obj: Mapping, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise InputError(f"missing {key!r}") from None
+
+
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    # JSON integers and index strings only: int() would truncate 1.7 to 1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _rational(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"bad rational {value!r}") from None
+
 
 def _coeff_payload(kl_mono, q: Fraction) -> dict:
-    kappa: dict = {}
-    lam: dict = {}
-    for name, exp in kl_mono:
-        kind, idx = name.split("_")
-        if kind == "kappa":
-            kappa[idx] = exp
-        else:
-            lam[idx] = exp
-    return {"kappa": kappa, "lambda": lam, "rational": str(q)}
-
-
-def _coeff_from_payload(genus: int, payload: Mapping) -> KLPoly:
-    try:
-        q = Fraction(payload["rational"])
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad coefficient payload: {exc}") from None
-    out = kl_scalar(genus, q)
-    for idx, exp in payload.get("kappa", {}).items():
-        out = out * kappa_class(genus, int(idx), int(exp))
-    for idx, exp in payload.get("lambda", {}).items():
-        out = out * lambda_class(genus, int(idx), int(exp))
+    out: dict = {name: {} for name in GENERATOR_NAMES}
+    for (kind, index), exp in kl_mono:
+        out[GENERATOR_NAMES[kind]][str(index)] = exp
+    out["rational"] = str(q)
     return out
 
 
-def _check_header(payload: Mapping, kind: str) -> None:
+def _coeff_from_payload(genus: int, payload) -> KLPoly:
+    payload = _mapping(payload, "coefficient")
+    out = kl_scalar(genus, _rational(_get(payload, "rational")))
+    for name, make in zip(GENERATOR_NAMES, _CLASSES):
+        for idx, exp in _mapping(payload.get(name, {}), name).items():
+            out = out * make(genus, _int(idx, f"{name} index"),
+                             _int(exp, f"{name} exponent"))
+    return out
+
+
+def _check_header(payload, kind: str) -> None:
+    _mapping(payload, "payload")
     if payload.get("schema") != SCHEMA:
         raise InputError(f"expected schema {SCHEMA!r}")
     if payload.get("kind") != kind:
         raise InputError(f"expected kind {kind!r}, got {payload.get('kind')!r}")
+
+
+def _terms(payload: Mapping) -> list:
+    return [_mapping(t, "term") for t in _list(_get(payload, "terms"), "terms")]
 
 
 # -- kappa/lambda classes -------------------------------------------------
@@ -83,10 +124,10 @@ def emit_kl(p: KLPoly, provenance: Mapping | None = None) -> dict:
 
 def parse_kl(payload: Mapping) -> KLPoly:
     _check_header(payload, "kl-class")
-    genus = int(payload["genus"])
+    genus = _int(_get(payload, "genus"), "genus")
     out = kl_zero(genus)
-    for term in payload["terms"]:
-        out = out + _coeff_from_payload(genus, term["coeff"])
+    for term in _terms(payload):
+        out = out + _coeff_from_payload(genus, _get(term, "coeff"))
     return out
 
 
@@ -115,45 +156,48 @@ def emit_pointed(p: PointedClass) -> dict:
 
 def parse_pointed(payload: Mapping) -> PointedClass:
     _check_header(payload, "pointed-class")
-    genus = int(payload["genus"])
-    d = int(payload["d"])
+    genus = _int(_get(payload, "genus"), "genus")
+    d = _int(_get(payload, "d"), "d")
     acc: dict = {}
-    for term in payload["terms"]:
+    for term in _terms(payload):
         mono = BlockMonomial(
             d,
-            tuple(tuple(int(x) for x in b) for b in term["partition"]),
-            tuple(int(e) for e in term["exponents"]),
+            tuple(
+                tuple(_int(x, "label") for x in _list(b, "block"))
+                for b in _list(_get(term, "partition"), "partition")
+            ),
+            tuple(_int(e, "exponent") for e in _list(_get(term, "exponents"), "exponents")),
         )
-        coeff = _coeff_from_payload(genus, term["coeff"])
+        coeff = _coeff_from_payload(genus, _get(term, "coeff"))
         prev = acc.get(mono)
         acc[mono] = coeff if prev is None else prev + coeff
     return PointedClass(genus, d, acc)
 
 
-# -- single-variable polynomials and rationals ---------------------------
+# -- one-variable series and rationals -----------------------------------
 
-def emit_poly(p: GradedPoly, variable: str) -> dict:
-    coeffs = {}
-    for mono, q in p.terms():
-        degree = mono[0][1] if mono else 0
-        coeffs[str(degree)] = str(q)
+def emit_poly(coeffs: list, variable: str) -> dict:
+    """Payload for a series given as a list of Fractions indexed by degree."""
     return {
         "schema": SCHEMA,
         "kind": "poly",
         "variable": variable,
-        "coefficients": coeffs,
+        "coefficients": {str(n): str(q) for n, q in enumerate(coeffs) if q},
     }
 
 
-def parse_poly(payload: Mapping) -> GradedPoly:
-    from .rings import poly_const, poly_gen, single_gen
-
+def parse_poly(payload: Mapping) -> list:
+    """The coefficient list, indexed by degree, of a poly payload."""
     _check_header(payload, "poly")
-    variable = payload["variable"]
-    gens = single_gen(variable)
-    out = poly_const(gens, 0)
-    for degree, q in payload["coefficients"].items():
-        out = out + Fraction(q) * poly_gen(gens, variable, int(degree))
+    terms = {}
+    for degree, q in _mapping(_get(payload, "coefficients"), "coefficients").items():
+        n = _int(degree, "degree")
+        if n < 0:
+            raise InputError(f"negative degree {n}")
+        terms[n] = _rational(q)
+    out = [Fraction(0)] * (max(terms) + 1 if terms else 0)
+    for n, q in terms.items():
+        out[n] = q
     return out
 
 
@@ -165,14 +209,10 @@ def emit_rational(q: Fraction, **extra) -> dict:
 
 def parse_rational(payload: Mapping) -> Fraction:
     _check_header(payload, "rational")
-    return Fraction(payload["value"])
+    return _rational(_get(payload, "value"))
 
 
 # -- pretty text for kappa/lambda classes --------------------------------
-
-def format_kl(p: KLPoly) -> str:
-    return str(p)
-
 
 def parse_kl_pretty(text: str, genus: int) -> KLPoly:
     """Parse the pretty printer's output back into a class.
@@ -201,22 +241,17 @@ def parse_kl_pretty(text: str, genus: int) -> KLPoly:
                 raise InputError(f"empty factor in {piece!r}")
             head = chunk.split("^")[0]
             if head.replace("/", "").isdigit():
-                coeff *= Fraction(chunk)
+                coeff *= _rational(chunk)
                 continue
             if "^" in chunk:
                 name, exp_text = chunk.split("^", 1)
-                exp = int(exp_text)
+                exp = _int(exp_text, "exponent")
             else:
                 name, exp = chunk, 1
             kind, _, idx_text = name.partition("_")
-            if not idx_text.isdigit():
+            if kind not in GENERATOR_NAMES or not idx_text.isdigit():
                 raise InputError(f"bad generator {name!r}")
-            idx = int(idx_text)
-            if kind == "kappa":
-                factors = factors * kappa_class(genus, idx, exp)
-            elif kind == "lambda":
-                factors = factors * lambda_class(genus, idx, exp)
-            else:
-                raise InputError(f"bad generator {name!r}")
+            make = _CLASSES[GENERATOR_NAMES.index(kind)]
+            factors = factors * make(genus, int(idx_text), exp)
         out = out + coeff * factors
     return out

@@ -1,9 +1,11 @@
 """Polynomials in kappa and lambda classes at a fixed genus.
 
 Generators: kappa_a (degree a, a >= 1) and lambda_i (degree i, 1 <= i <= g)
-for a genus g >= 2 surface.  kappa_0 is the scalar 2g-2 and kappa with a
-negative index is zero; both are folded in at construction so polynomial
-keys only ever mention positive indices.
+for a genus g >= 2 surface.  A monomial is a tuple of ((kind, index), exp)
+pairs with kind 0 for kappa and 1 for lambda (see `rings`).  kappa_0 is the
+scalar 2g-2 and kappa with a negative index is zero; both are folded in at
+construction so polynomial keys only ever mention positive indices.  The
+constructors here are where genus and index ranges are checked.
 
 `lambda_to_kappa` eliminates every lambda generator using the fact that the
 Chern character of the rank-g Hodge-type bundle is supported in odd
@@ -23,95 +25,45 @@ so the cache is safe without locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .rings import (
-    GeneratorSet,
-    GradedPoly,
-    InputError,
-    bernoulli,
-    poly_const,
-    poly_mul,
-)
+from .rings import GradedPoly, InputError, bernoulli
 
-_KAPPA = "kappa_"
-_LAMBDA = "lambda_"
+KAPPA, LAMBDA = 0, 1
 
-
-@dataclass(frozen=True)
-class KLGens(GeneratorSet):
-    """Generator set for genus-g kappa/lambda polynomials.
-
-    Names are pattern-based ("kappa_3", "lambda_2"), so no upper bound on
-    kappa indices has to be fixed up front; validity and degree are read
-    off the name.
-    """
-
-    genus: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise InputError("genus must be >= 2")
-
-    def _parse(self, name: str):
-        if name.startswith(_KAPPA):
-            kind, idx = 0, name[len(_KAPPA):]
-        elif name.startswith(_LAMBDA):
-            kind, idx = 1, name[len(_LAMBDA):]
-        else:
-            raise InputError(f"unknown generator {name!r}")
-        if not idx.isdigit():
-            raise InputError(f"unknown generator {name!r}")
-        i = int(idx)
-        if i < 1:
-            raise InputError(f"generator index must be >= 1 in {name!r}")
-        if kind == 1 and i > self.genus:
-            raise InputError(
-                f"lambda index {i} exceeds genus {self.genus}"
-            )
-        return kind, i
-
-    def degree_of(self, name: str) -> int:
-        return self._parse(name)[1]
-
-    def sort_key(self, name: str):
-        return self._parse(name)
-
-
-# A KLPoly is a GradedPoly over KLGens; the genus travels with the
-# generator set, so ordinary polynomial arithmetic enforces genus equality.
+# A KLPoly is a GradedPoly; the genus travels with the value, so ordinary
+# polynomial arithmetic enforces genus equality.
 KLPoly = GradedPoly
 
 
+def _check_genus(genus: int) -> None:
+    if genus < 2:
+        raise InputError("genus must be >= 2")
+
+
 def genus_of(p: KLPoly) -> int:
-    gens = p.gens
-    if not isinstance(gens, KLGens):
+    if not isinstance(p, GradedPoly):
         raise InputError("not a kappa/lambda polynomial")
-    return gens.genus
-
-
-def kl_gens(genus: int) -> KLGens:
-    return KLGens(genus)
-
-
-def kl_zero(genus: int) -> KLPoly:
-    return poly_const(kl_gens(genus), 0)
-
-
-def kl_one(genus: int) -> KLPoly:
-    return poly_const(kl_gens(genus), 1)
+    return p.genus
 
 
 def kl_scalar(genus: int, value) -> KLPoly:
-    return poly_const(kl_gens(genus), value)
+    _check_genus(genus)
+    return GradedPoly(genus, {(): Fraction(value)})
+
+
+def kl_zero(genus: int) -> KLPoly:
+    return kl_scalar(genus, 0)
+
+
+def kl_one(genus: int) -> KLPoly:
+    return kl_scalar(genus, 1)
 
 
 def kappa_class(genus: int, index: int, exp: int = 1) -> KLPoly:
     """kappa_index^exp; index 0 is the scalar 2g-2, negative index is 0."""
-    gens = kl_gens(genus)
+    _check_genus(genus)
     if exp < 0:
         raise InputError("negative exponent")
     if exp == 0:
@@ -119,26 +71,20 @@ def kappa_class(genus: int, index: int, exp: int = 1) -> KLPoly:
     if index < 0:
         return kl_zero(genus)
     if index == 0:
-        return poly_const(gens, Fraction(2 * genus - 2) ** exp)
-    return GradedPoly(gens, {((f"{_KAPPA}{index}", exp),): Fraction(1)})
+        return kl_scalar(genus, Fraction(2 * genus - 2) ** exp)
+    return GradedPoly(genus, {(((KAPPA, index), exp),): Fraction(1)})
 
 
 def lambda_class(genus: int, index: int, exp: int = 1) -> KLPoly:
     """lambda_index^exp; lambda_0 is 1.  Index must lie in 0..genus."""
-    gens = kl_gens(genus)
+    _check_genus(genus)
     if exp < 0:
         raise InputError("negative exponent")
     if not 0 <= index <= genus:
         raise InputError(f"lambda index {index} out of range for genus {genus}")
     if exp == 0 or index == 0:
         return kl_one(genus)
-    return GradedPoly(gens, {((f"{_LAMBDA}{index}", exp),): Fraction(1)})
-
-
-def _split_name(name: str):
-    if name.startswith(_KAPPA):
-        return "kappa", int(name[len(_KAPPA):])
-    return "lambda", int(name[len(_LAMBDA):])
+    return GradedPoly(genus, {(((LAMBDA, index), exp),): Fraction(1)})
 
 
 @lru_cache(maxsize=None)
@@ -173,9 +119,8 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
     out = kl_zero(genus)
     for mono, coeff in p.coeffs.items():
         term = kl_scalar(genus, coeff)
-        for name, exp in mono:
-            kind, idx = _split_name(name)
-            if kind == "kappa":
+        for (kind, idx), exp in mono:
+            if kind == KAPPA:
                 term = term * kappa_class(genus, idx, exp)
             else:
                 term = term * table[idx - 1] ** exp
@@ -198,6 +143,4 @@ def chern_E_dual(genus: int, maxdeg: int) -> KLPoly:
 
 
 def kl_is_kappa_only(p: KLPoly) -> bool:
-    return all(
-        not name.startswith(_LAMBDA) for mono in p.coeffs for name, _ in mono
-    )
+    return all(kind == KAPPA for mono in p.coeffs for (kind, _), _ in mono)

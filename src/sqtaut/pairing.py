@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .genus0 import psi_integral_M0n
 from .rings import InputError, iter_weak_compositions
@@ -353,8 +353,3 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
         uneval_pairs,
         True,
     )
-
-
-def count_P(d: int, k: int) -> int:
-    """|P[d,k]| by direct enumeration."""
-    return len(enumerate_P(d, k))

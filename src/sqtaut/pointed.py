@@ -43,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .kappa_lambda import (
     KLPoly,
@@ -54,7 +55,14 @@ from .kappa_lambda import (
     kl_scalar,
     kl_zero,
 )
-from .rings import DomainError, GradedPoly, InputError, poly_mul
+from .rings import (
+    DomainError,
+    GradedPoly,
+    InputError,
+    combine_caps,
+    poly_mul,
+    power,
+)
 
 
 @dataclass(frozen=True)
@@ -85,24 +93,12 @@ class BlockMonomial:
             if not isinstance(exp, int) or exp < 0:
                 raise InputError(f"bad exponent {exp!r}")
             seen.extend(block)
-        if sorted(seen) != list(range(1, self.d + 1)):
+        if len(seen) != self.d or sorted(seen) != list(range(1, self.d + 1)):
             raise InputError("blocks must partition {1..d}")
 
     @property
     def degree(self) -> int:
         return sum(self.exps) + sum(len(b) - 1 for b in self.blocks)
-
-    def canonicalized(self) -> "BlockMonomial":
-        """Re-sort block contents and block order; identity on canonical input."""
-        pairs = sorted(
-            ((tuple(sorted(b)), e) for b, e in zip(self.blocks, self.exps)),
-            key=lambda pe: pe[0][0],
-        )
-        return BlockMonomial(
-            self.d,
-            tuple(b for b, _ in pairs),
-            tuple(e for _, e in pairs),
-        )
 
     def relabel(self, perm: Mapping[int, int]) -> "BlockMonomial":
         pairs = sorted(
@@ -154,18 +150,19 @@ def diagonal_monomial(d: int, labels: Iterable[int]) -> BlockMonomial:
     return BlockMonomial(d, tuple(blocks), (0,) * len(blocks))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PointedClass:
     """A finite sum of block monomials with kappa/lambda coefficients.
 
+    `terms` maps block monomials to nonzero coefficients and is read-only.
     `trunc`, when set, caps the trusted total degree (monomial codimension
     plus coefficient degree); higher terms are dropped on construction and
-    in every product.  Values are treated as immutable.
+    in every product.
     """
 
     genus: int
     d: int
-    terms: dict
+    terms: MappingProxyType
     trunc: int | None = None
 
     def __post_init__(self) -> None:
@@ -184,7 +181,7 @@ class PointedClass:
             if coeff.is_zero:
                 continue
             clean[mono] = coeff
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- queries ---------------------------------------------------------
 
@@ -211,14 +208,7 @@ class PointedClass:
         return PointedClass(self.genus, self.d, parts, None)
 
     def truncate(self, trunc: int | None) -> "PointedClass":
-        return PointedClass(self.genus, self.d, dict(self.terms), trunc)
-
-    def canonicalized(self) -> "PointedClass":
-        out = {}
-        for mono, coeff in self.terms.items():
-            canon = mono.canonicalized()
-            out[canon] = out.get(canon, kl_zero(self.genus)) + coeff
-        return PointedClass(self.genus, self.d, out, self.trunc)
+        return PointedClass(self.genus, self.d, self.terms, trunc)
 
     def relabel(self, perm: Mapping[int, int]) -> "PointedClass":
         """Apply a permutation of the light labels (a ring automorphism)."""
@@ -237,14 +227,6 @@ class PointedClass:
         if (self.genus, self.d) != (other.genus, other.d):
             raise InputError("mismatched genus or light-point count")
 
-    @staticmethod
-    def _combine_caps(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other):
         if not isinstance(other, PointedClass):
             return NotImplemented
@@ -258,7 +240,7 @@ class PointedClass:
             else:
                 acc[mono] = s
         return PointedClass(
-            self.genus, self.d, acc, self._combine_caps(self.trunc, other.trunc)
+            self.genus, self.d, acc, combine_caps(self.trunc, other.trunc)
         )
 
     def __neg__(self):
@@ -298,17 +280,7 @@ class PointedClass:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power")
-        result = pc_one(self.genus, self.d, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, pc_one(self.genus, self.d, self.trunc))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,10 +294,6 @@ class PointedClass:
         return (self.genus, self.d) == (other.genus, other.d) and (
             self.terms == other.terms
         )
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __str__(self) -> str:
         if not self.terms:
@@ -459,7 +427,7 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
     if not isinstance(a, PointedClass) or not isinstance(b, PointedClass):
         raise InputError("pc_mul expects two PointedClass operands")
     a._require_compatible(b)
-    trunc = PointedClass._combine_caps(a.trunc, b.trunc)
+    trunc = combine_caps(a.trunc, b.trunc)
     genus = a.genus
     acc: dict = {}
     for m1, c1 in a.terms.items():

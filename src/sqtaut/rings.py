@@ -2,11 +2,20 @@
 
 Scalars are `fractions.Fraction` throughout: arbitrary precision, always
 stored reduced with positive denominator, so every equality test in the
-package is exact.  Polynomials are sparse tables mapping monomials to
-nonzero scalars, graded by assigning each abstract generator a nonnegative
-integer degree.  Truncation is a property of the value (an optional degree
-cap carried by the polynomial), never global state; the explicit-cap entry
-points `poly_mul` and `truncated_inverse` override it per operation.
+package is exact.
+
+Polynomials are sparse tables mapping kappa/lambda monomials at a fixed
+genus to nonzero scalars.  A monomial is a tuple of ((kind, index), exp)
+pairs with exp >= 1, sorted by (kind, index), where kind 0 is kappa_index
+and kind 1 is lambda_index; the empty tuple is 1.  The degree of a monomial
+is sum(index * exp).  Which indices are valid is checked where monomials
+are built from outside input (`kappa_lambda`), not here.  Truncation is a
+property of the value (an optional degree cap carried by the polynomial),
+never global state; the explicit-cap entry point `poly_mul` overrides it
+per operation.
+
+One-variable series are plain lists of Fractions indexed by degree;
+`series_mul` and `truncated_inverse` work on them.
 
 Every value is immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
@@ -18,13 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterator
 
 Rational = Fraction
 
-# A monomial is a tuple of (generator name, exponent) pairs with exponents
-# >= 1, sorted by the generator set's ordering.  The empty tuple is 1.
 Monomial = tuple
+
+GENERATOR_NAMES = ("kappa", "lambda")
 
 
 class InputError(ValueError):
@@ -35,95 +45,65 @@ class DomainError(ValueError):
     """A value lies outside an operation's mathematical domain."""
 
 
-class GeneratorSet:
-    """Declares which generator names a polynomial may use, with degrees.
-
-    Concrete sets implement `degree_of` (raising InputError on unknown
-    names) and `sort_key` (a total order used for canonical monomial keys
-    and deterministic printing).  Two polynomials interoperate only when
-    their generator sets compare equal.
-    """
-
-    def degree_of(self, name: str) -> int:
-        raise NotImplementedError
-
-    def sort_key(self, name: str):
-        raise NotImplementedError
-
-    def check(self, name: str) -> None:
-        self.degree_of(name)
-
-
-@dataclass(frozen=True)
-class FixedGens(GeneratorSet):
-    """A finite, explicitly listed generator set."""
-
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        degrees = {}
-        order = {}
-        for pos, (name, deg) in enumerate(self.entries):
-            if name in degrees:
-                raise InputError(f"duplicate generator {name!r}")
-            if deg < 0:
-                raise InputError(f"generator {name!r} has negative degree")
-            degrees[name] = deg
-            order[name] = pos
-        object.__setattr__(self, "_degrees", degrees)
-        object.__setattr__(self, "_order", order)
-
-    def degree_of(self, name: str) -> int:
-        try:
-            return self._degrees[name]
-        except KeyError:
-            raise InputError(f"unknown generator {name!r}") from None
-
-    def sort_key(self, name: str):
-        try:
-            return self._order[name]
-        except KeyError:
-            raise InputError(f"unknown generator {name!r}") from None
-
-
-def single_gen(name: str, degree: int = 1) -> FixedGens:
-    return FixedGens(((name, degree),))
-
-
-def mono_mul(m1: Monomial, m2: Monomial, gens: GeneratorSet) -> Monomial:
+def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
     if not m2:
         return m1
-    acc: dict = {}
-    for name, exp in m1:
-        acc[name] = acc.get(name, 0) + exp
-    for name, exp in m2:
-        acc[name] = acc.get(name, 0) + exp
-    return tuple(sorted(acc.items(), key=lambda kv: gens.sort_key(kv[0])))
+    acc = dict(m1)
+    for gen, exp in m2:
+        acc[gen] = acc.get(gen, 0) + exp
+    return tuple(sorted(acc.items()))
 
 
-def mono_degree(m: Monomial, gens: GeneratorSet) -> int:
-    return sum(exp * gens.degree_of(name) for name, exp in m)
+def mono_degree(m: Monomial) -> int:
+    deg = 0
+    for (_, index), exp in m:
+        deg += index * exp
+    return deg
 
 
-def _mono_sort_key(m: Monomial, gens: GeneratorSet):
+def _mono_sort_key(m: Monomial):
     # Graded order: total degree first, then exponent-vector comparison
     # (higher leading exponents print first within a degree).
-    return (mono_degree(m, gens), tuple((gens.sort_key(n), -e) for n, e in m))
+    return (mono_degree(m), tuple((gen, -e) for gen, e in m))
+
+
+def combine_caps(a: int | None, b: int | None) -> int | None:
+    """The degree cap of a value built from operands capped at a and b."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def power(base, n: int, one):
+    """base ** n by repeated squaring, starting from `one`."""
+    if n < 0:
+        raise InputError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 @dataclass(frozen=True, eq=False)
 class GradedPoly:
-    """Sparse polynomial with Rational coefficients over a GeneratorSet.
+    """Sparse kappa/lambda polynomial with Rational coefficients at a genus.
 
-    `coeffs` maps canonical monomials to nonzero Fractions.  `maxdeg`, when
-    set, means the value is only trusted up to that total degree; terms
-    beyond it are dropped on construction and by every operation.
+    `coeffs` maps canonical monomials to nonzero Fractions and is read-only.
+    `maxdeg`, when set, means the value is only trusted up to that total
+    degree; terms beyond it are dropped on construction and by every
+    operation.
     """
 
-    gens: GeneratorSet
-    coeffs: dict
+    genus: int
+    coeffs: MappingProxyType
     maxdeg: int | None = None
 
     def __post_init__(self) -> None:
@@ -134,10 +114,10 @@ class GradedPoly:
                 c = Fraction(c)
             if c == 0:
                 continue
-            if cap is not None and mono_degree(m, self.gens) > cap:
+            if cap is not None and mono_degree(m) > cap:
                 continue
             clean[m] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     # -- queries ---------------------------------------------------------
 
@@ -154,47 +134,37 @@ class GradedPoly:
         """Largest total degree present; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(mono_degree(m, self.gens) for m in self.coeffs)
+        return max(mono_degree(m) for m in self.coeffs)
 
     def terms(self) -> list:
         """Terms in canonical (graded, then exponent-vector) order."""
-        return sorted(
-            self.coeffs.items(), key=lambda kv: _mono_sort_key(kv[0], self.gens)
-        )
+        return sorted(self.coeffs.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.coeffs.get(m, Fraction(0))
 
     def degree_part(self, k: int) -> "GradedPoly":
         """The homogeneous component of total degree k."""
-        part = {
-            m: c for m, c in self.coeffs.items() if mono_degree(m, self.gens) == k
-        }
-        return GradedPoly(self.gens, part, None)
+        part = {m: c for m, c in self.coeffs.items() if mono_degree(m) == k}
+        return GradedPoly(self.genus, part, None)
 
     def homogeneous_degrees(self) -> list:
-        return sorted({mono_degree(m, self.gens) for m in self.coeffs})
+        return sorted({mono_degree(m) for m in self.coeffs})
 
     def truncate(self, maxdeg: int | None) -> "GradedPoly":
-        return GradedPoly(self.gens, dict(self.coeffs), maxdeg)
+        return GradedPoly(self.genus, self.coeffs, maxdeg)
 
     # -- arithmetic ------------------------------------------------------
 
     def _require_compatible(self, other: "GradedPoly") -> None:
-        if self.gens != other.gens:
-            raise InputError("mismatched generator sets")
-
-    @staticmethod
-    def _combine_caps(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
+        if self.genus != other.genus:
+            raise InputError(
+                f"mismatched genus: {self.genus} and {other.genus}"
+            )
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = poly_const(self.gens, other)
+            other = GradedPoly(self.genus, {(): other})
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._require_compatible(other)
@@ -205,16 +175,16 @@ class GradedPoly:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return GradedPoly(self.gens, acc, self._combine_caps(self.maxdeg, other.maxdeg))
+        return GradedPoly(self.genus, acc, combine_caps(self.maxdeg, other.maxdeg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.gens, {m: -c for m, c in self.coeffs.items()}, self.maxdeg)
+        return GradedPoly(self.genus, {m: -c for m, c in self.coeffs.items()}, self.maxdeg)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = poly_const(self.gens, other)
+            other = GradedPoly(self.genus, {(): other})
         if not isinstance(other, GradedPoly):
             return NotImplemented
         return self + (-other)
@@ -226,29 +196,18 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return GradedPoly(
-                self.gens, {m: c * q for m, c in self.coeffs.items()}, self.maxdeg
+                self.genus, {m: c * q for m, c in self.coeffs.items()}, self.maxdeg
             )
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._require_compatible(other)
-        cap = self._combine_caps(self.maxdeg, other.maxdeg)
+        cap = combine_caps(self.maxdeg, other.maxdeg)
         return _mul_capped(self, other, cap)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power of a polynomial")
-        result = poly_const(self.gens, 1, self.maxdeg)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return power(self, n, GradedPoly(self.genus, {(): Fraction(1)}, self.maxdeg))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -259,13 +218,7 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         # Truncation metadata is bookkeeping, not part of the value.
-        return self.gens == other.gens and self.coeffs == other.coeffs
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
+        return self.genus == other.genus and self.coeffs == other.coeffs
 
     # -- printing --------------------------------------------------------
 
@@ -276,83 +229,35 @@ class GradedPoly:
         return f"GradedPoly({format_poly(self)})"
 
 
-def poly_const(gens: GeneratorSet, value, maxdeg: int | None = None) -> GradedPoly:
-    q = Fraction(value)
-    return GradedPoly(gens, {(): q} if q else {}, maxdeg)
-
-
-def poly_gen(gens: GeneratorSet, name: str, exp: int = 1,
-             maxdeg: int | None = None) -> GradedPoly:
-    gens.check(name)
-    if exp < 0:
-        raise InputError("negative exponent")
-    if exp == 0:
-        return poly_const(gens, 1, maxdeg)
-    return GradedPoly(gens, {((name, exp),): Fraction(1)}, maxdeg)
-
-
 def _mul_capped(a: GradedPoly, b: GradedPoly, cap: int | None) -> GradedPoly:
-    gens = a.gens
     acc: dict = {}
-    bdegs = [(m, c, mono_degree(m, gens)) for m, c in b.coeffs.items()]
+    bdegs = [(m, c, mono_degree(m)) for m, c in b.coeffs.items()]
     for m1, c1 in a.coeffs.items():
-        d1 = mono_degree(m1, gens)
+        d1 = mono_degree(m1)
         for m2, c2, d2 in bdegs:
             if cap is not None and d1 + d2 > cap:
                 continue
-            m = mono_mul(m1, m2, gens)
+            m = mono_mul(m1, m2)
             s = acc.get(m, Fraction(0)) + c1 * c2
             if s:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-    return GradedPoly(gens, acc, cap)
+    return GradedPoly(a.genus, acc, cap)
 
 
 def poly_mul(a: GradedPoly, b: GradedPoly, maxdeg: int | None) -> GradedPoly:
     """Product of a and b with all terms above total degree maxdeg dropped."""
     if not isinstance(a, GradedPoly) or not isinstance(b, GradedPoly):
         raise InputError("poly_mul expects two GradedPoly operands")
-    if a.gens != b.gens:
-        raise InputError("mismatched generator sets")
+    a._require_compatible(b)
     return _mul_capped(a, b, maxdeg)
 
 
-def truncated_inverse(p: GradedPoly, maxdeg: int) -> GradedPoly:
-    """Multiplicative inverse of p modulo terms of degree > maxdeg.
-
-    Requires constant term exactly 1.  Writing p = 1 + n with n of positive
-    degree, the inverse is the geometric series sum_j (-n)^j, which
-    terminates at j = maxdeg under the cap.
-    """
-    if maxdeg < 0:
-        raise InputError("negative truncation degree")
-    if p.constant_term != 1:
-        raise DomainError("truncated_inverse requires constant term 1")
-    one = poly_const(p.gens, 1, maxdeg)
-    n = (p - one).truncate(maxdeg)
-    if n.is_zero:
-        return one
-    result = one
-    power = one
-    for _ in range(maxdeg):
-        power = _mul_capped(power, -n, maxdeg)
-        if power.is_zero:
-            break
-        result = result + power
-    return result
-
-
-def format_poly(p: GradedPoly, name_map=None) -> str:
-    """Deterministic human-readable form, e.g. '1 - 3/4*x*y^2'."""
-    if p.is_zero:
-        return "0"
+def _format_terms(terms) -> str:
+    """Join (factor texts, nonzero coefficient) pairs as '1 - 3/4*x*y^2'."""
     pieces = []
-    for m, c in p.terms():
-        factors = []
-        for name, exp in m:
-            shown = name_map(name) if name_map else name
-            factors.append(shown if exp == 1 else f"{shown}^{exp}")
+    for factors, c in terms:
         mag = abs(c)
         body = "*".join(factors)
         if not factors:
@@ -365,13 +270,65 @@ def format_poly(p: GradedPoly, name_map=None) -> str:
             pieces.append(text if c > 0 else f"-{text}")
         else:
             pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
+
+
+def _power_text(name: str, exp: int) -> str:
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+def format_poly(p: GradedPoly) -> str:
+    """Deterministic human-readable form, e.g. '1 - 3/4*kappa_1*lambda_2^2'."""
+    return _format_terms(
+        ([_power_text(f"{GENERATOR_NAMES[kind]}_{index}", exp)
+          for (kind, index), exp in m], c)
+        for m, c in p.terms()
+    )
+
+
+# -- one-variable series ---------------------------------------------------
+
+def series_mul(a: list, b: list, maxdeg: int) -> list:
+    """Product of two coefficient lists, dropping degrees above maxdeg."""
+    size = min(len(a) + len(b) - 1, maxdeg + 1)
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[:size - i]):
+                out[i + j] += x * y
+    return out
+
+
+def truncated_inverse(p: list, maxdeg: int) -> list:
+    """Coefficients 0..maxdeg of the multiplicative inverse of the series p.
+
+    Requires constant term exactly 1.  The inverse q solves p * q = 1 degree
+    by degree: q_0 = 1 and q_n = -sum_{j=1}^{n} p_j q_{n-j}.
+    """
+    if maxdeg < 0:
+        raise InputError("negative truncation degree")
+    if not p or p[0] != 1:
+        raise DomainError("truncated_inverse requires constant term 1")
+    p = [Fraction(c) for c in p[:maxdeg + 1]]
+    q = [Fraction(1)]
+    for n in range(1, maxdeg + 1):
+        s = Fraction(0)
+        for j in range(1, min(n, len(p) - 1) + 1):
+            s += p[j] * q[n - j]
+        q.append(-s)
+    return q
+
+
+def format_series(coeffs: list, variable: str) -> str:
+    """A one-variable series in increasing degree, e.g. '1 + 3*t^2'."""
+    return _format_terms(
+        ([_power_text(variable, n)] if n else [], c)
+        for n, c in enumerate(coeffs)
+        if c
+    )
 
 
 # -- Bernoulli numbers ---------------------------------------------------
-
-_X = single_gen("x")
-
 
 @lru_cache(maxsize=None)
 def _bernoulli_all(up_to: int) -> tuple:
@@ -380,18 +337,9 @@ def _bernoulli_all(up_to: int) -> tuple:
     The generating function x/(e^x - 1) = sum B_n x^n / n! is computed by
     inverting sum_j x^j/(j+1)!, keeping every coefficient exact.
     """
-    q = GradedPoly(
-        _X,
-        {(): Fraction(1),
-         **{(("x", j),): Fraction(1, factorial(j + 1)) for j in range(1, up_to + 1)}},
-        up_to,
-    )
+    q = [Fraction(1, factorial(j + 1)) for j in range(up_to + 1)]
     inv = truncated_inverse(q, up_to)
-    out = []
-    for n in range(up_to + 1):
-        m = () if n == 0 else (("x", n),)
-        out.append(inv.coefficient(m) * factorial(n))
-    return tuple(out)
+    return tuple(inv[n] * factorial(n) for n in range(up_to + 1))
 
 
 def bernoulli(n: int) -> Fraction:

@@ -5,6 +5,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from sqtaut.cli import main
 from sqtaut.jsonio import emit_kl, emit_pointed, parse_kl, parse_kl_pretty, parse_pointed
 from sqtaut.kappa_lambda import kappa_class, lambda_class, lambda_to_kappa
@@ -181,3 +183,53 @@ def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     assert run(capsys, "push", "/no/such/file.json")[0] == 2
+
+
+def _kl_payload(genus=4, **coeff):
+    coeff.setdefault("rational", "1")
+    return {"schema": "sq-taut/1", "kind": "kl-class", "genus": genus,
+            "terms": [{"coeff": coeff}]}
+
+
+MALFORMED = [
+    ("lambda-to-kappa", _kl_payload(rational="1/0")),
+    ("lambda-to-kappa", [_kl_payload()]),
+    ("lambda-to-kappa", _kl_payload(kappa=[1])),
+    ("lambda-to-kappa", _kl_payload(kappa={"x": 1})),
+    ("lambda-to-kappa", _kl_payload(**{"lambda": {"5": 1}})),
+    ("lambda-to-kappa", _kl_payload(genus=1)),
+    ("lambda-to-kappa", _kl_payload(genus=None)),
+    ("lambda-to-kappa", _kl_payload(rational=None)),
+    ("lambda-to-kappa", _kl_payload(kappa={"1": "two"})),
+    ("lambda-to-kappa", {**_kl_payload(), "terms": ["not a term"]}),
+    ("lambda-to-kappa", {**_kl_payload(), "terms": {"coeff": {}}}),
+    ("lambda-to-kappa", {"schema": "sq-taut/1", "kind": "kl-class", "genus": 4}),
+    ("lambda-to-kappa", {**_kl_payload(), "terms": [{"coeff": [1]}]}),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
+              "terms": [{"partition": 5, "exponents": [1],
+                         "coeff": {"rational": "1"}}]}),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
+              "terms": [{"partition": [[1]], "exponents": [None],
+                         "coeff": {"rational": "1"}}]}),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
+              "terms": [{"partition": [[1]], "exponents": [1],
+                         "coeff": {"rational": "2/0"}}]}),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
+              "terms": [{"partition": [[1.7]], "exponents": [1],
+                         "coeff": {"rational": "1"}}]}),
+    # a huge d must be rejected without building the label range
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4,
+              "d": 10 ** 12, "terms": [{"partition": [[1]], "exponents": [1],
+                                        "coeff": {"rational": "1"}}]}),
+]
+
+
+@pytest.mark.parametrize("command,payload", MALFORMED)
+def test_malformed_payloads_exit_2_with_one_line(capsys, monkeypatch, command, payload):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code = main([command, "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -13,7 +13,6 @@ from sqtaut.jsonio import (
     emit_pointed,
     emit_poly,
     emit_rational,
-    format_kl,
     parse_kl,
     parse_kl_pretty,
     parse_pointed,
@@ -81,7 +80,9 @@ def test_provenance_attached():
 def test_poly_round_trip():
     p = poincare_Q02(5)
     payload = emit_poly(p, "t")
+    assert payload["coefficients"] == {"0": "1", "2": "4", "4": "6", "6": "4", "8": "1"}
     assert parse_poly(json.loads(json.dumps(payload))) == p
+    assert parse_poly(emit_poly([0, Fraction(1, 3)], "v")) == [0, Fraction(1, 3)]
 
 
 def test_rational_round_trip():
@@ -94,12 +95,12 @@ def test_pretty_parse_round_trip():
     for _ in range(100):
         g = rng.randint(2, 6)
         p = random_kl(rng, g)
-        assert parse_kl_pretty(format_kl(p), g) == p
+        assert parse_kl_pretty(str(p), g) == p
 
 
 def test_pretty_and_json_agree_on_relation():
     rel = lambda_to_kappa(theorem5_class(6, 2, 1))
-    from_pretty = parse_kl_pretty(format_kl(rel), 6)
+    from_pretty = parse_kl_pretty(str(rel), 6)
     from_json = parse_kl(emit_kl(rel))
     assert from_pretty == from_json == rel
 

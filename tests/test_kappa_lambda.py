@@ -8,7 +8,6 @@ import pytest
 from sqtaut.kappa_lambda import (
     chern_E_dual,
     kappa_class,
-    kl_gens,
     kl_is_kappa_only,
     kl_one,
     kl_scalar,
@@ -85,7 +84,11 @@ def test_lambda_index_bounds():
     with pytest.raises(InputError):
         lambda_class(3, 4)
     with pytest.raises(InputError):
-        kl_gens(1)
+        lambda_class(3, -1)
+    for make in (kl_zero, kl_one, lambda g: kl_scalar(g, 5),
+                 lambda g: kappa_class(g, 1), lambda g: lambda_class(g, 1)):
+        with pytest.raises(InputError):
+            make(1)
 
 
 def random_kl(rng, g, with_lambda=True):

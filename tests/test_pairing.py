@@ -11,7 +11,6 @@ from sqtaut.pairing import (
     ChainStratum,
     PairingMatrix,
     PairSpec,
-    count_P,
     enumerate_P,
     pairing_entry,
     rank_certificate,
@@ -77,7 +76,7 @@ def test_enumerate_edge_cases():
 def test_count_matches_formula():
     for d in range(1, 6):
         for k in range(0, 6):
-            assert count_P(d, k) == count_by_formula(d, k), (d, k)
+            assert len(enumerate_P(d, k)) == count_by_formula(d, k), (d, k)
 
 
 def test_enumeration_is_deterministic_and_length_descending():

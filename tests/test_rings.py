@@ -7,26 +7,33 @@ from math import comb, gcd
 
 import pytest
 
+from sqtaut.kappa_lambda import kappa_class, kl_one, kl_zero, lambda_class
 from sqtaut.rings import (
     DomainError,
-    FixedGens,
     GradedPoly,
     InputError,
     Rational,
     bernoulli,
-    poly_const,
-    poly_gen,
+    format_series,
     poly_mul,
-    single_gen,
+    series_mul,
     truncated_inverse,
 )
 
-X = single_gen("x")
-XY = FixedGens((("x", 1), ("y", 1)))
+G = 3  # genus of the kappa/lambda polynomials below
 
 
-def x(exp=1, maxdeg=None):
-    return poly_gen(X, "x", exp, maxdeg)
+def k(index=1, exp=1):
+    return kappa_class(G, index, exp)
+
+
+def lam(index=1, exp=1):
+    return lambda_class(G, index, exp)
+
+
+def x(exp=1):
+    """x^exp as a coefficient list."""
+    return [0] * exp + [1]
 
 
 # -- oracle: Bernoulli recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0 ----------
@@ -62,81 +69,87 @@ def test_rational_canonical_under_arithmetic_fuzz():
 
 
 def test_poly_mul_truncates():
-    one = poly_const(X, 1)
-    p = one + x()
-    q = one - x()
-    assert poly_mul(p, q, 2) == one - x(2)
-    r = one + x() + x(2)
-    assert poly_mul(r, p, 2) == one + 2 * x() + 2 * x(2)
+    one = kl_one(G)
+    p = one + k()
+    q = one - k()
+    assert poly_mul(p, q, 2) == one - k(1, 2)
+    r = one + k() + lam(2)
+    assert poly_mul(r, p, 2) == one + 2 * k() + k(1, 2) + lam(2)
+    assert poly_mul(r, p, 2).degree == 2
+    assert poly_mul(lam(3), k(), 3).is_zero
+
+
+def random_poly(rng, maxexp=3, nterms=5):
+    """A random polynomial in kappa_1, kappa_2 and lambda_1..lambda_G."""
+    gens = [(0, 1), (0, 2)] + [(1, i) for i in range(1, G + 1)]
+    coeffs = {}
+    for _ in range(rng.randint(0, nterms)):
+        mono = []
+        for gen in gens:
+            exp = rng.randint(0, maxexp) if rng.random() < 0.4 else 0
+            if exp:
+                mono.append((gen, exp))
+        coeffs[tuple(mono)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return GradedPoly(G, coeffs)
 
 
 def test_poly_mul_identity_random():
     rng = random.Random(7)
-    one = poly_const(XY, 1)
+    one = kl_one(G)
     for _ in range(50):
-        coeffs = {}
-        for _ in range(rng.randint(0, 6)):
-            m = []
-            ex = rng.randint(0, 3)
-            ey = rng.randint(0, 3)
-            if ex:
-                m.append(("x", ex))
-            if ey:
-                m.append(("y", ey))
-            coeffs[tuple(m)] = Fraction(rng.randint(-5, 5))
-        p = GradedPoly(XY, coeffs)
+        p = random_poly(rng)
         assert poly_mul(p, one, 10) == p.truncate(10)
+        assert poly_mul(p, kl_zero(G), 10).is_zero
 
 
 def test_truncated_inverse_examples():
-    one = poly_const(X, 1)
-    assert truncated_inverse(one, 5) == one
-    geom = truncated_inverse(one - x(), 3)
-    assert geom == one + x() + x(2) + x(3)
-    inv = truncated_inverse(one - 2 * x(), 2)
-    assert inv == one + 2 * x() + 4 * x(2)
+    assert truncated_inverse([1], 5) == [1, 0, 0, 0, 0, 0]
+    assert truncated_inverse([1, -1], 3) == [1, 1, 1, 1]
+    assert truncated_inverse([1, -2], 2) == [1, 2, 4]
+    assert truncated_inverse([1, 0, -1, 5, 7], 0) == [1]
+    assert all(isinstance(c, Fraction) for c in truncated_inverse([1, 3], 4))
 
 
 def test_truncated_inverse_requires_unit_constant():
     with pytest.raises(DomainError):
-        truncated_inverse(poly_const(X, 2), 3)
+        truncated_inverse([2], 3)
     with pytest.raises(DomainError):
         truncated_inverse(x(), 3)
+    with pytest.raises(DomainError):
+        truncated_inverse([], 3)
+    with pytest.raises(InputError):
+        truncated_inverse([1], -1)
+
+
+def random_series(rng, top, denominators):
+    return [Fraction(1)] + [
+        Fraction(rng.randint(-4, 4), rng.randint(1, denominators))
+        for _ in range(top)
+    ]
 
 
 def test_inverse_is_involutive():
     rng = random.Random(11)
-    one = poly_const(X, 1)
     for _ in range(30):
-        p = one
-        for e in range(1, 5):
-            p = p + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * x(e)
+        p = random_series(rng, 4, 3)
         q = truncated_inverse(truncated_inverse(p, 6), 6)
-        assert q == p.truncate(6)
+        assert q == p + [0, 0]
 
 
 def test_inverse_multiplies_to_one():
     rng = random.Random(13)
-    one = poly_const(X, 1)
     for _ in range(30):
-        p = one
-        for e in range(1, 6):
-            p = p + Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * x(e)
-        assert poly_mul(p, truncated_inverse(p, 7), 7) == one
+        p = random_series(rng, 5, 4)
+        assert series_mul(p, truncated_inverse(p, 7), 7) == [1] + [0] * 7
 
 
-def random_poly(rng, maxexp=3, nterms=5):
-    coeffs = {}
-    for _ in range(rng.randint(0, nterms)):
-        m = []
-        ex = rng.randint(0, maxexp)
-        ey = rng.randint(0, maxexp)
-        if ex:
-            m.append(("x", ex))
-        if ey:
-            m.append(("y", ey))
-        coeffs[tuple(m)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return GradedPoly(XY, coeffs)
+def test_series_mul_truncates():
+    assert series_mul([1, 1], [1, 1], 5) == [1, 2, 1]
+    assert series_mul([1, 1], [1, 1], 1) == [1, 2]
+    assert series_mul([1, 2, 3], [4, 5], 10) == [4, 13, 22, 15]
+    assert format_series([1, 0, 3, 0, 1], "t") == "1 + 3*t^2 + t^4"
+    assert format_series([0, Fraction(-1, 2), 1], "v") == "-1/2*v + v^2"
+    assert format_series([0, 0], "t") == "0"
 
 
 def test_ring_axioms_fuzz():
@@ -154,31 +167,60 @@ def test_ring_axioms_fuzz():
 
 
 def test_degree_bookkeeping():
-    p = x() * x(2)
+    p = k() * k(2)
     assert p.degree == 3
-    assert poly_const(X, 0).degree == -1
-    assert (x() + x(3)).degree_part(3) == x(3)
-    assert (x() + x(3)).homogeneous_degrees() == [1, 3]
+    assert (lam(2) * lam(3, 2)).degree == 8
+    assert kl_zero(G).degree == -1
+    assert (k() + k(3)).degree_part(3) == k(3)
+    assert (k() + lam(3)).degree_part(3) == lam(3)
+    assert (k() + k(3) + lam(1) * lam(2)).homogeneous_degrees() == [1, 3]
+    assert (k() ** 3).coefficient((((0, 1), 3),)) == 1
 
 
 def test_mismatched_generator_sets_rejected():
+    # the generators of a polynomial are the kappa and lambda classes of
+    # its genus; polynomials of different genera do not mix
     with pytest.raises(InputError):
-        poly_mul(x(), poly_gen(XY, "x"), 4)
+        poly_mul(k(), kappa_class(G + 1, 1), 4)
     with pytest.raises(InputError):
-        _ = x() + poly_gen(XY, "y")
+        _ = k() + lambda_class(G + 1, 1)
+    with pytest.raises(InputError):
+        poly_mul(k(), 1, 4)
+    assert k() != kappa_class(G + 1, 1)
 
 
 def test_truncation_is_per_value_not_global():
-    p = (poly_const(X, 1) + x()).truncate(1)
-    q = poly_const(X, 1) + x()
-    assert (p * q).coefficient((("x", 2),)) == 0
-    assert (q * q).coefficient((("x", 2),)) == 1
+    p = (kl_one(G) + k()).truncate(1)
+    q = kl_one(G) + k()
+    assert (p * q).coefficient((((0, 1), 2),)) == 0
+    assert (q * q).coefficient((((0, 1), 2),)) == 1
 
 
 def test_deterministic_term_order():
-    p = poly_gen(XY, "y") + poly_gen(XY, "x") + poly_const(XY, 1)
-    assert [m for m, _ in p.terms()] == [(), (("x", 1),), (("y", 1),)]
-    assert str(p) == "1 + x + y"
+    p = lam(1) + k(2) + k(1) + kl_one(G) + k(1, 2) + lam(1) * k(1)
+    assert [m for m, _ in p.terms()] == [
+        (),
+        (((0, 1), 1),),
+        (((1, 1), 1),),
+        (((0, 1), 2),),
+        (((0, 1), 1), ((1, 1), 1)),
+        (((0, 2), 1),),
+    ]
+    assert str(p) == (
+        "1 + kappa_1 + lambda_1 + kappa_1^2 + kappa_1*lambda_1 + kappa_2"
+    )
+
+
+def test_values_are_read_only():
+    p = k() + lam(2)
+    with pytest.raises(TypeError):
+        p.coeffs[()] = Fraction(1)
+    with pytest.raises(AttributeError):
+        p.genus = 4
+    source = {(((0, 1), 1),): Fraction(2)}
+    q = GradedPoly(G, source)
+    source.clear()
+    assert q == 2 * k()
 
 
 def test_bernoulli_frozen_values():
