@@ -6,8 +6,9 @@ A class on the universal curve is written in the normal form
 
 where omega is the relative dualizing class, sigma_i is the divisor of the
 i-th light section, and the pulled-back coefficients are PointedClass
-values on the base.  The rewriting rules closing this normal form under
-multiplication are
+values on the base.  `CurveClass` keeps it as one `rings.SparseSum` table
+keyed by (OMEGA, b) and (SIGMA, i); the rewriting rules closing this
+normal form under multiplication are
 
     sigma_i^2        = -pullback(psihat_i) * sigma_i
     sigma_i sigma_j  =  pullback(D_{ij}) * sigma_{min(i,j)}     (i != j)
@@ -45,155 +46,105 @@ from .pointed import (
     pc_zero,
     rank_F,
 )
-from .rings import GradedPoly, InputError, power
+from .rings import GradedPoly, InputError, SparseSum, accumulate, combine_caps
+
+
+OMEGA, SIGMA = 0, 1
+
+
+def _valid_key(key, d: int) -> bool:
+    """Whether key is (OMEGA, b) with b >= 0 or (SIGMA, i) with 1 <= i <= d."""
+    if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], int)):
+        return False
+    kind, n = key
+    return kind == OMEGA and n >= 0 or kind == SIGMA and 1 <= n <= d
 
 
 @dataclass(frozen=True, eq=False)
-class CurveClass:
+class CurveClass(SparseSum):
     """Normal-form class on the universal curve over the d-pointed base.
 
-    `omega_terms` maps b >= 0 to the pulled-back coefficient of omega^b;
-    `sigma_terms` maps a section index i to the pulled-back coefficient of
-    sigma_i.  Both are read-only copies of the tables passed in, with zero
-    coefficients dropped.
+    `terms` maps (OMEGA, b), b >= 0, to the pulled-back coefficient of
+    omega^b and (SIGMA, i), 1 <= i <= d, to that of sigma_i.  The cap
+    bounds the degree of the coefficients: every rewriting rule keeps or
+    raises it, so the terms beyond a cap form an ideal.
     """
 
     genus: int
     d: int
-    omega_terms: MappingProxyType
-    sigma_terms: MappingProxyType
+    terms: MappingProxyType
+    cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.genus < 2:
             raise InputError("genus must be >= 2")
         if self.d < 1:
             raise InputError("d must be >= 1")
-        for field, check in (
-            ("omega_terms", lambda b: isinstance(b, int) and b >= 0),
-            ("sigma_terms", lambda i: isinstance(i, int) and 1 <= i <= self.d),
-        ):
-            clean = {}
-            for key, coeff in getattr(self, field).items():
-                if not check(key):
-                    raise InputError(f"bad curve-class key {key!r}")
-                if (coeff.genus, coeff.d) != (self.genus, self.d):
-                    raise InputError("coefficient on wrong base")
-                if not coeff.is_zero:
-                    clean[key] = coeff
-            object.__setattr__(self, field, MappingProxyType(clean))
+        clean = {}
+        for key, coeff in self.terms.items():
+            if not _valid_key(key, self.d):
+                raise InputError(f"bad curve-class key {key!r}")
+            if (coeff.genus, coeff.d) != (self.genus, self.d):
+                raise InputError("coefficient on wrong base")
+            if self.cap is not None:
+                coeff = coeff.truncate(self.cap)
+            if not coeff.is_zero:
+                clean[key] = coeff
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.omega_terms and not self.sigma_terms
+    _space = property(lambda self: (self.genus, self.d))
+    _table = property(lambda self: self.terms)
+    _SCALARS = (int, Fraction, GradedPoly, PointedClass)
 
-    def _require_compatible(self, other: "CurveClass") -> None:
-        if (self.genus, self.d) != (other.genus, other.d):
-            raise InputError("mismatched genus or light-point count")
-
-    def __add__(self, other):
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        self._require_compatible(other)
-        om = dict(self.omega_terms)
-        for b, coeff in other.omega_terms.items():
-            om[b] = om[b] + coeff if b in om else coeff
-        sg = dict(self.sigma_terms)
-        for i, coeff in other.sigma_terms.items():
-            sg[i] = sg[i] + coeff if i in sg else coeff
-        return CurveClass(self.genus, self.d, om, sg)
-
-    def __neg__(self):
-        return CurveClass(
-            self.genus,
-            self.d,
-            {b: -c for b, c in self.omega_terms.items()},
-            {i: -c for i, c in self.sigma_terms.items()},
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return self + (-other)
+    def _scalar(self, q) -> "CurveClass":
+        return cc_scalar(self.genus, self.d, q)
 
     def scale(self, factor) -> "CurveClass":
         """Multiply by a pulled-back PointedClass, kappa/lambda class, or scalar."""
-        if isinstance(factor, (int, Fraction, GradedPoly)):
-            return CurveClass(
-                self.genus,
-                self.d,
-                {b: c.scale(factor) for b, c in self.omega_terms.items()},
-                {i: c.scale(factor) for i, c in self.sigma_terms.items()},
-            )
-        if isinstance(factor, PointedClass):
-            return CurveClass(
-                self.genus,
-                self.d,
-                {b: c * factor for b, c in self.omega_terms.items()},
-                {i: c * factor for i, c in self.sigma_terms.items()},
-            )
-        raise InputError(f"cannot scale by {type(factor).__name__}")
+        if not isinstance(factor, self._SCALARS):
+            raise InputError(f"cannot scale by {type(factor).__name__}")
+        return self._new({key: c * factor for key, c in self.terms.items()}, self.cap)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly, PointedClass)):
-            return self.scale(other)
-        if not isinstance(other, CurveClass):
-            return NotImplemented
+    def _mul(self, other: "CurveClass") -> "CurveClass":
         return cc_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly, PointedClass)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        return power(self, n, cc_scalar(self.genus, self.d, 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return (
-            (self.genus, self.d) == (other.genus, other.d)
-            and self.omega_terms == other.omega_terms
-            and self.sigma_terms == other.sigma_terms
-        )
 
     def __str__(self) -> str:
         pieces = []
-        for b in sorted(self.omega_terms):
-            coeff = self.omega_terms[b]
-            head = "1" if b == 0 else ("omega" if b == 1 else f"omega^{b}")
-            pieces.append(f"pi^*({coeff})" + ("" if b == 0 else f"*{head}"))
-        for i in sorted(self.sigma_terms):
-            pieces.append(f"pi^*({self.sigma_terms[i]})*sigma_{i}")
+        for (kind, n), coeff in sorted(self.terms.items()):
+            if kind == SIGMA:
+                pieces.append(f"pi^*({coeff})*sigma_{n}")
+            else:
+                head = "omega" if n == 1 else f"omega^{n}"
+                pieces.append(f"pi^*({coeff})" + ("" if n == 0 else f"*{head}"))
         return " + ".join(pieces) if pieces else "0"
 
 
 # -- constructors --------------------------------------------------------
 
 def cc_zero(genus: int, d: int) -> CurveClass:
-    return CurveClass(genus, d, {}, {})
+    return CurveClass(genus, d, {})
 
 def cc_scalar(genus: int, d: int, value) -> CurveClass:
     v = pc_one(genus, d).scale(value)
-    return CurveClass(genus, d, {0: v}, {})
+    return CurveClass(genus, d, {(OMEGA, 0): v})
 
 def cc_pullback(p: PointedClass, omega_pow: int = 0) -> CurveClass:
     if omega_pow < 0:
         raise InputError("negative omega power")
-    return CurveClass(p.genus, p.d, {omega_pow: p}, {})
+    return CurveClass(p.genus, p.d, {(OMEGA, omega_pow): p})
 
 def cc_omega(genus: int, d: int) -> CurveClass:
-    return CurveClass(genus, d, {1: pc_one(genus, d)}, {})
+    return CurveClass(genus, d, {(OMEGA, 1): pc_one(genus, d)})
 
 def cc_sigma(genus: int, d: int, i: int) -> CurveClass:
     if not 1 <= i <= d:
         raise InputError(f"section index {i} out of range 1..{d}")
-    return CurveClass(genus, d, {}, {i: pc_one(genus, d)})
+    return CurveClass(genus, d, {(SIGMA, i): pc_one(genus, d)})
 
 def cc_sections_sum(genus: int, d: int) -> CurveClass:
     """s = sigma_1 + ... + sigma_d."""
     return CurveClass(
-        genus, d, {}, {i: pc_one(genus, d) for i in range(1, d + 1)}
+        genus, d, {(SIGMA, i): pc_one(genus, d) for i in range(1, d + 1)}
     )
 
 
@@ -204,34 +155,22 @@ def cc_mul(x: CurveClass, y: CurveClass) -> CurveClass:
         raise InputError("cc_mul expects two CurveClass operands")
     x._require_compatible(y)
     g, d = x.genus, x.d
-    om: dict = {}
-    sg: dict = {}
-
-    def add_om(b, coeff):
-        if coeff.is_zero:
-            return
-        om[b] = om[b] + coeff if b in om else coeff
-
-    def add_sg(i, coeff):
-        if coeff.is_zero:
-            return
-        sg[i] = sg[i] + coeff if i in sg else coeff
-
-    for b1, c1 in x.omega_terms.items():
-        for b2, c2 in y.omega_terms.items():
-            add_om(b1 + b2, c1 * c2)
-        for i, c2 in y.sigma_terms.items():
-            # omega^b1 * sigma_i = psihat_i^b1 * sigma_i
-            add_sg(i, c1 * c2 * pc_psihat(g, d, i) ** b1)
-    for i, c1 in x.sigma_terms.items():
-        for b2, c2 in y.omega_terms.items():
-            add_sg(i, c1 * c2 * pc_psihat(g, d, i) ** b2)
-        for j, c2 in y.sigma_terms.items():
-            if i == j:
-                add_sg(i, -(c1 * c2 * pc_psihat(g, d, i)))
+    acc: dict = {}
+    for (k1, n1), c1 in x.terms.items():
+        for (k2, n2), c2 in y.terms.items():
+            coeff = c1 * c2
+            if k1 == OMEGA and k2 == OMEGA:
+                key = (OMEGA, n1 + n2)
+            elif k1 == OMEGA or k2 == OMEGA:
+                # omega^b * sigma_i = psihat_i^b * sigma_i
+                b, i = (n1, n2) if k1 == OMEGA else (n2, n1)
+                key, coeff = (SIGMA, i), coeff * pc_psihat(g, d, i) ** b
+            elif n1 == n2:
+                key, coeff = (SIGMA, n1), -(coeff * pc_psihat(g, d, n1))
             else:
-                add_sg(min(i, j), c1 * c2 * pc_diagonal(g, d, (i, j)))
-    return CurveClass(g, d, om, sg)
+                key, coeff = (SIGMA, min(n1, n2)), coeff * pc_diagonal(g, d, (n1, n2))
+            accumulate(acc, key, coeff)
+    return CurveClass(g, d, acc, combine_caps(x.cap, y.cap))
 
 
 # -- fiber integration ---------------------------------------------------
@@ -240,12 +179,11 @@ def pi_push(x: CurveClass) -> PointedClass:
     """Pushforward along the universal curve's projection to the base."""
     g, d = x.genus, x.d
     out = pc_zero(g, d)
-    for i, coeff in x.sigma_terms.items():
-        out = out + coeff
-    for b, coeff in x.omega_terms.items():
-        if b == 0:
-            continue  # a bare pullback integrates to zero
-        out = out + coeff.scale(kappa_class(g, b - 1))
+    for (kind, n), coeff in x.terms.items():
+        if kind == SIGMA:
+            out = out + coeff
+        elif n > 0:  # a bare pullback integrates to zero
+            out = out + coeff.scale(kappa_class(g, n - 1))
     return out
 
 
@@ -253,8 +191,8 @@ def pi_push(x: CurveClass) -> PointedClass:
 
 def _alternate_signs(p: PointedClass) -> PointedClass:
     """Evaluate a total class at -1: negate odd-total-degree parts."""
-    out = pc_zero(p.genus, p.d, p.trunc)
-    for k in p.total_degrees():
+    out = pc_zero(p.genus, p.d, p.cap)
+    for k in p.homogeneous_degrees():
         part = p.degree_part(k)
         out = out + (part if k % 2 == 0 else -part)
     return out

@@ -4,9 +4,11 @@ numbers on the n-pointed space.
 
 The space of a rational curve with two distinguished points and d light
 points that may collide deformation-retracts onto a chain of components;
-its Poincare polynomial is assembled from ordered compositions of d, one
-factor t^{2(part-1)} per chain component.  Closed form: (1+t^2)^{d-1}.
-Polynomials in t are lists of Fractions indexed by the power of t.
+its Poincare polynomial is a sum over ordered compositions of d, one
+factor t^{2(part-1)} per chain component.  Grouped by the last part p it
+is Q(0) = 1, Q(n) = sum_{p=1..n} t^{2p-2} Q(n-p), with closed form
+(1+t^2)^{d-1}.  Polynomials in t are lists of Fractions indexed by the
+power of t.
 
 Intersection numbers against psi classes at the two heavy points and the
 light points satisfy a point-forgetting recursion
@@ -14,8 +16,9 @@ light points satisfy a point-forgetting recursion
     I(d; x1, x2 | y_1..y_d) = I(d-1; x1-1, x2 | ...) + I(d-1; x1, x2-1 | ...)
 
 valid when y_d = 0 (the dropped light point carries no psi), with base
-I(1; 0, 0 | 0) = 1.  The value vanishes unless every y_j = 0, where it is
-the binomial coefficient binom(d-1; x1, x2).
+I(1; 0, 0 | 0) = 1, evaluated level by level, one light point forgotten
+per level.  The value vanishes unless every y_j = 0, where it is the
+binomial coefficient binom(d-1; x1, x2).
 """
 
 from __future__ import annotations
@@ -52,9 +55,16 @@ def poincare_Q02(d: int) -> list:
     """
     if d < 1:
         raise InputError("d must be >= 1")
+    # sums[n][j]: coefficient of t^(2j) in Q(n), grouped by the last part p
+    sums = [[1]]
+    for n in range(1, d + 1):
+        row = [0] * n
+        for p in range(1, n + 1):
+            for j, c in enumerate(sums[n - p], start=p - 1):
+                row[j] += c
+        sums.append(row)
     out = [Fraction(0)] * (2 * d - 1)
-    for comp in compositions(d):
-        out[sum(2 * p - 2 for p in comp)] += 1
+    out[::2] = map(Fraction, sums[d])
     return out
 
 
@@ -72,22 +82,25 @@ def intersect_M02d(d: int, x1: int, x2: int, y: Sequence[int]) -> Fraction:
         raise InputError(f"need {d} light exponents, got {len(y)}")
     if any(v < 0 for v in y) or x1 < 0 or x2 < 0:
         raise InputError("exponents must be nonnegative")
-    return _intersect_rec(d, x1, x2, y)
-
-
-def _intersect_rec(d: int, x1: int, x2: int, y: tuple) -> Fraction:
-    if x1 < 0 or x2 < 0:
-        return Fraction(0)
     if x1 + x2 + sum(y) != d - 1:
         return Fraction(0)
-    if d == 1:
-        return Fraction(1)  # dimension 0 forces x1 = x2 = y_1 = 0
-    # some light point is psi-free (sum(y) <= d-1 < d); forget it
-    j = next(i for i in range(d) if y[i] == 0)
-    rest = y[:j] + y[j + 1:]
-    return _intersect_rec(d - 1, x1 - 1, x2, rest) + _intersect_rec(
-        d - 1, x1, x2 - 1, rest
-    )
+    # Forgetting a psi-free light point keeps sum(y), so a level's state is
+    # x1 alone: ways[a] counts the recursion paths reaching (a, total - a).
+    # While a nonnegative state exists, sum(y) < level: a psi-free point
+    # remains to forget.
+    ways = {x1: 1}
+    total = x1 + x2
+    for _ in range(d - 1):
+        step: dict = {}
+        for a, w in ways.items():
+            if a > 0:
+                step[a - 1] = step.get(a - 1, 0) + w
+            if total - a > 0:
+                step[a] = step.get(a, 0) + w
+        ways = step
+        total -= 1
+    # level 1 has dimension 0: only x1 = x2 = y_1 = 0 survives, worth 1
+    return Fraction(sum(ways.values()))
 
 
 def psi_integral_M0n(exponents: Sequence[int]) -> Fraction:

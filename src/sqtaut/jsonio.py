@@ -32,7 +32,7 @@ from .kappa_lambda import (
     lambda_class,
 )
 from .pointed import BlockMonomial, PointedClass
-from .rings import GENERATOR_NAMES, InputError
+from .rings import GENERATOR_NAMES, InputError, accumulate
 
 SCHEMA = "sq-taut/1"
 
@@ -168,9 +168,7 @@ def parse_pointed(payload: Mapping) -> PointedClass:
             ),
             tuple(_int(e, "exponent") for e in _list(_get(term, "exponents"), "exponents")),
         )
-        coeff = _coeff_from_payload(genus, _get(term, "coeff"))
-        prev = acc.get(mono)
-        acc[mono] = coeff if prev is None else prev + coeff
+        accumulate(acc, mono, _coeff_from_payload(genus, _get(term, "coeff")))
     return PointedClass(genus, d, acc)
 
 

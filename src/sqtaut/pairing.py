@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
-from .rings import InputError, iter_weak_compositions
+from .rings import InputError, check_set_partition, iter_weak_compositions
 
 PROVEN_ZERO = "proven-zero"
 COMPUTED = "computed"
@@ -67,24 +67,10 @@ class PairSpec:
     def __post_init__(self) -> None:
         if self.d < 1 or self.k < 0:
             raise InputError("need d >= 1 and k >= 0")
-        seen = []
-        last_min = 0
-        for part in self.partition:
-            if not part or list(part) != sorted(set(part)):
-                raise InputError(f"bad part {part!r}")
-            if part[0] <= last_min:
-                raise InputError("parts must be ordered by least element")
-            last_min = part[0]
-            seen.extend(part)
-        if sorted(seen) != list(range(1, self.d + 1)):
-            raise InputError("parts must partition {1..d}")
+        check_set_partition(self.partition, self.tau, self.d, "part")
         l = len(self.partition)
         if l < self.d - self.k:
             raise InputError("too few parts for this degree")
-        if len(self.tau) != l:
-            raise InputError("one exponent per part required")
-        if any(not isinstance(t, int) or t < 0 for t in self.tau):
-            raise InputError("exponents must be nonnegative integers")
         if sum(self.tau) != self.k - self.d + l:
             raise InputError("exponents must sum to k - d + #parts")
 

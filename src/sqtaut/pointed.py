@@ -22,8 +22,9 @@ components: a component F assembled from r constituent blocks (counted
 from both factors) picks up the exponent |F| + 1 - r on -psihat_F, since
 every light label lies in exactly one block of each factor.
 
-Coefficients are kappa/lambda polynomials pulled back from the base.  The
-pushforward to the base sends a block monomial to prod_B kappa_{t_B - 1}
+Coefficients are kappa/lambda polynomials pulled back from the base; a
+`PointedClass` is a `rings.SparseSum` over block monomials whose degree
+cap counts codimension plus coefficient degree.  The pushforward to the base sends a block monomial to prod_B kappa_{t_B - 1}
 (kappa_{-1} = 0, kappa_0 = 2g - 2), lowering degree by exactly d.
 
 The total Chern class of the index-type obstruction bundle F_d (rank
@@ -59,9 +60,11 @@ from .rings import (
     DomainError,
     GradedPoly,
     InputError,
+    SparseSum,
+    accumulate,
+    check_set_partition,
     combine_caps,
     poly_mul,
-    power,
 )
 
 
@@ -80,21 +83,7 @@ class BlockMonomial:
     def __post_init__(self) -> None:
         if self.d < 0:
             raise InputError("d must be >= 0")
-        if len(self.blocks) != len(self.exps):
-            raise InputError("one exponent per block required")
-        seen = []
-        last_min = 0
-        for block, exp in zip(self.blocks, self.exps):
-            if not block or list(block) != sorted(set(block)):
-                raise InputError(f"bad block {block!r}")
-            if block[0] <= last_min:
-                raise InputError("blocks must be ordered by least element")
-            last_min = block[0]
-            if not isinstance(exp, int) or exp < 0:
-                raise InputError(f"bad exponent {exp!r}")
-            seen.extend(block)
-        if len(seen) != self.d or sorted(seen) != list(range(1, self.d + 1)):
-            raise InputError("blocks must partition {1..d}")
+        check_set_partition(self.blocks, self.exps, self.d, "block")
 
     @property
     def degree(self) -> int:
@@ -151,19 +140,17 @@ def diagonal_monomial(d: int, labels: Iterable[int]) -> BlockMonomial:
 
 
 @dataclass(frozen=True, eq=False)
-class PointedClass:
+class PointedClass(SparseSum):
     """A finite sum of block monomials with kappa/lambda coefficients.
 
-    `terms` maps block monomials to nonzero coefficients and is read-only.
-    `trunc`, when set, caps the trusted total degree (monomial codimension
-    plus coefficient degree); higher terms are dropped on construction and
-    in every product.
+    `terms` maps block monomials to nonzero coefficients; the degree for
+    the cap is the monomial codimension plus the coefficient degree.
     """
 
     genus: int
     d: int
     terms: MappingProxyType
-    trunc: int | None = None
+    cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.genus < 2:
@@ -176,23 +163,26 @@ class PointedClass:
                 raise InputError("monomial has wrong number of light points")
             if genus_of(coeff) != self.genus:
                 raise InputError("coefficient has wrong genus")
-            if self.trunc is not None:
-                coeff = coeff.truncate(self.trunc - mono.degree)
+            if self.cap is not None:
+                coeff = coeff.truncate(self.cap - mono.degree)
             if coeff.is_zero:
                 continue
             clean[mono] = coeff
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    # -- queries ---------------------------------------------------------
+    _space = property(lambda self: (self.genus, self.d))
+    _table = property(lambda self: self.terms)
+    _SCALARS = (int, Fraction, GradedPoly)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, q) -> "PointedClass":
+        return pc_from_kl(self.genus, self.d, kl_scalar(self.genus, q))
+
+    # -- queries ---------------------------------------------------------
 
     def coefficient(self, mono: BlockMonomial) -> KLPoly:
         return self.terms.get(mono, kl_zero(self.genus))
 
-    def total_degrees(self) -> list:
+    def homogeneous_degrees(self) -> list:
         out = set()
         for mono, coeff in self.terms.items():
             for k in coeff.homogeneous_degrees():
@@ -200,15 +190,9 @@ class PointedClass:
         return sorted(out)
 
     def degree_part(self, k: int) -> "PointedClass":
-        parts = {}
-        for mono, coeff in self.terms.items():
-            piece = coeff.degree_part(k - mono.degree)
-            if not piece.is_zero:
-                parts[mono] = piece
+        parts = {mono: coeff.degree_part(k - mono.degree)
+                 for mono, coeff in self.terms.items()}
         return PointedClass(self.genus, self.d, parts, None)
-
-    def truncate(self, trunc: int | None) -> "PointedClass":
-        return PointedClass(self.genus, self.d, self.terms, trunc)
 
     def relabel(self, perm: Mapping[int, int]) -> "PointedClass":
         """Apply a permutation of the light labels (a ring automorphism)."""
@@ -219,39 +203,9 @@ class PointedClass:
         out = {}
         for mono, coeff in self.terms.items():
             out[mono.relabel(perm)] = coeff
-        return PointedClass(self.genus, self.d, out, self.trunc)
+        return PointedClass(self.genus, self.d, out, self.cap)
 
     # -- arithmetic ------------------------------------------------------
-
-    def _require_compatible(self, other: "PointedClass") -> None:
-        if (self.genus, self.d) != (other.genus, other.d):
-            raise InputError("mismatched genus or light-point count")
-
-    def __add__(self, other):
-        if not isinstance(other, PointedClass):
-            return NotImplemented
-        self._require_compatible(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = acc.get(mono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-        return PointedClass(
-            self.genus, self.d, acc, combine_caps(self.trunc, other.trunc)
-        )
-
-    def __neg__(self):
-        return PointedClass(
-            self.genus, self.d, {m: -c for m, c in self.terms.items()}, self.trunc
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PointedClass):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, factor) -> "PointedClass":
         """Multiply by a scalar or by a pulled-back kappa/lambda class."""
@@ -261,39 +215,12 @@ class PointedClass:
             raise InputError("coefficient has wrong genus")
         out = {}
         for mono, coeff in self.terms.items():
-            cap = None if self.trunc is None else self.trunc - mono.degree
-            prod = poly_mul(coeff, factor, cap)
-            if not prod.is_zero:
-                out[mono] = prod
-        return PointedClass(self.genus, self.d, out, self.trunc)
+            cap = None if self.cap is None else self.cap - mono.degree
+            out[mono] = poly_mul(coeff, factor, cap)
+        return PointedClass(self.genus, self.d, out, self.cap)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            return self.scale(other)
-        if not isinstance(other, PointedClass):
-            return NotImplemented
+    def _mul(self, other: "PointedClass") -> "PointedClass":
         return pc_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        return power(self, n, pc_one(self.genus, self.d, self.trunc))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return self.is_zero
-            return self.terms == {unit_monomial(self.d): kl_scalar(self.genus, q)}
-        if not isinstance(other, PointedClass):
-            return NotImplemented
-        # truncation metadata is not part of the value
-        return (self.genus, self.d) == (other.genus, other.d) and (
-            self.terms == other.terms
-        )
 
     def __str__(self) -> str:
         if not self.terms:
@@ -427,7 +354,7 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
     if not isinstance(a, PointedClass) or not isinstance(b, PointedClass):
         raise InputError("pc_mul expects two PointedClass operands")
     a._require_compatible(b)
-    trunc = combine_caps(a.trunc, b.trunc)
+    trunc = combine_caps(a.cap, b.cap)
     genus = a.genus
     acc: dict = {}
     for m1, c1 in a.terms.items():
@@ -437,16 +364,8 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
                 continue
             cap = None if trunc is None else trunc - mono.degree
             coeff = poly_mul(c1, c2, cap)
-            if sign < 0:
-                coeff = -coeff
-            if coeff.is_zero:
-                continue
-            prev = acc.get(mono)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
+            if coeff:
+                accumulate(acc, mono, -coeff if sign < 0 else coeff)
     return PointedClass(genus, a.d, acc, trunc)
 
 

@@ -14,6 +14,11 @@ property of the value (an optional degree cap carried by the polynomial),
 never global state; the explicit-cap entry point `poly_mul` overrides it
 per operation.
 
+`SparseSum` holds the ring operations that `GradedPoly`, `PointedClass`
+and `CurveClass` share: addition, negation, subtraction, powers, equality,
+truncation and the dispatch of `*`, with `accumulate` as the one merge
+step of every sum.
+
 One-variable series are plain lists of Fractions indexed by degree;
 `series_mul` and `truncated_inverse` work on them.
 
@@ -78,37 +83,123 @@ def combine_caps(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def power(base, n: int, one):
-    """base ** n by repeated squaring, starting from `one`."""
-    if n < 0:
-        raise InputError("negative power")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+def accumulate(acc: dict, key, value) -> None:
+    """Add value to acc[key], dropping the key when the sum is zero."""
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+class SparseSum:
+    """Ring operations shared by the sparse class types.
+
+    A value is a read-only table from basis keys to nonzero coefficients in
+    a space that operands must share, with an optional degree `cap`: when
+    set, the value is trusted only up to that total degree and terms beyond
+    it are dropped.  `==` ignores the cap, which is bookkeeping.
+
+    A subclass is a frozen dataclass built as `cls(*space, table, cap)`
+    that caps its table in `__post_init__` and provides `_space`, `_table`,
+    `_scalar(q)` (the uncapped constant q in the same space), `scale` by
+    the `_SCALARS` types and `_mul`, its product with a value of its type.
+    """
+
+    cap: int | None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._table
+
+    def __bool__(self) -> bool:
+        return bool(self._table)
+
+    def _new(self, table, cap):
+        return type(self)(*self._space, table, cap)
+
+    def truncate(self, cap: int | None):
+        return self._new(self._table, cap)
+
+    def _require_compatible(self, other) -> None:
+        if self._space != other._space:
+            raise InputError(f"mismatched spaces {self._space} and {other._space}")
+
+    def _coerce(self, other):
+        """other as a value of this type, or None if it is not one."""
+        if isinstance(other, (int, Fraction)):
+            return self._scalar(other)
+        return other if isinstance(other, type(self)) else None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._require_compatible(other)
+        acc = dict(self._table)
+        for key, value in other._table.items():
+            accumulate(acc, key, value)
+        return self._new(acc, combine_caps(self.cap, other.cap))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._table.items()}, self.cap)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        """self ** n by repeated squaring."""
+        if n < 0:
+            raise InputError("negative power")
+        result, base = self._scalar(1).truncate(self.cap), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._space == other._space and self._table == other._table
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._mul(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self.scale(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
-class GradedPoly:
+class GradedPoly(SparseSum):
     """Sparse kappa/lambda polynomial with Rational coefficients at a genus.
 
-    `coeffs` maps canonical monomials to nonzero Fractions and is read-only.
-    `maxdeg`, when set, means the value is only trusted up to that total
-    degree; terms beyond it are dropped on construction and by every
-    operation.
+    `coeffs` maps canonical monomials to nonzero Fractions; a monomial's
+    degree for the cap is its total degree.
     """
 
     genus: int
     coeffs: MappingProxyType
-    maxdeg: int | None = None
+    cap: int | None = None
 
     def __post_init__(self) -> None:
         clean: dict = {}
-        cap = self.maxdeg
+        cap = self.cap
         for m, c in self.coeffs.items():
             if not isinstance(c, Fraction):
                 c = Fraction(c)
@@ -119,11 +210,14 @@ class GradedPoly:
             clean[m] = c
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    # -- queries ---------------------------------------------------------
+    _space = property(lambda self: (self.genus,))
+    _table = property(lambda self: self.coeffs)
+    _SCALARS = (int, Fraction)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _scalar(self, q) -> "GradedPoly":
+        return GradedPoly(self.genus, {(): q})
+
+    # -- queries ---------------------------------------------------------
 
     @property
     def constant_term(self) -> Fraction:
@@ -151,74 +245,15 @@ class GradedPoly:
     def homogeneous_degrees(self) -> list:
         return sorted({mono_degree(m) for m in self.coeffs})
 
-    def truncate(self, maxdeg: int | None) -> "GradedPoly":
-        return GradedPoly(self.genus, self.coeffs, maxdeg)
-
     # -- arithmetic ------------------------------------------------------
 
-    def _require_compatible(self, other: "GradedPoly") -> None:
-        if self.genus != other.genus:
-            raise InputError(
-                f"mismatched genus: {self.genus} and {other.genus}"
-            )
+    def scale(self, factor) -> "GradedPoly":
+        q = Fraction(factor)
+        return self._new({m: c * q for m, c in self.coeffs.items()}, self.cap)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly(self.genus, {(): other})
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
+    def _mul(self, other: "GradedPoly") -> "GradedPoly":
         self._require_compatible(other)
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return GradedPoly(self.genus, acc, combine_caps(self.maxdeg, other.maxdeg))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedPoly(self.genus, {m: -c for m, c in self.coeffs.items()}, self.maxdeg)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly(self.genus, {(): other})
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return GradedPoly(
-                self.genus, {m: c * q for m, c in self.coeffs.items()}, self.maxdeg
-            )
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._require_compatible(other)
-        cap = combine_caps(self.maxdeg, other.maxdeg)
-        return _mul_capped(self, other, cap)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, GradedPoly(self.genus, {(): Fraction(1)}, self.maxdeg))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return self.is_zero
-            return self.coeffs == {(): q}
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        # Truncation metadata is bookkeeping, not part of the value.
-        return self.genus == other.genus and self.coeffs == other.coeffs
+        return _mul_capped(self, other, combine_caps(self.cap, other.cap))
 
     # -- printing --------------------------------------------------------
 
@@ -237,12 +272,7 @@ def _mul_capped(a: GradedPoly, b: GradedPoly, cap: int | None) -> GradedPoly:
         for m2, c2, d2 in bdegs:
             if cap is not None and d1 + d2 > cap:
                 continue
-            m = mono_mul(m1, m2)
-            s = acc.get(m, Fraction(0)) + c1 * c2
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            accumulate(acc, mono_mul(m1, m2), c1 * c2)
     return GradedPoly(a.genus, acc, cap)
 
 
@@ -347,6 +377,29 @@ def bernoulli(n: int) -> Fraction:
     if not isinstance(n, int) or n < 2 or n % 2:
         raise InputError(f"bernoulli defined here for even n >= 2, got {n!r}")
     return _bernoulli_all(n)[n]
+
+
+def check_set_partition(blocks, exps, d: int, noun: str) -> None:
+    """Raise InputError unless `blocks` are nonempty tuples of strictly
+    increasing labels, ordered by least element, covering {1..d} exactly,
+    and `exps` holds one nonnegative integer exponent per block."""
+    if len(exps) != len(blocks):
+        raise InputError(f"one exponent per {noun} required")
+    for exp in exps:
+        if not isinstance(exp, int) or exp < 0:
+            raise InputError(f"bad exponent {exp!r}")
+    seen = []
+    last_min = 0
+    for block in blocks:
+        if not block or list(block) != sorted(set(block)):
+            raise InputError(f"bad {noun} {block!r}")
+        if block[0] <= last_min:
+            raise InputError(f"{noun}s must be ordered by least element")
+        last_min = block[0]
+        seen.extend(block)
+    # the count goes first so that a huge d never reaches range()
+    if len(seen) != d or sorted(seen) != list(range(1, d + 1)):
+        raise InputError(f"{noun}s must partition {{1..d}}")
 
 
 def iter_weak_compositions(total: int, parts: int) -> Iterator[tuple]:

@@ -116,6 +116,8 @@ def test_intersect_output(capsys):
     assert payload["y"] == [0, 0, 0, 0, 0]
     assert run(capsys, "intersect", "--d", "3", "--x1", "1", "--x2", "1",
                "--y", "0")[0] == 2
+    code, out = run(capsys, "intersect", "--d", "1100", "--x1", "0", "--x2", "1099")
+    assert (code, out.strip()) == (0, "1")
 
 
 def test_pairing_json_small_and_large(capsys):

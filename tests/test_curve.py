@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from sqtaut.curve import (
+    OMEGA,
+    SIGMA,
     CurveClass,
     cc_mul,
     cc_omega,
@@ -180,13 +182,16 @@ def test_prop8_degree():
 
 
 def test_curve_class_leaves_caller_tables_alone():
-    omega = {0: pc_one(G, D), 1: pc_zero(G, D)}
-    sigma = {2: pc_zero(G, D), 3: pc_psihat(G, D, 1)}
-    x = CurveClass(G, D, omega, sigma)
-    assert set(omega) == {0, 1} and set(sigma) == {2, 3}
-    assert set(x.omega_terms) == {0} and set(x.sigma_terms) == {3}
-    omega.clear()
-    sigma.clear()
+    terms = {
+        (OMEGA, 0): pc_one(G, D),
+        (OMEGA, 1): pc_zero(G, D),
+        (SIGMA, 2): pc_zero(G, D),
+        (SIGMA, 3): pc_psihat(G, D, 1),
+    }
+    x = CurveClass(G, D, terms)
+    assert len(terms) == 4
+    assert set(x.terms) == {(OMEGA, 0), (SIGMA, 3)}
+    terms.clear()
     assert x == cc_scalar(G, D, 1) + cc_sigma(G, D, 3) * cc_pullback(pc_psihat(G, D, 1))
     with pytest.raises(TypeError):
-        x.omega_terms[2] = pc_one(G, D)
+        x.terms[(OMEGA, 2)] = pc_one(G, D)

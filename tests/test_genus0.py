@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -65,6 +66,15 @@ def test_poincare_examples():
     assert poincare_Q02(4) == tpoly([(0, 1), (2, 3), (4, 3), (6, 1)])
 
 
+def test_poincare_large_d_is_fast():
+    # grouped by the last chain component instead of enumerating 2^(d-1)
+    # compositions
+    start = time.perf_counter()
+    got = poincare_Q02(200)
+    assert time.perf_counter() - start < 1
+    assert got == tpoly([(2 * j, comb(199, j)) for j in range(200)])
+
+
 def test_intersect_vanishing_off_dimension():
     assert intersect_M02d(3, 1, 0, (0, 0, 0)) == 0
     assert intersect_M02d(2, 0, 0, (0, 0)) == 0
@@ -89,6 +99,18 @@ def test_intersect_vanishes_with_light_psi():
                 x2 = d - 2 - x1
                 assert intersect_M02d(d, x1, x2, y) == 0
     assert intersect_M02d(3, 0, 0, (1, 1, 0)) == 0
+
+
+def test_intersect_large_d_is_fast():
+    # the level-by-level table needs neither a call stack nor 2^d paths
+    start = time.perf_counter()
+    assert intersect_M02d(40, 20, 19, (0,) * 40) == comb(39, 20)
+    assert time.perf_counter() - start < 1
+    assert intersect_M02d(1100, 0, 1099, (0,) * 1100) == 1
+    y = [0] * 40
+    y[7] = 1
+    assert intersect_M02d(40, 20, 18, y) == 0
+    assert intersect_M02d(40, 0, 0, (1,) * 39 + (0,)) == 0
 
 
 def test_intersect_light_point_symmetry():

@@ -191,3 +191,5 @@ def test_pairspec_validation():
         PairSpec(3, 1, ((1, 2, 3),), (0,))  # l < d - k
     with pytest.raises(InputError):
         PairSpec(2, 1, ((1,),), (1,))
+    with pytest.raises(InputError):
+        PairSpec(10 ** 12, 1, ((1,),), (0,))  # label count checked before range()
