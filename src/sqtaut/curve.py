@@ -178,13 +178,17 @@ def cc_mul(x: CurveClass, y: CurveClass) -> CurveClass:
 def pi_push(x: CurveClass) -> PointedClass:
     """Pushforward along the universal curve's projection to the base."""
     g, d = x.genus, x.d
-    out = pc_zero(g, d)
+    acc: dict = {}
+    cap = None
     for (kind, n), coeff in x.terms.items():
-        if kind == SIGMA:
-            out = out + coeff
-        elif n > 0:  # a bare pullback integrates to zero
-            out = out + coeff.scale(kappa_class(g, n - 1))
-    return out
+        if kind == OMEGA:
+            if n == 0:  # a bare pullback integrates to zero
+                continue
+            coeff = coeff.scale(kappa_class(g, n - 1))
+        cap = combine_caps(cap, coeff.cap)
+        for mono, c in coeff.terms.items():
+            accumulate(acc, mono, c)
+    return PointedClass(g, d, acc, cap)
 
 
 # -- relation generator --------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import GradedPoly, InputError, bernoulli
+from .rings import GradedPoly, InputError, accumulate, bernoulli
 
 KAPPA, LAMBDA = 0, 1
 
@@ -116,7 +116,7 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
     """
     genus = genus_of(p)
     table = _lambda_table(genus)
-    out = kl_zero(genus)
+    acc: dict = {}
     for mono, coeff in p.coeffs.items():
         term = kl_scalar(genus, coeff)
         for (kind, idx), exp in mono:
@@ -124,8 +124,9 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
                 term = term * kappa_class(genus, idx, exp)
             else:
                 term = term * table[idx - 1] ** exp
-        out = out + term
-    return out
+        for m, q in term.coeffs.items():
+            accumulate(acc, m, q)
+    return GradedPoly(genus, acc)
 
 
 def chern_E_dual(genus: int, maxdeg: int) -> KLPoly:

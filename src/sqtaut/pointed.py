@@ -37,6 +37,26 @@ inverted.  Pushing the single Chern class of degree (g - d - 1) + 2k to
 the base yields a kappa/lambda class that vanishes on the base for every
 k >= 1; `theorem5_class` returns that expression so callers can emit it as
 a relation.
+
+`theorem5_class` never builds c(F_d) in block monomials; three facts give
+its pushforward with O(d^2) polynomial products instead of one term per set
+partition of the light points:
+
+  1. chern_B^{-1} is a product over blocks: it equals the sum over set
+     partitions P of {1..d} of prod_{S in P} D_S * g_{|S|}(psihat_S), with
+     universal one-variable series g_1 = 1/(1 - x) and
+
+         (1 - (s+1) x) g_{s+1} = - sum_{a=1}^{s} C(s, a-1) (s+1-a) g_a g_{s+1-a},
+
+     the single-block coefficient of chern_B(s+1)^{-1} *
+     (1 + Delta_{s+1} - psihat_{s+1}) = chern_B(s)^{-1} lifted (so
+     g_2 = -1/((1-x)^2 (1-2x))).
+  2. epsilon_push sends a block with exponent t to kappa_{t-1} whatever its
+     size, so it pushes chern_B^{-1} to E_d, where H_s = sum_{t>=1} [x^t]
+     g_s * kappa_{t-1} and, summing over the size of the block of label n,
+     E_0 = 1, E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}.
+  3. chern_E_dual is pulled back from the base, so by the projection
+     formula the relation is the degree g-2d-1+2k part of chern_E_dual * E_d.
 """
 
 from __future__ import annotations
@@ -44,10 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .kappa_lambda import (
+    KAPPA,
     KLPoly,
     chern_E_dual,
     genus_of,
@@ -65,6 +87,7 @@ from .rings import (
     check_set_partition,
     combine_caps,
     poly_mul,
+    series_mul,
 )
 
 
@@ -357,8 +380,14 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
     trunc = combine_caps(a.cap, b.cap)
     genus = a.genus
     acc: dict = {}
+    # merging adds degrees, so past the cap the rest of b only gets higher
+    b_terms = sorted(((m.degree, m, c) for m, c in b.terms.items()),
+                     key=lambda t: t[0])
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        deg1 = m1.degree
+        for deg2, m2, c2 in b_terms:
+            if trunc is not None and deg1 + deg2 > trunc:
+                break
             mono, sign = _merge_monomials(m1, m2)
             if trunc is not None and mono.degree > trunc:
                 continue
@@ -455,19 +484,18 @@ def epsilon_push(c: PointedClass) -> KLPoly:
     degree by exactly d.
     """
     genus = c.genus
-    out = kl_zero(genus)
+    acc: dict = {}
+    cap = None
     for mono, coeff in c.terms.items():
-        factor = kl_one(genus)
-        dead = False
-        for exp in mono.exps:
-            if exp == 0:
-                dead = True
-                break
-            factor = factor * kappa_class(genus, exp - 1)
-        if dead:
+        if 0 in mono.exps:
             continue
-        out = out + coeff * factor
-    return out
+        cap = combine_caps(cap, coeff.cap)
+        factor = kl_one(genus)
+        for exp in mono.exps:
+            factor = factor * kappa_class(genus, exp - 1)
+        for m, q in poly_mul(coeff, factor, None).coeffs.items():
+            accumulate(acc, m, q)
+    return GradedPoly(genus, acc, cap)
 
 
 def rank_F(genus: int, d: int) -> int:
@@ -482,11 +510,49 @@ def pushed_chern(genus: int, d: int, chern_degree: int) -> KLPoly:
     return epsilon_push(total.degree_part(chern_degree))
 
 
+@lru_cache(maxsize=None)
+def _block_series(s: int, maxdeg: int) -> tuple:
+    """Coefficients 0..maxdeg of g_s, the series of a block of s light
+    points in chern_B^{-1} (see the module docstring)."""
+    if s == 1:
+        return (Fraction(1),) * (maxdeg + 1)
+    rhs = [Fraction(0)] * (maxdeg + 1)
+    for a in range(1, s):
+        weight = comb(s - 1, a - 1) * (s - a)
+        prod = series_mul(_block_series(a, maxdeg), _block_series(s - a, maxdeg),
+                          maxdeg)
+        for n, c in enumerate(prod):
+            rhs[n] -= weight * c
+    out, prev = [], Fraction(0)
+    for c in rhs:  # divide by 1 - s x
+        prev = c + s * prev
+        out.append(prev)
+    return tuple(out)
+
+
+def _pushed_block(genus: int, s: int, maxdeg: int) -> KLPoly:
+    """H_s: the pushforward of one block of s light points, degrees <= maxdeg."""
+    series = _block_series(s, maxdeg + 1)
+    coeffs = {(): series[1] * (2 * genus - 2)}
+    for t in range(2, maxdeg + 2):
+        coeffs[(((KAPPA, t - 1), 1),)] = series[t]
+    return GradedPoly(genus, coeffs)
+
+
 def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
-    """The degree g-2d-1+2k relation epsilon_*(c_{r+2k}(F_d)), r = g-d-1.
+    """The degree N = g-2d-1+2k relation epsilon_*(c_{r+2k}(F_d)), r = g-d-1.
 
     Vanishes in the tautological ring of the base for every k >= 1; the
-    returned expression is the relation's left-hand side.
+    returned expression is the relation's left-hand side.  Computed without
+    block monomials (module docstring, facts 1-3): with g_1 = 1/(1 - x),
+
+        (1 - (s+1) x) g_{s+1} = - sum_{a=1}^{s} C(s, a-1) (s+1-a) g_a g_{s+1-a},
+        H_s = sum_{t>=1} [x^t] g_s * kappa_{t-1}        (kappa_0 = 2g - 2),
+        E_0 = 1,  E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s},
+
+    the class is the degree-N part of chern_E_dual * E_d, and 0 when N < 0.
+    That is O(d^2) polynomial products; `pushed_chern` gives the same value
+    through c(F_d).
     """
     if genus < 2:
         raise InputError("genus must be >= 2")
@@ -497,4 +563,16 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     target = rank_F(genus, d) + 2 * k
     if target < 0:
         raise InputError("negative Chern degree")
-    return pushed_chern(genus, d, target)
+    N = target - d
+    if N < 0:
+        return kl_zero(genus)
+    H = [None] + [_pushed_block(genus, s, N) for s in range(1, d + 1)]
+    E = [kl_one(genus)]
+    for n in range(1, d + 1):
+        acc: dict = {}
+        for s in range(1, n + 1):
+            weight = comb(n - 1, s - 1)
+            for m, c in poly_mul(H[s], E[n - s], N).coeffs.items():
+                accumulate(acc, m, weight * c)
+        E.append(GradedPoly(genus, acc))
+    return poly_mul(chern_E_dual(genus, N), E[d], N).degree_part(N)

@@ -3,6 +3,7 @@ the even-shift relation generator."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,13 @@ from sqtaut.kappa_lambda import (
     kl_scalar,
     kl_zero,
     lambda_class,
+    kl_is_kappa_only,
     lambda_to_kappa,
 )
 from sqtaut.pointed import (
     BlockMonomial,
+    _block_series,
+    _merge_monomials,
     PointedClass,
     chern_B,
     chern_F,
@@ -392,3 +396,113 @@ def test_construction_copies_caller_tables():
     assert len(source) == 2
     source.clear()
     assert p == pc_one(4, 2)
+
+
+def test_merge_monomials_adds_degrees():
+    # pc_mul stops at the cap on this: a component of r blocks gains
+    # |F| + 1 - r exponent units, the diagonal codimension it loses
+    rng = random.Random(4242)
+    for _ in range(500):
+        d = rng.randint(1, 6)
+        m1 = random_monomial(rng, d)
+        m2 = random_monomial(rng, d)
+        mono, _ = _merge_monomials(m1, m2)
+        assert mono.degree == m1.degree + m2.degree
+
+
+def test_capped_pc_mul_is_truncated_product():
+    rng = random.Random(515)
+    g = 3
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        a = pc_zero(g, d)
+        b = pc_zero(g, d)
+        for _ in range(4):
+            a = a + pc_monomial(g, d, random_monomial(rng, d), random_coeff(rng, g))
+            b = b + pc_monomial(g, d, random_monomial(rng, d), random_coeff(rng, g))
+        cap = rng.randint(0, 6)
+        assert pc_mul(a.truncate(cap), b) == (a * b).truncate(cap)
+
+
+def test_block_series_closed_forms():
+    # g_2 = -1/((1-x)^2 (1-2x)): [x^t] g_2 = -(2^(t+2) - t - 3)
+    assert _block_series(2, 10) == tuple(
+        Fraction(-(2 ** (t + 2) - t - 3)) for t in range(11)
+    )
+    assert _block_series(3, 3) == (4, 32, 160, 648)
+    assert _block_series(1, 4) == (1,) * 5
+
+
+def set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for part in set_partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1:]
+
+
+def test_inverse_chern_B_is_product_over_blocks():
+    # c(B_d)^{-1} = sum over set partitions P of prod_S D_S g_|S|(psihat_S)
+    g = 3
+    for d in range(1, 5):
+        for N in range(6):
+            expect = {}
+            for part in set_partitions(tuple(range(1, d + 1))):
+                blocks = sorted(part)
+                base = sum(len(b) - 1 for b in blocks)
+                for exps in itertools.product(range(N + 1), repeat=len(blocks)):
+                    if base + sum(exps) > N:
+                        continue
+                    coeff = Fraction(1)
+                    for block, t in zip(blocks, exps):
+                        coeff *= _block_series(len(block), N)[t]
+                    mono = BlockMonomial(d, tuple(blocks), exps)
+                    expect[mono] = kl_scalar(g, coeff)
+            got = pc_inverse(chern_B(g, d, N), N)
+            assert got == PointedClass(g, d, expect), (d, N)
+
+
+def test_theorem5_matches_pointed_ring_pushforward():
+    # the block formula against eps_*(c(F_d)) built through block monomials
+    for g in range(2, 11):
+        for d in range(1, 5):
+            for k in range(1, 5):
+                target = rank_F(g, d) + 2 * k
+                if target < 0 or target - d > 4:
+                    continue
+                assert theorem5_class(g, d, k) == pushed_chern(g, d, target), (g, d, k)
+
+
+def test_theorem5_large_d_is_fast():
+    for g, d, k in ((8, 7, 4), (14, 10, 5)):
+        start = time.perf_counter()
+        rel = theorem5_class(g, d, k)
+        assert time.perf_counter() - start < 1.0
+        assert rel.homogeneous_degrees() == [g - 2 * d - 1 + 2 * k]
+        assert kl_is_kappa_only(lambda_to_kappa(rel))
+
+
+def test_theorem5_stable_range_relations_vanish():
+    # In degree <= g/3 the kappa ring of M_g has no relations (Harer
+    # stability with Madsen-Weiss), so every relation there is 0 once
+    # lambdas are eliminated; checked up to d = 10, where the pointed
+    # ring route is out of reach.
+    count = 0
+    for g in range(2, 15):
+        for d in range(1, 11):
+            for k in range(1, d + 2):
+                degree = g - 2 * d - 1 + 2 * k
+                if rank_F(g, d) + 2 * k < 0 or not 0 <= degree <= g // 3:
+                    continue
+                assert lambda_to_kappa(theorem5_class(g, d, k)).is_zero, (g, d, k)
+                count += 1
+    assert count > 100
+
+
+def test_theorem5_below_degree_zero_is_zero():
+    # Chern degree 2 on 3 light points pushes below degree 0
+    assert theorem5_class(4, 3, 1) == kl_zero(4)
+    assert pushed_chern(4, 3, 2) == kl_zero(4)
