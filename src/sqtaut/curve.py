@@ -26,13 +26,21 @@ formula by construction.
 
 where s = sigma_1 + ... + sigma_d, c_- is the total Chern class evaluated
 at -1, and [.]^k selects the degree-k part after the product is formed.
+It is computed as one pushed product.  P_j = pi_*(s^j omega^b) is
+homogeneous of degree j+b-1, so with N = g-d-2+a+b+c the term
+C(a,j) (-1)^{a-j} P_j of the bracket meets c_{N-j-b+1}(F_d) with the sign
+(-1)^{g-d-1} (-1)^{a-j} (-1)^{N-j-b+1} = (-1)^c, and the first term is
+the degree-N part of P_a * c(F_d).  Hence the relation is
+
+    eps_*( [ pi_*((s^a + (-1)^c (s+1)^a) omega^b) * c(F_d) ]^N ),
+
+which needs c(F_d) only through degree N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from types import MappingProxyType
 
 from .kappa_lambda import KLPoly, kappa_class
@@ -43,7 +51,6 @@ from .pointed import (
     pc_diagonal,
     pc_one,
     pc_psihat,
-    pc_zero,
     rank_F,
 )
 from .rings import GradedPoly, InputError, SparseSum, accumulate, combine_caps
@@ -193,21 +200,13 @@ def pi_push(x: CurveClass) -> PointedClass:
 
 # -- relation generator --------------------------------------------------
 
-def _alternate_signs(p: PointedClass) -> PointedClass:
-    """Evaluate a total class at -1: negate odd-total-degree parts."""
-    out = pc_zero(p.genus, p.d, p.cap)
-    for k in p.homogeneous_degrees():
-        part = p.degree_part(k)
-        out = out + (part if k % 2 == 0 else -part)
-    return out
-
-
 def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     """Pushforward relation from the section calculus; requires c > 0.
 
-    Returns the (vanishing) kappa/lambda class of degree g-2d-2+a+b+c.
-    Degrees involved must be nonnegative: the Chern index g-d-1+c and the
-    selection degree g-d-2+a+b+c.
+    Returns the (vanishing) kappa/lambda class of degree g-2d-2+a+b+c,
+    eps_*([pi_*((s^a + (-1)^c (s+1)^a) omega^b) * c(F_d)]_N) with
+    N = g-d-2+a+b+c (see the module docstring).  Degrees involved must be
+    nonnegative: the Chern index g-d-1+c and the selection degree N.
     """
     if genus < 2:
         raise InputError("genus must be >= 2")
@@ -221,24 +220,7 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     select = genus - d - 2 + a + b + c
     if chern_index < 0 or select < 0:
         raise InputError("negative Chern or selection degree")
-    trunc = max(chern_index, select)
-    cF = chern_F(genus, d, trunc)
-
     s = cc_sections_sum(genus, d)
-    w = cc_omega(genus, d)
-    wb = w ** b
-    term1 = pi_push(s ** a * wb) * cF.degree_part(chern_index)
-
-    # (s - 1)^a expanded binomially before integrating
-    shifted = pc_zero(genus, d)
-    for j in range(a + 1):
-        piece = pi_push(s ** j * wb)
-        coeff = Fraction(comb(a, j))
-        if (a - j) % 2:
-            coeff = -coeff
-        shifted = shifted + piece.scale(coeff)
-    bracket = (shifted * _alternate_signs(cF)).degree_part(select)
-    if (genus - d - 1) % 2:
-        bracket = -bracket
-
-    return epsilon_push(term1 + bracket)
+    sign = -1 if c % 2 else 1
+    pushed = pi_push((s ** a + sign * (s + 1) ** a) * cc_omega(genus, d) ** b)
+    return epsilon_push((pushed * chern_F(genus, d, select)).degree_part(select))

@@ -41,7 +41,12 @@ from fractions import Fraction
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
-from .rings import InputError, check_set_partition, iter_weak_compositions
+from .rings import (
+    InputError,
+    check_set_partition,
+    iter_weak_compositions,
+    set_partitions,
+)
 
 PROVEN_ZERO = "proven-zero"
 COMPUTED = "computed"
@@ -146,44 +151,16 @@ class PairingEntry:
     reason: str | None = None
 
 
-def set_partitions(d: int) -> Iterator[tuple]:
-    """All set partitions of {1..d}, parts ordered by least element."""
-    if d < 1:
-        raise InputError("d must be >= 1")
-
-    def rec(x, parts):
-        if x > d:
-            yield tuple(tuple(p) for p in parts)
-            return
-        for i in range(len(parts)):
-            parts[i].append(x)
-            yield from rec(x + 1, parts)
-            parts[i].pop()
-        parts.append([x])
-        yield from rec(x + 1, parts)
-        parts.pop()
-
-    yield from rec(1, [])
-
-
 def enumerate_P(d: int, k: int) -> list:
     """All PairSpec indices for (d, k), partition length descending, then
     lexicographic in (partition, tau)."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
-    by_length: dict = {}
-    for partition in set_partitions(d):
-        by_length.setdefault(len(partition), []).append(partition)
     out = []
-    for l in range(d, max(0, d - k - 1), -1):
-        if l < 1 or l < d - k:
-            continue
-        total = k - d + l
-        if total < 0:
-            continue
-        for partition in sorted(by_length.get(l, [])):
-            for tau in iter_weak_compositions(total, l):
-                out.append(PairSpec(d, k, partition, tau))
+    for partition in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p)):
+        l = len(partition)
+        for tau in iter_weak_compositions(k - d + l, l):
+            out.append(PairSpec(d, k, partition, tau))
     return out
 
 

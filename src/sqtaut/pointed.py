@@ -38,9 +38,7 @@ the base yields a kappa/lambda class that vanishes on the base for every
 k >= 1; `theorem5_class` returns that expression so callers can emit it as
 a relation.
 
-`theorem5_class` never builds c(F_d) in block monomials; three facts give
-its pushforward with O(d^2) polynomial products instead of one term per set
-partition of the light points:
+Three facts give c(F_d) and the pushforward of its Chern classes:
 
   1. chern_B^{-1} is a product over blocks: it equals the sum over set
      partitions P of {1..d} of prod_{S in P} D_S * g_{|S|}(psihat_S), with
@@ -51,12 +49,19 @@ partition of the light points:
      the single-block coefficient of chern_B(s+1)^{-1} *
      (1 + Delta_{s+1} - psihat_{s+1}) = chern_B(s)^{-1} lifted (so
      g_2 = -1/((1-x)^2 (1-2x))).
+     `chern_F` writes c(F_d) down term by term from it: the block monomial
+     (P, t) has coefficient chern_E_dual * prod_{S in P} [x^{t_S}] g_{|S|},
+     over the set partitions with at least d - maxdeg blocks.
   2. epsilon_push sends a block with exponent t to kappa_{t-1} whatever its
      size, so it pushes chern_B^{-1} to E_d, where H_s = sum_{t>=1} [x^t]
      g_s * kappa_{t-1} and, summing over the size of the block of label n,
      E_0 = 1, E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}.
   3. chern_E_dual is pulled back from the base, so by the projection
      formula the relation is the degree g-2d-1+2k part of chern_E_dual * E_d.
+
+By facts 2 and 3 `theorem5_class` never builds c(F_d) in block monomials:
+its pushforward takes O(d^2) polynomial products instead of one term per
+set partition of the light points.
 """
 
 from __future__ import annotations
@@ -86,8 +91,10 @@ from .rings import (
     accumulate,
     check_set_partition,
     combine_caps,
+    iter_weak_compositions,
     poly_mul,
     series_mul,
+    set_partitions,
 )
 
 
@@ -436,34 +443,52 @@ def pc_inverse(p: PointedClass, maxdeg: int) -> PointedClass:
     return result
 
 
+@lru_cache(maxsize=None)
+def _block_series(s: int, maxdeg: int) -> tuple:
+    """Coefficients 0..maxdeg of g_s, the series of a block of s light
+    points in chern_B^{-1} (see the module docstring)."""
+    if s == 1:
+        return (Fraction(1),) * (maxdeg + 1)
+    rhs = [Fraction(0)] * (maxdeg + 1)
+    for a in range(1, s):
+        weight = comb(s - 1, a - 1) * (s - a)
+        prod = series_mul(_block_series(a, maxdeg), _block_series(s - a, maxdeg),
+                          maxdeg)
+        for n, c in enumerate(prod):
+            rhs[n] -= weight * c
+    out, prev = [], Fraction(0)
+    for c in rhs:  # divide by 1 - s x
+        prev = c + s * prev
+        out.append(prev)
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
+    dual = chern_E_dual(genus, maxdeg)
     if d == 0:
-        return pc_from_kl(genus, 0, chern_E_dual(genus, maxdeg), maxdeg)
-    prev = _chern_F_cached(genus, d - 1, maxdeg)
-    lifted = PointedClass(
-        genus,
-        d,
-        {_extend_monomial(m, d): c for m, c in prev.terms.items()},
-        maxdeg,
-    )
-    factor = (
-        pc_one(genus, d, maxdeg)
-        + pc_delta(genus, d, d, maxdeg)
-        - pc_psihat(genus, d, d, trunc=maxdeg)
-    )
-    return lifted * pc_inverse(factor, maxdeg)
-
-
-def _extend_monomial(m: BlockMonomial, d: int) -> BlockMonomial:
-    return BlockMonomial(d, m.blocks + ((d,),), m.exps + (0,))
+        return pc_from_kl(genus, 0, dual, maxdeg)
+    series = [None] + [_block_series(s, maxdeg) for s in range(1, d + 1)]
+    terms = {}
+    # a partition into l blocks has degree d - l before its exponents
+    for blocks in set_partitions(d, d - maxdeg):
+        for total in range(maxdeg - d + len(blocks) + 1):
+            for exps in iter_weak_compositions(total, len(blocks)):
+                coeff = Fraction(1)
+                for block, t in zip(blocks, exps):
+                    coeff *= series[len(block)][t]
+                terms[BlockMonomial(d, blocks, exps)] = dual.scale(coeff)
+    return PointedClass(genus, d, terms, maxdeg)
 
 
 def chern_F(genus: int, d: int, maxdeg: int) -> PointedClass:
     """Total Chern class of the rank g-d-1 obstruction bundle, truncated.
 
-    Equals chern_E_dual times the truncated inverse of chern_B; computed
-    one light point at a time and cached per (genus, d, maxdeg).
+    Equals chern_E_dual times the inverse of chern_B, written down term by
+    term from fact 1 of the module docstring: the block monomial with
+    blocks S and exponents t_S has coefficient chern_E_dual *
+    prod_S [x^{t_S}] g_{|S|}.  Only the set partitions with at least
+    d - maxdeg blocks are visited.  Cached per (genus, d, maxdeg).
     """
     if genus < 2:
         raise InputError("genus must be >= 2")
@@ -508,26 +533,6 @@ def pushed_chern(genus: int, d: int, chern_degree: int) -> KLPoly:
         raise InputError("negative Chern degree")
     total = chern_F(genus, d, chern_degree)
     return epsilon_push(total.degree_part(chern_degree))
-
-
-@lru_cache(maxsize=None)
-def _block_series(s: int, maxdeg: int) -> tuple:
-    """Coefficients 0..maxdeg of g_s, the series of a block of s light
-    points in chern_B^{-1} (see the module docstring)."""
-    if s == 1:
-        return (Fraction(1),) * (maxdeg + 1)
-    rhs = [Fraction(0)] * (maxdeg + 1)
-    for a in range(1, s):
-        weight = comb(s - 1, a - 1) * (s - a)
-        prod = series_mul(_block_series(a, maxdeg), _block_series(s - a, maxdeg),
-                          maxdeg)
-        for n, c in enumerate(prod):
-            rhs[n] -= weight * c
-    out, prev = [], Fraction(0)
-    for c in rhs:  # divide by 1 - s x
-        prev = c + s * prev
-        out.append(prev)
-    return tuple(out)
 
 
 def _pushed_block(genus: int, s: int, maxdeg: int) -> KLPoly:

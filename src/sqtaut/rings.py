@@ -402,6 +402,30 @@ def check_set_partition(blocks, exps, d: int, noun: str) -> None:
         raise InputError(f"{noun}s must partition {{1..d}}")
 
 
+def set_partitions(d: int, min_parts: int = 1) -> Iterator[tuple]:
+    """Set partitions of {1..d} into at least `min_parts` parts, each part a
+    tuple of increasing labels and parts ordered by least element.  A branch
+    stops as soon as its remaining labels cannot open enough parts."""
+    if d < 1:
+        raise InputError("d must be >= 1")
+
+    def rec(x, parts):
+        if len(parts) + d - x + 1 < min_parts:
+            return
+        if x > d:
+            yield tuple(tuple(p) for p in parts)
+            return
+        for part in parts:
+            part.append(x)
+            yield from rec(x + 1, parts)
+            part.pop()
+        parts.append([x])
+        yield from rec(x + 1, parts)
+        parts.pop()
+
+    yield from rec(1, [])
+
+
 def iter_weak_compositions(total: int, parts: int) -> Iterator[tuple]:
     """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
     if parts < 0 or total < 0:

@@ -173,6 +173,39 @@ def test_prop8_sum_identity():
         assert lhs == rhs, (g, d, k)
 
 
+def literal_prop8(g, d, a, b, c):
+    """The two-term formula of the curve module docstring, as written."""
+    r = rank_F(g, d)
+    N = g - d - 2 + a + b + c
+    top = max(r + c, N)
+    cF = chern_F(g, d, top)
+    c_minus = pc_zero(g, d, top)
+    for k in range(top + 1):
+        c_minus = c_minus + cF.degree_part(k).scale((-1) ** k)
+    s = cc_sections_sum(g, d)
+    wb = cc_omega(g, d) ** b
+    term1 = pi_push(s ** a * wb) * cF.degree_part(r + c)
+    bracket = (pi_push((s - 1) ** a * wb) * c_minus).degree_part(N)
+    return epsilon_push(term1 + (-bracket if r % 2 else bracket))
+
+
+def test_prop8_matches_literal_two_term_formula():
+    # covers a = b = 0 (zero class), a + b = 1 and a + b >= 2
+    seen = set()
+    for g in (3, 5):
+        for d, a, b, c in itertools.product(range(1, 4), range(4), range(3),
+                                            range(1, 4)):
+            N = g - d - 2 + a + b + c
+            if rank_F(g, d) + c < 0 or N < 0:
+                continue
+            got = prop8_relation(g, d, a, b, c)
+            assert got == literal_prop8(g, d, a, b, c), (g, d, a, b, c)
+            seen.add(min(a + b, 2))
+            if a + b == 0:
+                assert got.is_zero
+    assert seen == {0, 1, 2}
+
+
 def test_prop8_degree():
     # relation degree is g - 2d - 2 + a + b + c
     rel = prop8_relation(7, 2, 1, 1, 2)

@@ -50,6 +50,13 @@ CASES = (
     ("t5-10-3-1-ko-json",
      T5 + ["-g", "10", "-d", "3", "-k", "1", "--kappa-only", "--json"], None),
     ("p8-6-1-1-1-1", P8 + ["-g", "6", "-d", "1", "-a", "1", "-b", "1", "-c", "1"], None),
+    ("p8-5-1-0-0-2-json",
+     P8 + ["-g", "5", "-d", "1", "-a", "0", "-b", "0", "-c", "2", "--json"], None),
+    ("p8-6-2-2-0-1", P8 + ["-g", "6", "-d", "2", "-a", "2", "-b", "0", "-c", "1"], None),
+    ("p8-6-2-0-2-2-json",
+     P8 + ["-g", "6", "-d", "2", "-a", "0", "-b", "2", "-c", "2", "--json"], None),
+    ("p8-7-3-1-1-3-json",
+     P8 + ["-g", "7", "-d", "3", "-a", "1", "-b", "1", "-c", "3", "--json"], None),
     ("relation-bad", T5 + ["-g", "1", "-d", "1", "-k", "1"], None),
     ("chern-5-2-2-json", ["chern-f", "-g", "5", "-d", "2", "--degree", "2", "--json"], None),
     ("chern-5-2-2", ["chern-f", "-g", "5", "-d", "2", "--degree", "2"], None),
@@ -57,6 +64,8 @@ CASES = (
     ("chern-6-3-3-json", ["chern-f", "-g", "6", "-d", "3", "--degree", "3", "--json"], None),
     ("chern-4-2-1-json", ["chern-f", "-g", "4", "-d", "2", "--degree", "1", "--json"], None),
     ("chern-4-2-2-json", ["chern-f", "-g", "4", "-d", "2", "--degree", "2", "--json"], None),
+    ("chern-6-4-2-json", ["chern-f", "-g", "6", "-d", "4", "--degree", "2", "--json"], None),
+    ("chern-7-4-3", ["chern-f", "-g", "7", "-d", "4", "--degree", "3"], None),
     ("push-stdin", ["push", "-"], "chern-5-2-2-json"),
     ("push-file-json", ["push", "@chern-5-2-2-json", "--json"], None),
     ("push-6-3-3", ["push", "@chern-6-3-3-json"], None),

@@ -55,6 +55,16 @@ def test_set_partition_enumeration():
     assert sum(1 for _ in set_partitions(5)) == 52
 
 
+def test_set_partitions_min_parts_keeps_order():
+    for d in range(1, 7):
+        full = list(set_partitions(d))
+        for m in range(d + 2):
+            assert list(set_partitions(d, m)) == [p for p in full if len(p) >= m]
+    for d, k in ((4, 2), (5, 3)):
+        parts = [s.partition for s in enumerate_P(d, k)]
+        assert parts == sorted(parts, key=lambda p: (-len(p), p))
+
+
 def test_enumerate_d2_k1():
     specs = enumerate_P(2, 1)
     assert [(s.partition, s.tau) for s in specs] == [

@@ -22,6 +22,7 @@ from sqtaut.kappa_lambda import (
 from sqtaut.pointed import (
     BlockMonomial,
     _block_series,
+    _chern_F_cached,
     _merge_monomials,
     PointedClass,
     chern_B,
@@ -236,10 +237,15 @@ def test_chern_F_against_geometric_series_oracle():
 
 
 def test_chern_F_times_chern_B_is_dual_hodge():
-    for g, d in ((3, 1), (4, 2), (5, 3), (6, 4), (7, 5)):
-        N = 4
+    cases = [(g, d, N) for g, d in ((3, 1), (4, 2), (5, 3), (6, 4))
+             for N in range(7)]
+    for g, d, N in cases + [(7, 5, 4), (20, 12, 2)]:
         prod = chern_F(g, d, N) * chern_B(g, d, N)
-        assert prod == pc_from_kl(g, d, chern_E_dual(g, N), N)
+        assert prod == pc_from_kl(g, d, chern_E_dual(g, N), N), (g, d, N)
+    assert chern_F(5, 0, 3) == pc_from_kl(5, 0, chern_E_dual(5, 3), 3)
+    start = time.perf_counter()
+    _chern_F_cached.__wrapped__(20, 12, 2)  # bypass the cache
+    assert time.perf_counter() - start < 1.0
 
 
 def test_epsilon_push_examples():
