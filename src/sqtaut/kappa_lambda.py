@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import GradedPoly, InputError, accumulate, bernoulli
+from .rings import GradedPoly, InputError, accumulate, bernoulli, mono_mul
 
 KAPPA, LAMBDA = 0, 1
 
@@ -112,20 +112,36 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
     """Rewrite p with every lambda generator eliminated in favor of kappas.
 
     A ring homomorphism: kappa generators are fixed, lambda_i maps to its
-    kappa-polynomial image.
+    kappa-polynomial image.  The images of lambda parts, and of the single
+    powers they are built from, repeat across monomials; they are memoized
+    for the duration of one call.
     """
     genus = genus_of(p)
     table = _lambda_table(genus)
+    images: dict = {}  # lambda part of a monomial -> its kappa image
+
+    def image(part: tuple) -> KLPoly:
+        out = images.get(part)
+        if out is None:
+            if len(part) == 1:
+                ((_, idx), exp), = part
+                out = table[idx - 1] ** exp
+            else:
+                out = image(part[:1])
+                for factor in part[1:]:
+                    out = out * image((factor,))
+            images[part] = out
+        return out
+
     acc: dict = {}
     for mono, coeff in p.coeffs.items():
-        term = kl_scalar(genus, coeff)
-        for (kind, idx), exp in mono:
-            if kind == KAPPA:
-                term = term * kappa_class(genus, idx, exp)
-            else:
-                term = term * table[idx - 1] ** exp
-        for m, q in term.coeffs.items():
-            accumulate(acc, m, q)
+        kappas = tuple(f for f in mono if f[0][0] == KAPPA)
+        lambdas = tuple(f for f in mono if f[0][0] == LAMBDA)
+        if not lambdas:
+            accumulate(acc, kappas, coeff)
+            continue
+        for m, q in image(lambdas).coeffs.items():
+            accumulate(acc, mono_mul(kappas, m), coeff * q)
     return GradedPoly(genus, acc)
 
 

@@ -32,12 +32,18 @@ Ordering rows and columns by l descending makes the matrix block
 lower-triangular with diagonal blocks that are themselves diagonal with
 positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
+
+The certificate evaluates every cell it checks, so one evaluation has to
+be cheap: the structural entries (too few blocks, support mismatch,
+unevaluated) are shared immutable constants, and the component integrals
+are cached on (tau_i, tau'_i), so only the computed entries allocate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
@@ -164,25 +170,36 @@ def enumerate_P(d: int, k: int) -> list:
     return out
 
 
+# The structural outcomes carry no cell-specific data; PairingEntry is
+# frozen, so every such cell shares one of these.
+_TOO_FEW_BLOCKS = PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
+_SUPPORT_MISMATCH = PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
+_UNEVALUATED = PairingEntry(UNEVALUATED)
+_ONE = Fraction(1)
+
+
+@lru_cache(maxsize=256)
+def _component_integral(t: int, tp: int) -> Fraction:
+    """The factor of interior component i: the integral on tau'_i + 4
+    points of psi at the least heavy label and psi^t at the collapsed
+    light point."""
+    return psi_integral_M0n([1, t] + [0] * (tp + 2))
+
+
 def pairing_entry(row: PairSpec, col: ChainStratum) -> PairingEntry:
     """Evaluate the pairing of a monomial row against a stratum column."""
-    if (row.d, row.k) != (col.d, col.k):
+    if row.d != col.d or row.k != col.k:
         raise InputError("row and column have mismatched (d, k)")
-    l, lp = row.length, col.length
+    l, lp = len(row.partition), len(col.partition)
     if l < lp:
-        return PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
+        return _TOO_FEW_BLOCKS
     if l > lp:
-        return PairingEntry(UNEVALUATED)
+        return _UNEVALUATED
     if row.partition != col.partition:
-        return PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
-    value = Fraction(1)
-    for i in range(l):
-        tp = col.tau[i]
-        t = row.tau[i]
-        # component integral on tau'_i + 4 points: psi at the least heavy
-        # label, psi^t at the collapsed light point
-        exponents = [1, t] + [0] * (tp + 2)
-        value *= psi_integral_M0n(exponents)
+        return _SUPPORT_MISMATCH
+    value = _ONE
+    for t, tp in zip(row.tau, col.tau):
+        value *= _component_integral(t, tp)
         if value == 0:
             break
     return PairingEntry(COMPUTED, value=value)
@@ -259,11 +276,13 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
     lengths = sorted(by_length, reverse=True)
     for li, l in enumerate(lengths):
         rows = by_length[l]
+        columns = [strata[j] for j in rows]
         diag = []
         off_checked = 0
         for i in rows:
-            for j in rows:
-                e = pairing_entry(specs[i], strata[j])
+            spec = specs[i]
+            for j, stratum in zip(rows, columns):
+                e = pairing_entry(spec, stratum)
                 if i == j:
                     if e.status != COMPUTED:
                         raise CertificateError(
@@ -274,7 +293,7 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
                             f"diagonal entry {i} is {e.value}, expected positive"
                         )
                     expected = 1
-                    for t in specs[i].tau:
+                    for t in spec.tau:
                         expected *= t + 1
                     if e.value != expected:
                         raise CertificateError(
@@ -298,8 +317,9 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
         # strictly-shorter rows against this block's columns: proven zero
         for shorter in lengths[li + 1:]:
             for i in by_length[shorter]:
-                for j in rows:
-                    e = pairing_entry(specs[i], strata[j])
+                spec = specs[i]
+                for j, stratum in zip(rows, columns):
+                    e = pairing_entry(spec, stratum)
                     if e.status != PROVEN_ZERO:
                         raise CertificateError(
                             f"entry ({i},{j}) should be proven zero"

@@ -1,14 +1,20 @@
 """Pairing index enumeration, chain strata, entry evaluation, and the
 block-triangular rank certificate."""
 
+from fractions import Fraction
+from math import prod
+
 import pytest
 
+from sqtaut import pairing
+from sqtaut.genus0 import psi_integral_M0n
 from sqtaut.pairing import (
     COMPUTED,
     PROVEN_ZERO,
     UNEVALUATED,
     CertificateError,
     ChainStratum,
+    PairingEntry,
     PairingMatrix,
     PairSpec,
     enumerate_P,
@@ -203,3 +209,111 @@ def test_pairspec_validation():
         PairSpec(2, 1, ((1,),), (1,))
     with pytest.raises(InputError):
         PairSpec(10 ** 12, 1, ((1,),), (0,))  # label count checked before range()
+
+
+# -- count oracle: the certificate's shape follows from |P[d,k]| by length --
+
+CERTIFIED = [(d, k, 5) for d in range(1, 6) for k in range(0, 6)] + [(6, 1, 6)]
+
+
+def rows_of_length(d, k, l):
+    return stirling2(d, l) * comb(k - d + 2 * l - 1, l - 1)
+
+
+@pytest.mark.parametrize("d,k,bound", CERTIFIED)
+def test_certificate_counts_match_formula(d, k, bound):
+    cert = rank_certificate(d, k, bound=bound)
+    lengths = [l for l in range(d, 0, -1) if rows_of_length(d, k, l)]
+    n = {l: rows_of_length(d, k, l) for l in lengths}
+    assert cert.full_rank and cert.size == sum(n.values())
+    assert [b.length for b in cert.blocks] == lengths
+    for block in cert.blocks:
+        l = block.length
+        assert block.size == n[l]
+        assert block.off_diagonal_checked == n[l] * (n[l] - 1)
+        # sum over the weak compositions t of k - d + l into l parts of
+        # prod(t_i + 1) is C(k - d + 3l - 1, 2l - 1), once per partition
+        assert sum(block.diagonal) == stirling2(d, l) * comb(k - d + 3 * l - 1, 2 * l - 1)
+    cross = sum(n[a] * n[b] for i, a in enumerate(lengths) for b in lengths[i + 1:])
+    assert cert.zero_pairs == cross
+    assert cert.unevaluated_pairs == cross
+    diagonal = [v for b in cert.blocks for v in b.diagonal]
+    specs = enumerate_P(d, k)
+    assert diagonal == [prod(t + 1 for t in s.tau) for s in specs]
+    assert all(type(v) is Fraction for v in diagonal)
+
+
+def test_certificate_evaluates_every_checked_cell(monkeypatch):
+    """Every cell with row length <= column length goes through
+    pairing_entry exactly once; no cell is counted without evaluation."""
+    for d, k in ((3, 2), (4, 3), (5, 2)):
+        matrix = PairingMatrix(d, k)
+        index = {id(x): i for i, x in enumerate(matrix.specs)}
+        index.update({id(x): j for j, x in enumerate(matrix.strata)})
+        seen = []
+
+        def counting(row, col):
+            seen.append((index[id(row)], index[id(col)]))
+            return pairing_entry(row, col)
+
+        monkeypatch.setattr(pairing, "PairingMatrix", lambda d, k: matrix)
+        monkeypatch.setattr(pairing, "pairing_entry", counting)
+        cert = rank_certificate(d, k)
+        monkeypatch.undo()
+        lengths = [s.length for s in matrix.specs]
+        expected = {
+            (i, j)
+            for i in range(matrix.size)
+            for j in range(matrix.size)
+            if lengths[i] <= lengths[j]
+        }
+        assert len(seen) == len(set(seen)) == len(expected)
+        assert set(seen) == expected
+        assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(seen)
+
+
+# -- literal-seed oracle: pairing_entry written out cell by cell -------------
+
+def literal_pairing_entry(row, col):
+    """The entry rule written out directly: a new PairingEntry per cell and
+    the product of the component integrals taken straight from
+    psi_integral_M0n."""
+    if (row.d, row.k) != (col.d, col.k):
+        raise InputError("row and column have mismatched (d, k)")
+    l, lp = row.length, col.length
+    if l < lp:
+        return PairingEntry(
+            "proven-zero", reason="fewer diagonal blocks than interior components"
+        )
+    if l > lp:
+        return PairingEntry("unevaluated")
+    if row.partition != col.partition:
+        return PairingEntry(
+            "proven-zero", reason="diagonal supports miss the stratum's light blocks"
+        )
+    value = Fraction(1)
+    for i in range(l):
+        value *= psi_integral_M0n([1, row.tau[i]] + [0] * (col.tau[i] + 2))
+        if value == 0:
+            break
+    return PairingEntry("computed", value=value)
+
+
+LITERAL_GRIDS = [
+    (d, k) for d in range(1, 6) for k in range(0, 6) if len(enumerate_P(d, k)) <= 60
+] + [(5, 3)]
+
+
+@pytest.mark.parametrize("d,k", LITERAL_GRIDS)
+def test_entries_match_literal_rule(d, k):
+    matrix = PairingMatrix(d, k)
+    for row in matrix.specs:
+        for col in matrix.strata:
+            got = pairing_entry(row, col)
+            want = literal_pairing_entry(row, col)
+            assert (got.status, got.value, got.reason) == (
+                want.status,
+                want.value,
+                want.reason,
+            ), (row, col)
+            assert type(got.value) is type(want.value)
