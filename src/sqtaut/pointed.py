@@ -61,7 +61,8 @@ Three facts give c(F_d) and the pushforward of its Chern classes:
 
 By facts 2 and 3 `theorem5_class` never builds c(F_d) in block monomials:
 its pushforward takes O(d^2) polynomial products instead of one term per
-set partition of the light points.
+set partition of the light points.  `curve.prop8_relation` uses the same
+series g_s, H_s and E_n.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class BlockMonomial:
     """Canonical block monomial: partition of {1..d} + exponent per block.
 
     Blocks are tuples of strictly increasing labels, ordered by least
-    element; together they cover {1..d} exactly.
+    element; together they cover {1..d} exactly.  The constructor checks
+    this; `_trusted` skips the check for monomials built from valid ones.
     """
 
     d: int
@@ -114,6 +116,15 @@ class BlockMonomial:
         if self.d < 0:
             raise InputError("d must be >= 0")
         check_set_partition(self.blocks, self.exps, self.d, "block")
+
+    @classmethod
+    def _trusted(cls, d: int, blocks: tuple, exps: tuple) -> "BlockMonomial":
+        """A monomial whose canonical form the caller guarantees."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "d", d)
+        object.__setattr__(mono, "blocks", blocks)
+        object.__setattr__(mono, "exps", exps)
+        return mono
 
     @property
     def degree(self) -> int:
@@ -373,7 +384,7 @@ def _merge_monomials(m1: BlockMonomial, m2: BlockMonomial):
             sign = -sign
         blocks.append((tuple(sorted(comp["elems"])), comp["exp"] + extra))
     blocks.sort(key=lambda be: be[0][0])
-    mono = BlockMonomial(
+    mono = BlockMonomial._trusted(
         d, tuple(b for b, _ in blocks), tuple(e for _, e in blocks)
     )
     return mono, sign
@@ -477,7 +488,7 @@ def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
                 coeff = Fraction(1)
                 for block, t in zip(blocks, exps):
                     coeff *= series[len(block)][t]
-                terms[BlockMonomial(d, blocks, exps)] = dual.scale(coeff)
+                terms[BlockMonomial._trusted(d, blocks, exps)] = dual.scale(coeff)
     return PointedClass(genus, d, terms, maxdeg)
 
 
@@ -535,13 +546,31 @@ def pushed_chern(genus: int, d: int, chern_degree: int) -> KLPoly:
     return epsilon_push(total.degree_part(chern_degree))
 
 
-def _pushed_block(genus: int, s: int, maxdeg: int) -> KLPoly:
-    """H_s: the pushforward of one block of s light points, degrees <= maxdeg."""
-    series = _block_series(s, maxdeg + 1)
+def _push_series(genus: int, series, maxdeg: int) -> KLPoly:
+    """The pushforward sum_{t>=1} [x^t] series * kappa_{t-1} of one block
+    whose exponent runs over the series, given through x^{maxdeg+1}, in
+    degrees <= maxdeg (kappa_0 = 2g-2)."""
     coeffs = {(): series[1] * (2 * genus - 2)}
     for t in range(2, maxdeg + 2):
         coeffs[(((KAPPA, t - 1), 1),)] = series[t]
     return GradedPoly(genus, coeffs)
+
+
+def _pushed_partitions(genus: int, d: int, maxdeg: int) -> list:
+    """[E_0, ..., E_d] with E_n = epsilon_* of the block product of
+    chern_B^{-1} on n light points, degrees <= maxdeg: E_0 = 1 and
+    E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}, H_s the pushed g_s."""
+    H = [None] + [_push_series(genus, _block_series(s, maxdeg + 1), maxdeg)
+                  for s in range(1, d + 1)]
+    E = [kl_one(genus)]
+    for n in range(1, d + 1):
+        acc: dict = {}
+        for s in range(1, n + 1):
+            weight = comb(n - 1, s - 1)
+            for m, c in poly_mul(H[s], E[n - s], maxdeg).coeffs.items():
+                accumulate(acc, m, weight * c)
+        E.append(GradedPoly(genus, acc))
+    return E
 
 
 def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
@@ -571,13 +600,5 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     N = target - d
     if N < 0:
         return kl_zero(genus)
-    H = [None] + [_pushed_block(genus, s, N) for s in range(1, d + 1)]
-    E = [kl_one(genus)]
-    for n in range(1, d + 1):
-        acc: dict = {}
-        for s in range(1, n + 1):
-            weight = comb(n - 1, s - 1)
-            for m, c in poly_mul(H[s], E[n - s], N).coeffs.items():
-                accumulate(acc, m, weight * c)
-        E.append(GradedPoly(genus, acc))
+    E = _pushed_partitions(genus, d, N)
     return poly_mul(chern_E_dual(genus, N), E[d], N).degree_part(N)

@@ -320,7 +320,7 @@ def format_poly(p: GradedPoly) -> str:
 
 def series_mul(a: list, b: list, maxdeg: int) -> list:
     """Product of two coefficient lists, dropping degrees above maxdeg."""
-    size = min(len(a) + len(b) - 1, maxdeg + 1)
+    size = max(0, min(len(a) + len(b) - 1, maxdeg + 1))
     out = [Fraction(0)] * size
     for i, x in enumerate(a[:size]):
         if x:

@@ -3,7 +3,9 @@ section/omega relation generator."""
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,12 +23,14 @@ from sqtaut.curve import (
     pi_push,
     prop8_relation,
 )
-from sqtaut.kappa_lambda import kappa_class, kl_scalar
+from sqtaut.kappa_lambda import kappa_class, kl_scalar, lambda_to_kappa
 from sqtaut.pointed import (
+    BlockMonomial,
     chern_F,
     epsilon_push,
     pc_delta_sym,
     pc_diagonal,
+    pc_monomial,
     pc_one,
     pc_psihat,
     pc_zero,
@@ -37,6 +41,9 @@ from sqtaut.rings import InputError
 
 
 G, D = 4, 3
+
+# d = 5 points of the oracle grid, cheap enough in the pointed ring
+D5_POINTS = [(8, 5, 1, 1, 3), (10, 5, 1, 1, 1)]
 
 
 def psihat_sum(g, d):
@@ -187,6 +194,88 @@ def literal_prop8(g, d, a, b, c):
     term1 = pi_push(s ** a * wb) * cF.degree_part(r + c)
     bracket = (pi_push((s - 1) ** a * wb) * c_minus).degree_part(N)
     return epsilon_push(term1 + (-bracket if r % 2 else bracket))
+
+
+def pushed_product_prop8(g, d, a, b, c):
+    """The relation as one pushed product in the pointed ring,
+    eps_*([pi_*((s^a + (-1)^c (s+1)^a) omega^b) * c(F_d)]_N)."""
+    N = g - d - 2 + a + b + c
+    s = cc_sections_sum(g, d)
+    sign = -1 if c % 2 else 1
+    pushed = pi_push((s ** a + sign * (s + 1) ** a) * cc_omega(g, d) ** b)
+    return epsilon_push((pushed * chern_F(g, d, N)).degree_part(N))
+
+
+def single_block_sum(g, d, j, b):
+    """sum over nonempty S of surj(j, |S|) (-1)^{j-|S|} D_S psihat_S^{j-|S|+b}."""
+    out = pc_zero(g, d)
+    for size in range(1, min(j, d) + 1):
+        surj = sum((-1) ** i * comb(size, i) * (size - i) ** j
+                   for i in range(size + 1))
+        for S in itertools.combinations(range(1, d + 1), size):
+            blocks = sorted([S] + [(x,) for x in range(1, d + 1) if x not in S])
+            exps = tuple(j - size + b if block == S else 0 for block in blocks)
+            mono = BlockMonomial(d, tuple(blocks), exps)
+            out = out + pc_monomial(g, d, mono).scale((-1) ** (j - size) * surj)
+    return out
+
+
+def test_section_power_pushforward_is_single_block_sum():
+    # step 1 of the curve module docstring: pi_*(s^j omega^b)
+    for g, d in ((3, 1), (4, 2), (4, 3), (5, 4)):
+        s = cc_sections_sum(g, d)
+        w = cc_omega(g, d)
+        for j, b in itertools.product(range(1, 5), range(3)):
+            assert pi_push(s ** j * w ** b) == single_block_sum(g, d, j, b), (g, d, j, b)
+
+
+def test_prop8_matches_pushed_product_oracle():
+    # D5_POINTS reach d = 5, past the grid
+    points = [(g, d, a, b, c)
+              for g in (3, 4)
+              for d, a, b, c in itertools.product(range(1, 5), range(4), range(3),
+                                                  range(1, 4))]
+    points += D5_POINTS
+    checked = nonzero = 0
+    for g, d, a, b, c in points:
+        N = g - d - 2 + a + b + c
+        if rank_F(g, d) + c < 0 or N < 0:
+            with pytest.raises(InputError):
+                prop8_relation(g, d, a, b, c)
+            continue
+        got = prop8_relation(g, d, a, b, c)
+        assert got == pushed_product_prop8(g, d, a, b, c), (g, d, a, b, c)
+        checked += 1
+        nonzero += not got.is_zero
+    assert checked > 100 and nonzero > 40
+    assert any(not prop8_relation(*p).is_zero for p in D5_POINTS)
+
+
+def test_prop8_stable_range_relations_vanish():
+    # In degree <= g/3 the kappa ring of M_g has no relations (Harer
+    # stability with Madsen-Weiss), so every relation there is 0 once
+    # lambdas are eliminated; the code assumes nothing of the kind.
+    count = nonzero = 0
+    for g in range(2, 15):
+        for d, a, b, c in itertools.product(range(1, 8), range(4), range(3),
+                                            range(1, 5)):
+            degree = g - 2 * d - 2 + a + b + c
+            if rank_F(g, d) + c < 0 or not 0 <= degree <= g // 3:
+                continue
+            rel = prop8_relation(g, d, a, b, c)
+            assert lambda_to_kappa(rel).is_zero, (g, d, a, b, c)
+            count += 1
+            nonzero += not rel.is_zero
+    assert count > 800 and nonzero > 300
+
+
+def test_prop8_large_d_is_fast():
+    start = time.perf_counter()
+    rel = prop8_relation(16, 10, 3, 2, 4)
+    assert time.perf_counter() - start < 1.0
+    assert rel.homogeneous_degrees() == [3]
+    # degree 3 <= g/3, so it vanishes once lambdas are eliminated
+    assert lambda_to_kappa(rel).is_zero
 
 
 def test_prop8_matches_literal_two_term_formula():

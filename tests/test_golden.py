@@ -57,6 +57,8 @@ CASES = (
      P8 + ["-g", "6", "-d", "2", "-a", "0", "-b", "2", "-c", "2", "--json"], None),
     ("p8-7-3-1-1-3-json",
      P8 + ["-g", "7", "-d", "3", "-a", "1", "-b", "1", "-c", "3", "--json"], None),
+    ("p8-9-5-2-2-3-json",
+     P8 + ["-g", "9", "-d", "5", "-a", "2", "-b", "2", "-c", "3", "--json"], None),
     ("relation-bad", T5 + ["-g", "1", "-d", "1", "-k", "1"], None),
     ("chern-5-2-2-json", ["chern-f", "-g", "5", "-d", "2", "--degree", "2", "--json"], None),
     ("chern-5-2-2", ["chern-f", "-g", "5", "-d", "2", "--degree", "2"], None),

@@ -45,7 +45,7 @@ from sqtaut.pointed import (
     theorem5_class,
     unit_monomial,
 )
-from sqtaut.rings import InputError
+from sqtaut.rings import InputError, check_set_partition
 
 
 def mono_with(d, blocks_exps):
@@ -414,6 +414,23 @@ def test_merge_monomials_adds_degrees():
         m2 = random_monomial(rng, d)
         mono, _ = _merge_monomials(m1, m2)
         assert mono.degree == m1.degree + m2.degree
+
+
+def test_trusted_monomials_are_canonical():
+    # merges and chern_F build monomials without the constructor's check;
+    # every one they build must still pass it
+    rng = random.Random(8080)
+    for _ in range(500):
+        d = rng.randint(1, 6)
+        mono, _ = _merge_monomials(random_monomial(rng, d), random_monomial(rng, d))
+        check_set_partition(mono.blocks, mono.exps, d, "block")
+        assert mono == BlockMonomial(d, mono.blocks, mono.exps)
+    keys = 0
+    for g, d, N in itertools.product((2, 5), range(5), range(6)):
+        for mono in chern_F(g, d, N).terms:
+            check_set_partition(mono.blocks, mono.exps, d, "block")
+            keys += 1
+    assert keys > 1000
 
 
 def test_capped_pc_mul_is_truncated_product():

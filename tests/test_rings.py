@@ -147,6 +147,9 @@ def test_series_mul_truncates():
     assert series_mul([1, 1], [1, 1], 5) == [1, 2, 1]
     assert series_mul([1, 1], [1, 1], 1) == [1, 2]
     assert series_mul([1, 2, 3], [4, 5], 10) == [4, 13, 22, 15]
+    assert series_mul([1, 2, 3], [4, 5], 0) == [4]
+    assert series_mul([1, 2, 3], [4, 5], -1) == []
+    assert series_mul([1, 2, 3], [4, 5], -3) == []
     assert format_series([1, 0, 3, 0, 1], "t") == "1 + 3*t^2 + t^4"
     assert format_series([0, Fraction(-1, 2), 1], "v") == "-1/2*v + v^2"
     assert format_series([0, 0], "t") == "0"
