@@ -18,7 +18,6 @@ import json
 import os
 import sys
 
-from . import verify as verify_mod
 from .conifold import conifold_F, conifold_N
 from .curve import prop8_relation
 from .genus0 import intersect_M02d, poincare_Q02
@@ -263,7 +262,8 @@ def cmd_lambda_to_kappa(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    results = verify_mod.run_all(args.only)
+    from .verify import run_all  # the only command that needs verify
+    results = run_all(args.only)
     all_passed = all(r.passed for r in results)
     if args.json:
         payload = {

@@ -73,8 +73,10 @@ The relation is the degree-R part of
 eps(A) = sum_{T>=1} [x^T] A kappa_{T-1}: O(d^2 a^2) products of series of
 length R + 2 (Psi is cached across calls) and O(d^2) polynomial products of
 degree <= R, against one term per set partition of the light points and
-exponent pattern in c(F_d).  `CurveClass` and `pi_push` keep the section
-calculus itself, which the tests use as the oracle.
+exponent pattern in c(F_d).  surj(j, m), w_j and the binomials are
+integers, so Psi_{n,m} and W_m are too and, as in `pointed`, all of it runs
+in ints.  `CurveClass` and `pi_push` keep the section calculus itself,
+which the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -85,12 +87,13 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .kappa_lambda import KLPoly, chern_E_dual, kappa_class, kl_zero
+from .kappa_lambda import KLPoly, kappa_class, kl_zero
 from .pointed import (
     PointedClass,
     _block_series,
+    _dual_hodge_part,
     _push_series,
-    _pushed_partitions,
+    _pushed_partition,
     chern_F,  # not used here; kept importable as sqtaut.curve.chern_F
     pc_diagonal,
     pc_one,
@@ -103,7 +106,7 @@ from .rings import (
     SparseSum,
     accumulate,
     combine_caps,
-    poly_mul,
+    int_mul,
     series_mul,
 )
 
@@ -263,8 +266,8 @@ def _meeting_series(n: int, m: int, maxdeg: int) -> tuple:
     blocks that each meet a fixed m-set M, block B weighted by
     -x^{|B n M| - 1} g_{|B|} (step 3 of the module docstring)."""
     if m == 0:
-        return (Fraction(int(n == 0)),) + (Fraction(0),) * maxdeg
-    out = [Fraction(0)] * (maxdeg + 1)
+        return (int(n == 0),) + (0,) * maxdeg
+    out = [0] * (maxdeg + 1)
     for k in range(1, m + 1):
         for l in range(n - m + 1):
             weight = comb(m - 1, k - 1) * comb(n - m, l)
@@ -283,12 +286,9 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     and N = g-d-2+a+b+c.  Degrees involved must be nonnegative: the Chern
     index g-d-1+c and the selection degree N.
 
-    Computed from per-block series (module docstring, steps 1-3): the
-    degree-R part of c(E^vee) (w_0 kappa_{b-1} E_d + sum_n C(d, n)
-    eps(A_n) E_{d-n}), which takes O(d^2 a^2) one-variable series
-    products and O(d^2) polynomial products, with no class on the curve or
-    the pointed base.  The section calculus gives the same value through
-    pi_push, chern_F and epsilon_push.
+    Computed in ints from per-block series (module docstring, steps 1-3),
+    with no class on the curve or the pointed base; the section calculus
+    gives the same value through pi_push, chern_F and epsilon_push.
     """
     if genus < 2:
         raise InputError("genus must be >= 2")
@@ -311,23 +311,20 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     w[a] += 1
     W = [None]
     for m in range(1, min(a, d) + 1):
-        series = [Fraction(0)] * (top + 1)
+        series = [0] * (top + 1)
         for j in range(m, min(a, top + m) + 1):
             series[j - m] = (-1) ** j * w[j] * _surjections(j, m)
         W.append(series)
-    E = _pushed_partitions(genus, d, R)
-    acc: dict = {}
-    if w[0]:  # kappa_{-1} = 0 drops this term for b = 0
-        for mono, q in poly_mul(E[d], kappa_class(genus, b - 1), R).coeffs.items():
-            accumulate(acc, mono, w[0] * q)
-    for n in range(1, d + 1):
-        A = [Fraction(0)] * (top + 1)
+    total: dict = {}
+    for n in range(d + 1):
+        A = [0] * (top + 1)
+        if n == 0 and b <= top:  # w_0 kappa_{b-1} is w_0 x^b pushed
+            A[b] = w[0]
         for m in range(1, min(a, n) + 1):
             part = series_mul(W[m], _meeting_series(n, m, top), top - b)
             for t, q in enumerate(part):
                 A[t + b] += comb(n, m) * q
-        pushed = poly_mul(_push_series(genus, A, R), E[d - n], R)
-        for mono, q in pushed.coeffs.items():
-            accumulate(acc, mono, comb(d, n) * q)
-    total = GradedPoly(genus, acc)
-    return poly_mul(chern_E_dual(genus, R), total, R).degree_part(R)
+        E = _pushed_partition(genus, d - n, R)
+        for mono, q in int_mul(_push_series(genus, A, R), E, R).items():
+            total[mono] = total.get(mono, 0) + comb(d, n) * q
+    return _dual_hodge_part(genus, total, R)

@@ -7,20 +7,13 @@ scalar 2g-2 and kappa with a negative index is zero; both are folded in at
 construction so polynomial keys only ever mention positive indices.  The
 constructors here are where genus and index ranges are checked.
 
-`lambda_to_kappa` eliminates every lambda generator using the fact that the
-Chern character of the rank-g Hodge-type bundle is supported in odd
-degrees, where
-
-    ch_{2l-1} = B_{2l} / (2l)! * kappa_{2l-1}      (l >= 1),
-
-together with Newton's identities converting power sums p_k = k! * ch_k to
-elementary symmetric functions e_n = lambda_n:
-
-    e_n = (1/n) * sum_{i=1}^{n} (-1)^{i-1} e_{n-i} p_i.
-
-The conversion table is a per-genus ring homomorphism, computed once and
-cached; concurrent first calls may duplicate work but agree on the value,
-so the cache is safe without locks.
+`lambda_to_kappa` eliminates every lambda generator: the Chern character of
+the rank-g Hodge-type bundle is supported in odd degrees, ch_{2l-1} =
+B_{2l} / (2l)! * kappa_{2l-1}, so c(E) = exp(sum_{k odd} (k-1)! ch_k) and
+lambda_n maps to the degree-n part of exp(sum_{k odd} B_{k+1} / (k (k+1)) *
+kappa_k) (Mumford's formula), the same at every genus g >= n.  Each image is
+computed once per n and shared by all genera; concurrent first calls may
+duplicate work but agree on the value, so the caches are safe without locks.
 """
 
 from __future__ import annotations
@@ -88,24 +81,26 @@ def lambda_class(genus: int, index: int, exp: int = 1) -> KLPoly:
 
 
 @lru_cache(maxsize=None)
+def _lambda_image(n: int) -> tuple:
+    """The kappa image e_n of lambda_n as (monomial, coefficient) pairs, by
+    n e_n = sum_{k odd} B_{k+1}/(k+1) kappa_k e_{n-k}: the degree-n part of
+    exp(f)' = f' exp(f) for the exponent f of the module docstring."""
+    if n == 0:
+        return (((), Fraction(1)),)
+    acc: dict = {}
+    for k in range(1, n + 1, 2):
+        q = bernoulli(k + 1) / ((k + 1) * n)
+        for m, c in _lambda_image(n - k):
+            accumulate(acc, mono_mul(m, (((KAPPA, k), 1),)), q * c)
+    return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
 def _lambda_table(genus: int) -> tuple:
     """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
-    # power sums p_k = k! * ch_k; even k >= 2 vanish, odd k give kappa_k
-    p = [kl_zero(genus)]  # p[0] unused
-    for k in range(1, genus + 1):
-        if k % 2:
-            coeff = bernoulli(k + 1) / (k + 1)
-            p.append(coeff * kappa_class(genus, k))
-        else:
-            p.append(kl_zero(genus))
-    e = [kl_one(genus)]
-    for n in range(1, genus + 1):
-        acc = kl_zero(genus)
-        for i in range(1, n + 1):
-            term = e[n - i] * p[i]
-            acc = acc + (term if i % 2 else -term)
-        e.append(Fraction(1, n) * acc)
-    return tuple(e[1:])
+    _check_genus(genus)
+    return tuple(GradedPoly(genus, dict(_lambda_image(n)))
+                 for n in range(1, genus + 1))
 
 
 def lambda_to_kappa(p: KLPoly) -> KLPoly:

@@ -60,9 +60,12 @@ Three facts give c(F_d) and the pushforward of its Chern classes:
      formula the relation is the degree g-2d-1+2k part of chern_E_dual * E_d.
 
 By facts 2 and 3 `theorem5_class` never builds c(F_d) in block monomials:
-its pushforward takes O(d^2) polynomial products instead of one term per
-set partition of the light points.  `curve.prop8_relation` uses the same
-series g_s, H_s and E_n.
+its pushforward takes O(d^2) products instead of one term per set partition
+of the light points, and `curve.prop8_relation` uses the same g_s, H_s and
+E_n.  The route is integral (g_1 = 1/(1 - x), the division by 1 - (s+1) x,
+kappa_0 = 2g - 2 and binomial weights keep integers; chern_E_dual is +-1,
+one monomial per degree), so it runs on int tables (`int_mul`), with E_n
+cached per (genus, n, degree), until the return.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from typing import Iterable, Mapping
 
 from .kappa_lambda import (
     KAPPA,
+    LAMBDA,
     KLPoly,
     chern_E_dual,
     genus_of,
@@ -92,7 +96,10 @@ from .rings import (
     accumulate,
     check_set_partition,
     combine_caps,
+    int_mul,
     iter_weak_compositions,
+    mono_degree,
+    mono_mul,
     poly_mul,
     series_mul,
     set_partitions,
@@ -457,17 +464,17 @@ def pc_inverse(p: PointedClass, maxdeg: int) -> PointedClass:
 @lru_cache(maxsize=None)
 def _block_series(s: int, maxdeg: int) -> tuple:
     """Coefficients 0..maxdeg of g_s, the series of a block of s light
-    points in chern_B^{-1} (see the module docstring)."""
+    points in chern_B^{-1} (see the module docstring); all ints."""
     if s == 1:
-        return (Fraction(1),) * (maxdeg + 1)
-    rhs = [Fraction(0)] * (maxdeg + 1)
+        return (1,) * (maxdeg + 1)
+    rhs = [0] * (maxdeg + 1)
     for a in range(1, s):
         weight = comb(s - 1, a - 1) * (s - a)
         prod = series_mul(_block_series(a, maxdeg), _block_series(s - a, maxdeg),
                           maxdeg)
         for n, c in enumerate(prod):
             rhs[n] -= weight * c
-    out, prev = [], Fraction(0)
+    out, prev = [], 0
     for c in rhs:  # divide by 1 - s x
         prev = c + s * prev
         out.append(prev)
@@ -546,31 +553,42 @@ def pushed_chern(genus: int, d: int, chern_degree: int) -> KLPoly:
     return epsilon_push(total.degree_part(chern_degree))
 
 
-def _push_series(genus: int, series, maxdeg: int) -> KLPoly:
+def _push_series(genus: int, series, maxdeg: int) -> dict:
     """The pushforward sum_{t>=1} [x^t] series * kappa_{t-1} of one block
     whose exponent runs over the series, given through x^{maxdeg+1}, in
-    degrees <= maxdeg (kappa_0 = 2g-2)."""
-    coeffs = {(): series[1] * (2 * genus - 2)}
+    degrees <= maxdeg (kappa_0 = 2g-2), as a monomial -> int table."""
+    table = {(): series[1] * (2 * genus - 2)}
     for t in range(2, maxdeg + 2):
-        coeffs[(((KAPPA, t - 1), 1),)] = series[t]
-    return GradedPoly(genus, coeffs)
+        table[(((KAPPA, t - 1), 1),)] = series[t]
+    return table
 
 
-def _pushed_partitions(genus: int, d: int, maxdeg: int) -> list:
-    """[E_0, ..., E_d] with E_n = epsilon_* of the block product of
-    chern_B^{-1} on n light points, degrees <= maxdeg: E_0 = 1 and
-    E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}, H_s the pushed g_s."""
-    H = [None] + [_push_series(genus, _block_series(s, maxdeg + 1), maxdeg)
-                  for s in range(1, d + 1)]
-    E = [kl_one(genus)]
-    for n in range(1, d + 1):
-        acc: dict = {}
-        for s in range(1, n + 1):
-            weight = comb(n - 1, s - 1)
-            for m, c in poly_mul(H[s], E[n - s], maxdeg).coeffs.items():
-                accumulate(acc, m, weight * c)
-        E.append(GradedPoly(genus, acc))
-    return E
+@lru_cache(maxsize=None)
+def _pushed_partition(genus: int, n: int, maxdeg: int) -> MappingProxyType:
+    """E_n = epsilon_* of the block product of chern_B^{-1} on n light
+    points in degrees <= maxdeg, a read-only int table: E_0 = 1 and E_n =
+    sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}, H_s the pushed g_s."""
+    if n == 0:
+        return MappingProxyType({(): 1})
+    acc: dict = {}
+    for s in range(1, n + 1):
+        H = _push_series(genus, _block_series(s, maxdeg + 1), maxdeg)
+        rest = _pushed_partition(genus, n - s, maxdeg)
+        for m, c in int_mul(H, rest, maxdeg).items():
+            acc[m] = acc.get(m, 0) + comb(n - 1, s - 1) * c
+    return MappingProxyType({m: c for m, c in acc.items() if c})
+
+
+def _dual_hodge_part(genus: int, table, degree: int) -> KLPoly:
+    """The degree part of chern_E_dual * table, in one pass: a monomial m
+    of the table meets only (-1)^i lambda_i, i = degree - deg m."""
+    acc: dict = {}
+    for m, c in table.items():
+        i = degree - mono_degree(m)
+        if 0 <= i <= genus:
+            key = mono_mul(m, (((LAMBDA, i), 1),)) if i else m
+            acc[key] = acc.get(key, 0) + (-c if i % 2 else c)
+    return GradedPoly(genus, acc)
 
 
 def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
@@ -578,15 +596,9 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
 
     Vanishes in the tautological ring of the base for every k >= 1; the
     returned expression is the relation's left-hand side.  Computed without
-    block monomials (module docstring, facts 1-3): with g_1 = 1/(1 - x),
-
-        (1 - (s+1) x) g_{s+1} = - sum_{a=1}^{s} C(s, a-1) (s+1-a) g_a g_{s+1-a},
-        H_s = sum_{t>=1} [x^t] g_s * kappa_{t-1}        (kappa_0 = 2g - 2),
-        E_0 = 1,  E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s},
-
-    the class is the degree-N part of chern_E_dual * E_d, and 0 when N < 0.
-    That is O(d^2) polynomial products; `pushed_chern` gives the same value
-    through c(F_d).
+    block monomials (module docstring, facts 1-3) as the degree-N part of
+    chern_E_dual * E_d, and 0 when N < 0: O(d^2) products of int tables.
+    `pushed_chern` gives the same value through c(F_d).
     """
     if genus < 2:
         raise InputError("genus must be >= 2")
@@ -600,5 +612,4 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     N = target - d
     if N < 0:
         return kl_zero(genus)
-    E = _pushed_partitions(genus, d, N)
-    return poly_mul(chern_E_dual(genus, N), E[d], N).degree_part(N)
+    return _dual_hodge_part(genus, _pushed_partition(genus, d, N), N)

@@ -1,8 +1,8 @@
 """Exact scalar and sparse graded-polynomial arithmetic.
 
-Scalars are `fractions.Fraction` throughout: arbitrary precision, always
-stored reduced with positive denominator, so every equality test in the
-package is exact.
+Scalars are `fractions.Fraction` in every value, always stored reduced, so
+every equality test in the package is exact.  The one product loop,
+`int_mul`, runs on int tables (`GradedPoly` over a common denominator).
 
 Polynomials are sparse tables mapping kappa/lambda monomials at a fixed
 genus to nonzero scalars.  A monomial is a tuple of ((kind, index), exp)
@@ -19,8 +19,8 @@ and `CurveClass` share: addition, negation, subtraction, powers, equality,
 truncation and the dispatch of `*`, with `accumulate` as the one merge
 step of every sum.
 
-One-variable series are plain lists of Fractions indexed by degree;
-`series_mul` and `truncated_inverse` work on them.
+One-variable series are plain lists of Fractions (or ints) indexed by
+degree; `series_mul` and `truncated_inverse` work on them.
 
 Every value is immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf, lcm
 from types import MappingProxyType
 from typing import Iterator
 
@@ -265,15 +265,36 @@ class GradedPoly(SparseSum):
 
 
 def _mul_capped(a: GradedPoly, b: GradedPoly, cap: int | None) -> GradedPoly:
-    acc: dict = {}
-    bdegs = [(m, c, mono_degree(m)) for m, c in b.coeffs.items()]
-    for m1, c1 in a.coeffs.items():
-        d1 = mono_degree(m1)
-        for m2, c2, d2 in bdegs:
-            if cap is not None and d1 + d2 > cap:
-                continue
-            accumulate(acc, mono_mul(m1, m2), c1 * c2)
+    # over a common denominator, so that the pair loop runs on ints
+    (da, ia), (db, ib) = _integral(a.coeffs), _integral(b.coeffs)
+    acc = {m: Fraction(c, da * db) for m, c in int_mul(ia, ib, cap).items()}
     return GradedPoly(a.genus, acc, cap)
+
+
+def _integral(coeffs) -> tuple:
+    """(D, D * coeffs) with D the least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+
+
+def int_mul(a, b, cap: int | None) -> dict:
+    """Product of two monomial -> int tables, as a table of nonzero ints,
+    without terms above total degree cap (None keeps all).  A coefficient
+    that is not an int raises DomainError; it is never rounded."""
+    if not all(isinstance(c, int) for c in (*a.values(), *b.values())):
+        raise DomainError("int_mul takes int coefficients only")
+    acc: dict = {}
+    # b by degree, so that the rest of b is past the cap once one term is
+    bterms = sorted(((mono_degree(m), m, c) for m, c in b.items()),
+                    key=lambda t: t[0])
+    for m1, c1 in a.items():
+        room = (inf if cap is None else cap) - mono_degree(m1)
+        for d2, m2, c2 in bterms:
+            if d2 > room:
+                break
+            m = mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
 
 
 def poly_mul(a: GradedPoly, b: GradedPoly, maxdeg: int | None) -> GradedPoly:
@@ -319,9 +340,9 @@ def format_poly(p: GradedPoly) -> str:
 # -- one-variable series ---------------------------------------------------
 
 def series_mul(a: list, b: list, maxdeg: int) -> list:
-    """Product of two coefficient lists, dropping degrees above maxdeg."""
+    """Product of two coefficient lists up to degree maxdeg; ints stay ints."""
     size = max(0, min(len(a) + len(b) - 1, maxdeg + 1))
-    out = [Fraction(0)] * size
+    out = [sum(0 * x for x in (*a[:1], *b[:1]))] * size
     for i, x in enumerate(a[:size]):
         if x:
             for j, y in enumerate(b[:size - i]):

@@ -1,15 +1,18 @@
-"""Relation generators against their pointed-ring oracles on full grids.
+"""Relation generators and lambda images against their oracles on full grids.
 
 The tier-1 suite checks the per-block formulas of `prop8_relation` and
-`theorem5_class` on small grids; this script checks every point of two
-larger ones, which takes about five minutes:
+`theorem5_class`, and the genus-free lambda images, on small grids; this
+script checks every point of three larger ones, which takes about five
+minutes:
 
   * prop8_relation(g, d, a, b, c) against the pushed product
     eps_*([pi_*((s^a + (-1)^c (s+1)^a) omega^b) * c(F_d)]_N) for
     2 <= g <= 9, 1 <= d <= 5, a <= 3, b <= 2, 1 <= c <= 4 and relation
     degree <= 6; where the Chern index or N is negative, InputError;
   * theorem5_class(g, d, k) against pushed_chern(g, d, g-d-1+2k) for
-    2 <= g <= 12, 1 <= d <= 5, 1 <= k <= 4 and Chern degree >= 0.
+    2 <= g <= 12, 1 <= d <= 5, 1 <= k <= 4 and Chern degree >= 0;
+  * the kappa images of lambda_1..lambda_g against the table built by
+    Newton's identities with full polynomial products, for 2 <= g <= 24.
 
 Run from the repository root:
 
@@ -23,9 +26,11 @@ import sys
 import time
 
 from sqtaut.curve import prop8_relation
+from sqtaut.kappa_lambda import _lambda_table
 from sqtaut.pointed import pushed_chern, rank_F, theorem5_class
 from sqtaut.rings import InputError
 from test_curve import pushed_product_prop8
+from test_kappa_lambda import newton_lambda_table
 
 
 def prop8_grid() -> list:
@@ -66,9 +71,20 @@ def theorem5_grid() -> list:
     return bad
 
 
+def lambda_grid() -> list:
+    bad = []
+    for g in range(2, 25):
+        got, want = _lambda_table(g), newton_lambda_table(g)
+        if len(got) != g:
+            bad.append((g, "length"))
+        bad += [(g, n) for n, (x, y) in enumerate(zip(got, want), 1) if x != y]
+    print(f"lambda images: genus 2..24, {len(bad)} mismatches", flush=True)
+    return bad
+
+
 def main() -> int:
     failed = False
-    for grid in (prop8_grid, theorem5_grid):
+    for grid in (prop8_grid, theorem5_grid, lambda_grid):
         start = time.perf_counter()
         bad = grid()
         print(f"  {time.perf_counter() - start:.1f} s", flush=True)

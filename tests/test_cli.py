@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import sqtaut
 from sqtaut.cli import main
 from sqtaut.jsonio import emit_kl, emit_pointed, parse_kl, parse_kl_pretty, parse_pointed
 from sqtaut.kappa_lambda import kappa_class, lambda_class, lambda_to_kappa
@@ -104,6 +107,25 @@ def test_betti_output(capsys):
     assert payload["coefficients"] == {"0": "1", "2": "3", "4": "3", "6": "1"}
     assert payload["d"] == 4
 
+
+def test_verify_is_loaded_only_on_use():
+    # only verify-paper needs sqtaut.verify; the package still serves its
+    # names on first access
+    script = (
+        "import sys\n"
+        "from sqtaut.cli import main\n"
+        "assert main(['betti', '--d', '3']) == 0\n"
+        "assert 'sqtaut.verify' not in sys.modules\n"
+        "import sqtaut\n"
+        "assert len(sqtaut.CHECKS) == 11 and callable(sqtaut.run_check)\n"
+        "assert 'sqtaut.verify' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(sqtaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1 + 2*t^2 + t^4"
 
 def test_intersect_output(capsys):
     code, out = run(capsys, "intersect", "--d", "5", "--x1", "2", "--x2", "2")

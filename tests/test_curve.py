@@ -10,6 +10,7 @@ from math import comb
 import pytest
 
 from sqtaut.curve import (
+    _meeting_series,
     OMEGA,
     SIGMA,
     CurveClass,
@@ -228,6 +229,14 @@ def test_section_power_pushforward_is_single_block_sum():
         for j, b in itertools.product(range(1, 5), range(3)):
             assert pi_push(s ** j * w ** b) == single_block_sum(g, d, j, b), (g, d, j, b)
 
+
+def test_meeting_series_are_ints():
+    for n in range(7):
+        for m in range(n + 1):
+            for N in range(9):
+                series = _meeting_series(n, m, N)
+                assert len(series) == N + 1
+                assert all(type(q) is int for q in series), (n, m, N)
 
 def test_prop8_matches_pushed_product_oracle():
     # D5_POINTS reach d = 5, past the grid

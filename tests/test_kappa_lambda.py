@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sqtaut.kappa_lambda import (
+    _lambda_table,
     chern_E_dual,
     kappa_class,
     kl_is_kappa_only,
@@ -15,7 +16,7 @@ from sqtaut.kappa_lambda import (
     lambda_class,
     lambda_to_kappa,
 )
-from sqtaut.rings import InputError, bernoulli
+from sqtaut.rings import InputError, bernoulli, poly_mul
 
 
 # -- oracle: closed-form elementary symmetric functions in power sums -----
@@ -162,3 +163,44 @@ def test_chern_E_dual_shape():
 def test_genus_mismatch_rejected():
     with pytest.raises(InputError):
         _ = kappa_class(4, 1) + kappa_class(5, 1)
+
+
+# -- oracle: the lambda table by Newton's identities, as built before the
+# images became genus-free: e_n = (1/n) sum_i (-1)^{i-1} e_{n-i} p_i with
+# full polynomial products.
+
+def newton_lambda_table(genus):
+    p = [kl_zero(genus)] + [power_sum(genus, k) for k in range(1, genus + 1)]
+    e = [kl_one(genus)]
+    for n in range(1, genus + 1):
+        acc = kl_zero(genus)
+        for i in range(1, n + 1):
+            term = e[n - i] * p[i]
+            acc = acc + (term if i % 2 else -term)
+        e.append(Fraction(1, n) * acc)
+    return tuple(e[1:])
+
+
+def test_lambda_table_matches_newton_identities():
+    for g in range(2, 15):
+        assert _lambda_table(g) == newton_lambda_table(g), g
+
+
+def test_lambda_images_are_genus_free():
+    # the image of lambda_n has the same coefficients at every genus >= n
+    for n in range(1, 17):
+        first = _lambda_table(max(n, 2))[n - 1].coeffs
+        for g in range(max(n, 2), 25):
+            assert _lambda_table(g)[n - 1].coeffs == first, (n, g)
+
+
+def test_mumford_relation_in_degrees_up_to_genus():
+    # ch(E + E^vee) has no part in positive degree, so c(E) c(E^vee) = 1;
+    # in degrees <= g only lambda_1..lambda_g occur, so this holds for the
+    # kappa images without Newton's identities
+    for g in range(2, 17):
+        chern_E = kl_one(g)
+        for i in range(1, g + 1):
+            chern_E = chern_E + lambda_class(g, i)
+        product = poly_mul(chern_E, chern_E_dual(g, g), g)
+        assert lambda_to_kappa(product) == kl_one(g), g

@@ -5,6 +5,8 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -45,7 +47,7 @@ from sqtaut.pointed import (
     theorem5_class,
     unit_monomial,
 )
-from sqtaut.rings import InputError, check_set_partition
+from sqtaut.rings import InputError, check_set_partition, series_mul
 
 
 def mono_with(d, blocks_exps):
@@ -454,6 +456,34 @@ def test_block_series_closed_forms():
     )
     assert _block_series(3, 3) == (4, 32, 160, 648)
     assert _block_series(1, 4) == (1,) * 5
+
+
+@lru_cache(maxsize=None)
+def fraction_block_series(s, maxdeg):
+    # the Fraction recursion for g_s as it was written before the block
+    # series were kept in ints
+    if s == 1:
+        return (Fraction(1),) * (maxdeg + 1)
+    rhs = [Fraction(0)] * (maxdeg + 1)
+    for a in range(1, s):
+        weight = comb(s - 1, a - 1) * (s - a)
+        prod = series_mul(fraction_block_series(a, maxdeg),
+                          fraction_block_series(s - a, maxdeg), maxdeg)
+        for n, c in enumerate(prod):
+            rhs[n] -= weight * c
+    out, prev = [], Fraction(0)
+    for c in rhs:  # divide by 1 - s x
+        prev = c + s * prev
+        out.append(prev)
+    return tuple(out)
+
+
+def test_block_series_are_the_fraction_recursion_in_ints():
+    for s in range(1, 9):
+        for N in range(13):
+            got = _block_series(s, N)
+            assert got == fraction_block_series(s, N), (s, N)
+            assert all(type(c) is int for c in got), (s, N)
 
 
 def set_partitions(labels):

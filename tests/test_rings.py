@@ -15,6 +15,7 @@ from sqtaut.rings import (
     Rational,
     bernoulli,
     format_series,
+    int_mul,
     poly_mul,
     series_mul,
     truncated_inverse,
@@ -154,6 +155,28 @@ def test_series_mul_truncates():
     assert format_series([0, Fraction(-1, 2), 1], "v") == "-1/2*v + v^2"
     assert format_series([0, 0], "t") == "0"
 
+
+def test_series_mul_keeps_coefficient_type():
+    ints = series_mul([1, 0, 2], (3, 4), 5)
+    assert ints == [3, 4, 6, 8]
+    assert all(type(c) is int for c in ints)
+    fracs = series_mul([Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(0)], 4)
+    assert fracs == [0, 1, 0]
+    assert all(type(c) is Fraction for c in fracs)
+
+
+def test_int_mul_takes_ints_only():
+    k1 = (((0, 1), 1),)
+    a, b = {(): 2, k1: -3}, {k1: 5}
+    assert int_mul(a, b, None) == {k1: 10, (((0, 1), 2),): -15}
+    assert int_mul(a, b, 1) == {k1: 10}
+    assert int_mul(a, {k1: 5, (): 0}, 0) == {}
+    # a coefficient that is not an int is an error, never rounded
+    for bad in (Fraction(7, 2), Fraction(3), 0.5):
+        with pytest.raises(DomainError):
+            int_mul(a, {k1: bad}, None)
+        with pytest.raises(DomainError):
+            int_mul({k1: bad}, b, None)
 
 def test_ring_axioms_fuzz():
     # commutativity, associativity, distributivity: >= 1000 random triples
