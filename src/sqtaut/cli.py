@@ -59,10 +59,13 @@ def _dump(payload: dict) -> str:
 
 
 def _load_payload(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise InputError("JSON input is nested too deeply") from None
 
 
 # -- commands -------------------------------------------------------------

@@ -118,7 +118,7 @@ def emit_kl(p: KLPoly, provenance: Mapping | None = None) -> dict:
         terms.append({"coeff": _coeff_payload(mono, q)})
     out = {"schema": SCHEMA, "kind": "kl-class", "genus": genus, "terms": terms}
     if provenance is not None:
-        out["provenance"] = dict(provenance)
+        out["provenance"] = dict(_mapping(provenance, "provenance"))
     return out
 
 

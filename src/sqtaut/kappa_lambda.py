@@ -11,9 +11,10 @@ constructors here are where genus and index ranges are checked.
 the rank-g Hodge-type bundle is supported in odd degrees, ch_{2l-1} =
 B_{2l} / (2l)! * kappa_{2l-1}, so c(E) = exp(sum_{k odd} (k-1)! ch_k) and
 lambda_n maps to the degree-n part of exp(sum_{k odd} B_{k+1} / (k (k+1)) *
-kappa_k) (Mumford's formula), the same at every genus g >= n.  Each image is
-computed once per n and shared by all genera; concurrent first calls may
-duplicate work but agree on the value, so the caches are safe without locks.
+kappa_k) (Mumford's formula), the same at every genus g >= n.  The image
+of each lambda monomial is computed once and shared by all genera;
+concurrent first calls may duplicate work but agree on the value, so the
+cache is safe without locks.
 """
 
 from __future__ import annotations
@@ -81,17 +82,31 @@ def lambda_class(genus: int, index: int, exp: int = 1) -> KLPoly:
 
 
 @lru_cache(maxsize=None)
-def _lambda_image(n: int) -> tuple:
-    """The kappa image e_n of lambda_n as (monomial, coefficient) pairs, by
-    n e_n = sum_{k odd} B_{k+1}/(k+1) kappa_k e_{n-k}: the degree-n part of
-    exp(f)' = f' exp(f) for the exponent f of the module docstring."""
-    if n == 0:
+def _lambda_image(part: tuple) -> tuple:
+    """The kappa image of a lambda part (a monomial of ((LAMBDA, i), e)
+    factors) as (monomial, coefficient) pairs, the same at every genus.
+    lambda_n alone: n e_n = sum_{k odd} B_{k+1}/(k+1) kappa_k e_{n-k}, from
+    exp(f)' = f' exp(f) for the exponent f of the module docstring.  A
+    product is its last factor times the rest; lambda_n^e splits in halves,
+    so the recursion depth grows with log e."""
+    if not part:
         return (((), Fraction(1)),)
+    (_, n), e = part[-1]
     acc: dict = {}
-    for k in range(1, n + 1, 2):
-        q = bernoulli(k + 1) / ((k + 1) * n)
-        for m, c in _lambda_image(n - k):
-            accumulate(acc, mono_mul(m, (((KAPPA, k), 1),)), q * c)
+    if len(part) == 1 and e == 1:
+        for k in range(1, n + 1, 2):
+            q = bernoulli(k + 1) / ((k + 1) * n)
+            lower = (((LAMBDA, n - k), 1),) if n > k else ()
+            for m, c in _lambda_image(lower):
+                accumulate(acc, mono_mul(m, (((KAPPA, k), 1),)), q * c)
+        return tuple(acc.items())
+    if len(part) > 1:
+        first, second = part[:-1], part[-1:]
+    else:
+        first, second = (((LAMBDA, n), e // 2),), (((LAMBDA, n), e - e // 2),)
+    for m1, c1 in _lambda_image(first):
+        for m2, c2 in _lambda_image(second):
+            accumulate(acc, mono_mul(m1, m2), c1 * c2)
     return tuple(acc.items())
 
 
@@ -99,43 +114,22 @@ def _lambda_image(n: int) -> tuple:
 def _lambda_table(genus: int) -> tuple:
     """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
     _check_genus(genus)
-    return tuple(GradedPoly(genus, dict(_lambda_image(n)))
+    return tuple(GradedPoly(genus, dict(_lambda_image((((LAMBDA, n), 1),))))
                  for n in range(1, genus + 1))
 
 
 def lambda_to_kappa(p: KLPoly) -> KLPoly:
     """Rewrite p with every lambda generator eliminated in favor of kappas.
 
-    A ring homomorphism: kappa generators are fixed, lambda_i maps to its
-    kappa-polynomial image.  The images of lambda parts, and of the single
-    powers they are built from, repeat across monomials; they are memoized
-    for the duration of one call.
+    A ring homomorphism: kappa generators are fixed, and the lambda part of
+    each monomial maps to its cached, genus-free kappa image.
     """
     genus = genus_of(p)
-    table = _lambda_table(genus)
-    images: dict = {}  # lambda part of a monomial -> its kappa image
-
-    def image(part: tuple) -> KLPoly:
-        out = images.get(part)
-        if out is None:
-            if len(part) == 1:
-                ((_, idx), exp), = part
-                out = table[idx - 1] ** exp
-            else:
-                out = image(part[:1])
-                for factor in part[1:]:
-                    out = out * image((factor,))
-            images[part] = out
-        return out
-
     acc: dict = {}
     for mono, coeff in p.coeffs.items():
         kappas = tuple(f for f in mono if f[0][0] == KAPPA)
         lambdas = tuple(f for f in mono if f[0][0] == LAMBDA)
-        if not lambdas:
-            accumulate(acc, kappas, coeff)
-            continue
-        for m, q in image(lambdas).coeffs.items():
+        for m, q in _lambda_image(lambdas):
             accumulate(acc, mono_mul(kappas, m), coeff * q)
     return GradedPoly(genus, acc)
 

@@ -70,6 +70,7 @@ cached per (genus, n, degree), until the return.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,7 +84,6 @@ from .kappa_lambda import (
     KLPoly,
     chern_E_dual,
     genus_of,
-    kappa_class,
     kl_one,
     kl_scalar,
     kl_zero,
@@ -467,6 +467,8 @@ def _block_series(s: int, maxdeg: int) -> tuple:
     points in chern_B^{-1} (see the module docstring); all ints."""
     if s == 1:
         return (1,) * (maxdeg + 1)
+    for smaller in range(2, s):  # cache upward: recursion stays one level deep
+        _block_series(smaller, maxdeg)
     rhs = [0] * (maxdeg + 1)
     for a in range(1, s):
         weight = comb(s - 1, a - 1) * (s - a)
@@ -523,8 +525,9 @@ def epsilon_push(c: PointedClass) -> KLPoly:
     """Pushforward along the map forgetting all light points.
 
     Block rule: a monomial with blocks B and exponents t_B pushes to
-    prod_B kappa_{t_B - 1}; any exponent-0 block kills the term.  Lowers
-    degree by exactly d.
+    prod_B kappa_{t_B - 1}; any exponent-0 block kills the term, and a
+    block with t_B = 1 gives the scalar kappa_0 = 2g-2.  Lowers degree by
+    exactly d.
     """
     genus = c.genus
     acc: dict = {}
@@ -533,11 +536,11 @@ def epsilon_push(c: PointedClass) -> KLPoly:
         if 0 in mono.exps:
             continue
         cap = combine_caps(cap, coeff.cap)
-        factor = kl_one(genus)
-        for exp in mono.exps:
-            factor = factor * kappa_class(genus, exp - 1)
-        for m, q in poly_mul(coeff, factor, None).coeffs.items():
-            accumulate(acc, m, q)
+        scalar = (2 * genus - 2) ** mono.exps.count(1)
+        kappas = Counter((KAPPA, t - 1) for t in mono.exps if t > 1)
+        kappas = tuple(sorted(kappas.items()))
+        for m, q in coeff.coeffs.items():
+            accumulate(acc, mono_mul(kappas, m), scalar * q)
     return GradedPoly(genus, acc, cap)
 
 
@@ -571,7 +574,7 @@ def _pushed_partition(genus: int, n: int, maxdeg: int) -> MappingProxyType:
     if n == 0:
         return MappingProxyType({(): 1})
     acc: dict = {}
-    for s in range(1, n + 1):
+    for s in range(n, 0, -1):  # E_{n-s} from E_0 up: recursion stays shallow
         H = _push_series(genus, _block_series(s, maxdeg + 1), maxdeg)
         rest = _pushed_partition(genus, n - s, maxdeg)
         for m, c in int_mul(H, rest, maxdeg).items():

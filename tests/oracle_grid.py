@@ -12,7 +12,9 @@ minutes:
   * theorem5_class(g, d, k) against pushed_chern(g, d, g-d-1+2k) for
     2 <= g <= 12, 1 <= d <= 5, 1 <= k <= 4 and Chern degree >= 0;
   * the kappa images of lambda_1..lambda_g against the table built by
-    Newton's identities with full polynomial products, for 2 <= g <= 24.
+    Newton's identities with full polynomial products, for 2 <= g <= 24,
+    and lambda_to_kappa of every lambda monomial of degree <= 12 at g = 12
+    against the product of that table's images.
 
 Run from the repository root:
 
@@ -26,11 +28,11 @@ import sys
 import time
 
 from sqtaut.curve import prop8_relation
-from sqtaut.kappa_lambda import _lambda_table
+from sqtaut.kappa_lambda import _lambda_table, kl_one, lambda_to_kappa
 from sqtaut.pointed import pushed_chern, rank_F, theorem5_class
 from sqtaut.rings import InputError
 from test_curve import pushed_product_prop8
-from test_kappa_lambda import newton_lambda_table
+from test_kappa_lambda import lambda_monomial, newton_lambda_table, partitions
 
 
 def prop8_grid() -> list:
@@ -78,7 +80,17 @@ def lambda_grid() -> list:
         if len(got) != g:
             bad.append((g, "length"))
         bad += [(g, n) for n, (x, y) in enumerate(zip(got, want), 1) if x != y]
-    print(f"lambda images: genus 2..24, {len(bad)} mismatches", flush=True)
+    table, monomials = newton_lambda_table(12), 0
+    for n in range(13):
+        for parts in partitions(n, 12):
+            want = kl_one(12)
+            for i in parts:
+                want = want * table[i - 1]
+            if lambda_to_kappa(lambda_monomial(12, parts)) != want:
+                bad.append((12, parts))
+            monomials += 1
+    print(f"lambda images: genus 2..24 and {monomials} lambda monomials at "
+          f"genus 12, {len(bad)} mismatches", flush=True)
     return bad
 
 

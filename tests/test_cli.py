@@ -248,12 +248,31 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("command,payload", MALFORMED)
-def test_malformed_payloads_exit_2_with_one_line(capsys, monkeypatch, command, payload):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
-    code = main([command, "-"])
+def exits_2_with_one_line(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,payload", MALFORMED)
+def test_malformed_payloads_exit_2_with_one_line(capsys, monkeypatch, command, payload):
+    exits_2_with_one_line(capsys, monkeypatch, [command, "-"], json.dumps(payload))
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["push", "-"], DEEP_JSON),
+    (["mult", "-", "-"], DEEP_JSON),
+    (["lambda-to-kappa", "-"], DEEP_JSON),
+    (["lambda-to-kappa", "-", "--json"],
+     json.dumps({**_kl_payload(), "provenance": 5})),
+], ids=["push-deep", "mult-deep", "lambda-to-kappa-deep", "provenance-int"])
+def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
+                                                           argv, text):
+    exits_2_with_one_line(capsys, monkeypatch, argv, text)

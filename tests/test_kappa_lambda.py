@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sqtaut.kappa_lambda import (
+    KAPPA,
+    LAMBDA,
     _lambda_table,
     chern_E_dual,
     kappa_class,
@@ -16,7 +18,7 @@ from sqtaut.kappa_lambda import (
     lambda_class,
     lambda_to_kappa,
 )
-from sqtaut.rings import InputError, bernoulli, poly_mul
+from sqtaut.rings import GradedPoly, InputError, bernoulli, poly_mul
 
 
 # -- oracle: closed-form elementary symmetric functions in power sums -----
@@ -204,3 +206,72 @@ def test_mumford_relation_in_degrees_up_to_genus():
             chern_E = chern_E + lambda_class(g, i)
         product = poly_mul(chern_E, chern_E_dual(g, g), g)
         assert lambda_to_kappa(product) == kl_one(g), g
+
+
+# -- oracle: the per-call rule of lambda_to_kappa before its images were
+# cached by lambda part: each lambda^e factor maps to table[i-1] ** e, and
+# the images of the factors are multiplied.
+
+def per_call_lambda_to_kappa(p):
+    table = _lambda_table(p.genus)
+    out = kl_zero(p.genus)
+    for mono, coeff in p.coeffs.items():
+        kappas = tuple(f for f in mono if f[0][0] == KAPPA)
+        term = GradedPoly(p.genus, {kappas: coeff})
+        for (kind, i), e in mono:
+            if kind == LAMBDA:
+                term = term * table[i - 1] ** e
+        out = out + term
+    return out
+
+
+def partitions(n, largest):
+    """Partitions of n into parts <= largest, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def lambda_monomial(genus, parts):
+    out = kl_one(genus)
+    for i in parts:
+        out = out * lambda_class(genus, i)
+    return out
+
+
+def test_lambda_monomials_match_per_call_rule():
+    g = 10
+    for n in range(11):
+        for parts in partitions(n, g):
+            p = lambda_monomial(g, parts)
+            assert lambda_to_kappa(p) == per_call_lambda_to_kappa(p), parts
+
+
+def test_mixed_monomials_match_per_call_rule():
+    g = 10
+    rng = random.Random(7)
+    for _ in range(60):
+        p = random_kl(rng, g)
+        assert lambda_to_kappa(p) == per_call_lambda_to_kappa(p)
+    p = (kappa_class(g, 2) * lambda_class(g, 3) ** 2 * lambda_class(g, 1)
+         - Fraction(5, 3) * kappa_class(g, 1) ** 2 * lambda_class(g, 4))
+    assert lambda_to_kappa(p) == per_call_lambda_to_kappa(p)
+
+
+def test_multi_factor_images_are_genus_free():
+    parts = (3, 2, 2, 1)
+    six = lambda_to_kappa(lambda_monomial(6, parts))
+    nine = lambda_to_kappa(lambda_monomial(9, parts))
+    assert six.coeffs and six.coeffs == nine.coeffs
+    assert six.homogeneous_degrees() == [8]
+
+
+def test_large_lambda_powers_need_little_stack():
+    # lambda_n^e splits in halves, so the recursion depth grows with log e
+    g = 3
+    p = lambda_class(g, 1, 700) * lambda_class(g, 2, 333) * kappa_class(g, 3)
+    assert lambda_to_kappa(p) == per_call_lambda_to_kappa(p)
+    assert lambda_to_kappa(p).homogeneous_degrees() == [1369]

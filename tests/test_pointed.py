@@ -2,7 +2,10 @@
 the even-shift relation generator."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +13,7 @@ from math import comb
 
 import pytest
 
+import sqtaut
 from sqtaut.kappa_lambda import (
     _lambda_table,
     chern_E_dual,
@@ -536,6 +540,26 @@ def test_theorem5_large_d_is_fast():
         assert time.perf_counter() - start < 1.0
         assert rel.homogeneous_degrees() == [g - 2 * d - 1 + 2 * k]
         assert kl_is_kappa_only(lambda_to_kappa(rel))
+
+
+def test_relation_recursion_depth_does_not_grow_with_d():
+    # the block series and E_n fill their caches in ascending order, so a
+    # low recursion limit is enough at any d; a fresh process keeps the
+    # caches cold
+    script = (
+        "import sys\n"
+        "from sqtaut.curve import prop8_relation\n"
+        "from sqtaut.pointed import _block_series, theorem5_class\n"
+        "sys.setrecursionlimit(100)\n"
+        "assert len(_block_series(200, 3)) == 4\n"
+        "assert theorem5_class(2, 150, 150).homogeneous_degrees() == [1]\n"
+        "assert prop8_relation(2, 150, 0, 0, 300).is_zero\n"
+    )
+    src = os.path.dirname(os.path.dirname(sqtaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_theorem5_stable_range_relations_vanish():
