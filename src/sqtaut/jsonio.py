@@ -14,30 +14,27 @@ Each TERM carries exactly one kappa/lambda monomial (classes are emitted
 fully expanded), the partition lists every block including exponent-zero
 singletons, and term order is canonical, so emission is deterministic and
 `parse(emit(x)) == x`.  Relations carry a provenance object naming the
-generating operation and its parameters.  The parsers raise InputError with
-a one-line message on any malformed payload.
+generating operation and its parameters.  Rationals of any length are
+written and read.  The readers sum one (monomial, scalar) pair per term,
+built by `kappa_lambda.kl_factor`, into one table per class (per block
+monomial) and raise InputError with a one-line message on bad payloads.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping
 
-from .kappa_lambda import (
-    KLPoly,
-    genus_of,
-    kappa_class,
-    kl_scalar,
-    kl_zero,
-    lambda_class,
-)
+from .kappa_lambda import KLPoly, check_genus, genus_of, kl_factor
 from .pointed import BlockMonomial, PointedClass
-from .rings import GENERATOR_NAMES, InputError, accumulate
+from .rings import (GENERATOR_NAMES, GradedPoly, InputError, accumulate,
+                    int_from_text, mono_mul, rational_text)
 
 SCHEMA = "sq-taut/1"
 
-# Class constructors by generator kind, in the order of GENERATOR_NAMES.
-_CLASSES = (kappa_class, lambda_class)
+# "p" or "p/q", the form `rational_text` writes
+_RATIO = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 
 
 # -- reading untrusted payloads ------------------------------------------
@@ -73,8 +70,14 @@ def _int(value, what: str) -> int:
 
 
 def _rational(value) -> Fraction:
+    # "p/q" at any length; other forms (decimals, "1_000") as Fraction reads them
+    match = _RATIO.fullmatch(value) if isinstance(value, str) else None
     try:
-        return Fraction(value)
+        if match is None:
+            return Fraction(value)
+        sign, num, den = match.groups()
+        q = Fraction(int_from_text(num), int_from_text(den or "1"))
+        return -q if sign == "-" else q
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"bad rational {value!r}") from None
 
@@ -83,18 +86,22 @@ def _coeff_payload(kl_mono, q: Fraction) -> dict:
     out: dict = {name: {} for name in GENERATOR_NAMES}
     for (kind, index), exp in kl_mono:
         out[GENERATOR_NAMES[kind]][str(index)] = exp
-    out["rational"] = str(q)
+    out["rational"] = rational_text(q)
     return out
 
 
-def _coeff_from_payload(genus: int, payload) -> KLPoly:
+def _coeff(genus: int, payload) -> tuple:
+    """The (monomial, scalar) pair of a COEFF payload."""
     payload = _mapping(payload, "coefficient")
-    out = kl_scalar(genus, _rational(_get(payload, "rational")))
-    for name, make in zip(GENERATOR_NAMES, _CLASSES):
+    scalar = _rational(_get(payload, "rational"))
+    check_genus(genus)
+    mono = ()
+    for kind, name in enumerate(GENERATOR_NAMES):
         for idx, exp in _mapping(payload.get(name, {}), name).items():
-            out = out * make(genus, _int(idx, f"{name} index"),
+            m, q = kl_factor(genus, kind, _int(idx, f"{name} index"),
                              _int(exp, f"{name} exponent"))
-    return out
+            mono, scalar = mono_mul(mono, m), scalar * q
+    return mono, scalar
 
 
 def _check_header(payload, kind: str) -> None:
@@ -125,10 +132,11 @@ def emit_kl(p: KLPoly, provenance: Mapping | None = None) -> dict:
 def parse_kl(payload: Mapping) -> KLPoly:
     _check_header(payload, "kl-class")
     genus = _int(_get(payload, "genus"), "genus")
-    out = kl_zero(genus)
+    check_genus(genus)
+    acc: dict = {}
     for term in _terms(payload):
-        out = out + _coeff_from_payload(genus, _get(term, "coeff"))
-    return out
+        accumulate(acc, *_coeff(genus, _get(term, "coeff")))
+    return GradedPoly(genus, acc)
 
 
 # -- pointed classes ------------------------------------------------------
@@ -168,8 +176,9 @@ def parse_pointed(payload: Mapping) -> PointedClass:
             ),
             tuple(_int(e, "exponent") for e in _list(_get(term, "exponents"), "exponents")),
         )
-        accumulate(acc, mono, _coeff_from_payload(genus, _get(term, "coeff")))
-    return PointedClass(genus, d, acc)
+        accumulate(acc.setdefault(mono, {}), *_coeff(genus, _get(term, "coeff")))
+    return PointedClass(genus, d, {mono: GradedPoly(genus, table)
+                                   for mono, table in acc.items()})
 
 
 # -- one-variable series and rationals -----------------------------------
@@ -180,7 +189,7 @@ def emit_poly(coeffs: list, variable: str) -> dict:
         "schema": SCHEMA,
         "kind": "poly",
         "variable": variable,
-        "coefficients": {str(n): str(q) for n, q in enumerate(coeffs) if q},
+        "coefficients": {str(n): rational_text(q) for n, q in enumerate(coeffs) if q},
     }
 
 
@@ -200,7 +209,7 @@ def parse_poly(payload: Mapping) -> list:
 
 
 def emit_rational(q: Fraction, **extra) -> dict:
-    out = {"schema": SCHEMA, "kind": "rational", "value": str(q)}
+    out = {"schema": SCHEMA, "kind": "rational", "value": rational_text(q)}
     out.update(extra)
     return out
 
@@ -221,18 +230,16 @@ def parse_kl_pretty(text: str, genus: int) -> KLPoly:
     text = text.strip()
     if not text:
         raise InputError("empty class text")
-    if text == "0":
-        return kl_zero(genus)
+    check_genus(genus)
     normalized = text.replace(" - ", " + -").replace(" + ", "\x00")
-    out = kl_zero(genus)
+    acc: dict = {}
     for piece in normalized.split("\x00"):
         piece = piece.strip()
         sign = 1
         while piece.startswith("-"):
             sign = -sign
             piece = piece[1:].strip()
-        coeff = Fraction(sign)
-        factors = kl_scalar(genus, 1)
+        mono, coeff = (), Fraction(sign)
         for chunk in piece.split("*"):
             chunk = chunk.strip()
             if not chunk:
@@ -247,9 +254,9 @@ def parse_kl_pretty(text: str, genus: int) -> KLPoly:
             else:
                 name, exp = chunk, 1
             kind, _, idx_text = name.partition("_")
-            if kind not in GENERATOR_NAMES or not idx_text.isdigit():
+            if kind not in GENERATOR_NAMES or not idx_text.isdecimal():
                 raise InputError(f"bad generator {name!r}")
-            make = _CLASSES[GENERATOR_NAMES.index(kind)]
-            factors = factors * make(genus, int(idx_text), exp)
-        out = out + coeff * factors
-    return out
+            m, q = kl_factor(genus, GENERATOR_NAMES.index(kind), int(idx_text), exp)
+            mono, coeff = mono_mul(mono, m), coeff * q
+        accumulate(acc, mono, coeff)
+    return GradedPoly(genus, acc)

@@ -2,10 +2,10 @@
 
 Generators: kappa_a (degree a, a >= 1) and lambda_i (degree i, 1 <= i <= g)
 for a genus g >= 2 surface.  A monomial is a tuple of ((kind, index), exp)
-pairs with kind 0 for kappa and 1 for lambda (see `rings`).  kappa_0 is the
-scalar 2g-2 and kappa with a negative index is zero; both are folded in at
-construction so polynomial keys only ever mention positive indices.  The
-constructors here are where genus and index ranges are checked.
+pairs with kind 0 for kappa and 1 for lambda (see `rings`).  Classes are
+built as one table of `kl_factor` pairs, which check the genus and index
+ranges and fold kappa_0 = 2g-2, kappa with a negative index = 0 and
+lambda_0 = 1 into scalars, so keys only ever mention positive indices.
 
 `lambda_to_kappa` eliminates every lambda generator: the Chern character of
 the rank-g Hodge-type bundle is supported in odd degrees, ch_{2l-1} =
@@ -31,7 +31,7 @@ KAPPA, LAMBDA = 0, 1
 KLPoly = GradedPoly
 
 
-def _check_genus(genus: int) -> None:
+def check_genus(genus: int) -> None:
     if genus < 2:
         raise InputError("genus must be >= 2")
 
@@ -43,7 +43,7 @@ def genus_of(p: KLPoly) -> int:
 
 
 def kl_scalar(genus: int, value) -> KLPoly:
-    _check_genus(genus)
+    check_genus(genus)
     return GradedPoly(genus, {(): Fraction(value)})
 
 
@@ -55,30 +55,31 @@ def kl_one(genus: int) -> KLPoly:
     return kl_scalar(genus, 1)
 
 
-def kappa_class(genus: int, index: int, exp: int = 1) -> KLPoly:
-    """kappa_index^exp; index 0 is the scalar 2g-2, negative index is 0."""
-    _check_genus(genus)
+def kl_factor(genus: int, kind: int, index: int, exp: int = 1) -> tuple:
+    """kappa_index^exp (kind KAPPA) or lambda_index^exp (kind LAMBDA) as a
+    (monomial, scalar) pair; a lambda index must lie in 0..genus."""
+    check_genus(genus)
     if exp < 0:
         raise InputError("negative exponent")
-    if exp == 0:
-        return kl_one(genus)
+    if kind == LAMBDA and not 0 <= index <= genus:
+        raise InputError(f"lambda index {index} out of range for genus {genus}")
+    if exp == 0 or (kind == LAMBDA and index == 0):
+        return (), 1
     if index < 0:
-        return kl_zero(genus)
+        return (), 0
     if index == 0:
-        return kl_scalar(genus, Fraction(2 * genus - 2) ** exp)
-    return GradedPoly(genus, {(((KAPPA, index), exp),): Fraction(1)})
+        return (), (2 * genus - 2) ** exp
+    return (((kind, index), exp),), 1
+
+
+def kappa_class(genus: int, index: int, exp: int = 1) -> KLPoly:
+    """kappa_index^exp; index 0 is the scalar 2g-2, negative index is 0."""
+    return GradedPoly(genus, dict([kl_factor(genus, KAPPA, index, exp)]))
 
 
 def lambda_class(genus: int, index: int, exp: int = 1) -> KLPoly:
     """lambda_index^exp; lambda_0 is 1.  Index must lie in 0..genus."""
-    _check_genus(genus)
-    if exp < 0:
-        raise InputError("negative exponent")
-    if not 0 <= index <= genus:
-        raise InputError(f"lambda index {index} out of range for genus {genus}")
-    if exp == 0 or index == 0:
-        return kl_one(genus)
-    return GradedPoly(genus, {(((LAMBDA, index), exp),): Fraction(1)})
+    return GradedPoly(genus, dict([kl_factor(genus, LAMBDA, index, exp)]))
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +114,7 @@ def _lambda_image(part: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _lambda_table(genus: int) -> tuple:
     """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
-    _check_genus(genus)
+    check_genus(genus)
     return tuple(GradedPoly(genus, dict(_lambda_image((((LAMBDA, n), 1),))))
                  for n in range(1, genus + 1))
 
@@ -141,11 +142,9 @@ def chern_E_dual(genus: int, maxdeg: int) -> KLPoly:
     """
     if maxdeg < 0:
         raise InputError("negative truncation degree")
-    out = kl_one(genus)
-    for i in range(1, min(genus, maxdeg) + 1):
-        term = lambda_class(genus, i)
-        out = out + (term if i % 2 == 0 else -term)
-    return out.truncate(maxdeg)
+    check_genus(genus)
+    return GradedPoly(genus, {kl_factor(genus, LAMBDA, i)[0]: (-1) ** i
+                              for i in range(min(genus, maxdeg) + 1)}, maxdeg)
 
 
 def kl_is_kappa_only(p: KLPoly) -> bool:

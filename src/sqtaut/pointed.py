@@ -89,10 +89,12 @@ from .kappa_lambda import (
     kl_zero,
 )
 from .rings import (
-    DomainError,
     GradedPoly,
     InputError,
     SparseSum,
+    _factor_texts,
+    _format_terms,
+    _power_text,
     accumulate,
     check_set_partition,
     combine_caps,
@@ -149,18 +151,19 @@ class BlockMonomial:
             tuple(e for _, e in pairs),
         )
 
-    def __str__(self) -> str:
-        if not self.blocks:
-            return "1"
+    def factor_texts(self) -> list:
+        """The diagonal and psihat factors as text; [] for the unit."""
         parts = []
         for block, exp in zip(self.blocks, self.exps):
             label = ",".join(str(x) for x in block)
             if len(block) >= 2:
                 parts.append(f"D_{{{label}}}")
             if exp:
-                suffix = f"^{exp}" if exp > 1 else ""
-                parts.append(f"psih_{{{label}}}{suffix}")
-        return "*".join(parts) if parts else "1"
+                parts.append(_power_text(f"psih_{{{label}}}", exp))
+        return parts
+
+    def __str__(self) -> str:
+        return "*".join(self.factor_texts()) or "1"
 
 
 def unit_monomial(d: int) -> BlockMonomial:
@@ -271,30 +274,16 @@ class PointedClass(SparseSum):
         return pc_mul(self, other)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono in sorted(self.terms, key=lambda m: (m.degree, m.blocks, m.exps)):
+        def term(mono):  # a coefficient of several terms is parenthesized
             coeff = self.terms[mono]
-            cs = str(coeff)
-            mixed = "+" in cs or " - " in cs
-            if str(mono) == "1":
-                pieces.append(f"({cs})" if mixed else cs)
-            elif mixed:
-                pieces.append(f"({cs})*{mono}")
-            elif cs == "1":
-                pieces.append(str(mono))
-            elif cs == "-1":
-                pieces.append(f"-{mono}")
-            else:
-                pieces.append(f"{cs}*{mono}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+            if len(coeff.coeffs) > 1:
+                return [f"({coeff})", *mono.factor_texts()], 1
+            [(m, q)] = coeff.coeffs.items()
+            return [*_factor_texts(m), *mono.factor_texts()], q
+        return _format_terms(
+            term(mono)
+            for mono in sorted(self.terms, key=lambda m: (m.degree, m.blocks, m.exps))
+        )
 
 
 # -- constructors --------------------------------------------------------
@@ -335,19 +324,17 @@ def pc_delta(genus: int, d: int, i: int, trunc: int | None = None) -> PointedCla
     """Delta_i = D_{1,i} + ... + D_{i-1,i}; Delta_1 = 0."""
     if not 1 <= i <= d:
         raise InputError(f"light label {i} out of range 1..{d}")
-    out = pc_zero(genus, d, trunc)
-    for j in range(1, i):
-        out = out + pc_diagonal(genus, d, (j, i), trunc=trunc)
-    return out
+    one = kl_one(genus)
+    return PointedClass(genus, d, {diagonal_monomial(d, (j, i)): one
+                                   for j in range(1, i)}, trunc)
 
 
 def pc_delta_sym(genus: int, d: int, trunc: int | None = None) -> PointedClass:
     """The symmetric diagonal divisor: sum of all D_{i,j}, i < j."""
-    out = pc_zero(genus, d, trunc)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            out = out + pc_diagonal(genus, d, (i, j), trunc=trunc)
-    return out
+    one = kl_one(genus)
+    return PointedClass(genus, d, {diagonal_monomial(d, (i, j)): one
+                                   for i in range(1, d + 1)
+                                   for j in range(i + 1, d + 1)}, trunc)
 
 
 # -- multiplication ------------------------------------------------------
@@ -424,42 +411,6 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
 
 
 # -- Chern classes of the obstruction theory -----------------------------
-
-def chern_B(genus: int, d: int, maxdeg: int) -> PointedClass:
-    """Total Chern class of the light-point subsheaf:
-    prod_{i=1}^{d} (1 + Delta_i - psihat_i), truncated."""
-    if d < 1:
-        raise InputError("d must be >= 1")
-    if maxdeg < 0:
-        raise InputError("negative truncation degree")
-    out = pc_one(genus, d, maxdeg)
-    for i in range(1, d + 1):
-        factor = (
-            pc_one(genus, d, maxdeg)
-            + pc_delta(genus, d, i, maxdeg)
-            - pc_psihat(genus, d, i, trunc=maxdeg)
-        )
-        out = out * factor
-    return out
-
-
-def pc_inverse(p: PointedClass, maxdeg: int) -> PointedClass:
-    """Inverse modulo degree > maxdeg; requires unit constant part."""
-    if maxdeg < 0:
-        raise InputError("negative truncation degree")
-    one = pc_one(p.genus, p.d, maxdeg)
-    if p.degree_part(0) != pc_one(p.genus, p.d):
-        raise DomainError("pc_inverse requires constant part 1")
-    n = (p.truncate(maxdeg) - one)
-    result = one
-    power = one
-    for _ in range(maxdeg):
-        power = power * (-n)
-        if power.is_zero:
-            break
-        result = result + power
-    return result
-
 
 @lru_cache(maxsize=None)
 def _block_series(s: int, maxdeg: int) -> tuple:

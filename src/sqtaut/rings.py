@@ -252,8 +252,7 @@ class GradedPoly(SparseSum):
         return self._new({m: c * q for m, c in self.coeffs.items()}, self.cap)
 
     def _mul(self, other: "GradedPoly") -> "GradedPoly":
-        self._require_compatible(other)
-        return _mul_capped(self, other, combine_caps(self.cap, other.cap))
+        return poly_mul(self, other, combine_caps(self.cap, other.cap))
 
     # -- printing --------------------------------------------------------
 
@@ -262,13 +261,6 @@ class GradedPoly(SparseSum):
 
     def __repr__(self) -> str:
         return f"GradedPoly({format_poly(self)})"
-
-
-def _mul_capped(a: GradedPoly, b: GradedPoly, cap: int | None) -> GradedPoly:
-    # over a common denominator, so that the pair loop runs on ints
-    (da, ia), (db, ib) = _integral(a.coeffs), _integral(b.coeffs)
-    acc = {m: Fraction(c, da * db) for m, c in int_mul(ia, ib, cap).items()}
-    return GradedPoly(a.genus, acc, cap)
 
 
 def _integral(coeffs) -> tuple:
@@ -298,11 +290,43 @@ def int_mul(a, b, cap: int | None) -> dict:
 
 
 def poly_mul(a: GradedPoly, b: GradedPoly, maxdeg: int | None) -> GradedPoly:
-    """Product of a and b with all terms above total degree maxdeg dropped."""
+    """Product of a and b without terms above degree maxdeg (None keeps all)."""
     if not isinstance(a, GradedPoly) or not isinstance(b, GradedPoly):
         raise InputError("poly_mul expects two GradedPoly operands")
     a._require_compatible(b)
-    return _mul_capped(a, b, maxdeg)
+    # over a common denominator, so that the pair loop runs on ints
+    (da, ia), (db, ib) = _integral(a.coeffs), _integral(b.coeffs)
+    acc = {m: Fraction(c, da * db) for m, c in int_mul(ia, ib, maxdeg).items()}
+    return GradedPoly(a.genus, acc, maxdeg)
+
+
+# -- decimal text ----------------------------------------------------------
+# CPython converts int <-> str only up to a digit limit (4,300 by default,
+# 640 at least); these split on powers of ten to stay under any limit.
+
+def int_text(n: int) -> str:
+    """The decimal text of an int of any size."""
+    if n.bit_length() <= 1_600:  # under 482 digits
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10 ** k)
+    return int_text(high) + int_text(low).zfill(k)
+
+
+def int_from_text(digits: str) -> int:
+    """The int of a string of decimal digits of any length."""
+    if len(digits) <= 480:
+        return int(digits)
+    k = len(digits) // 2
+    return int_from_text(digits[:-k]) * 10 ** k + int_from_text(digits[-k:])
+
+
+def rational_text(q) -> str:
+    """str(q) for an int or Fraction of any size."""
+    num = int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
 
 
 def _format_terms(terms) -> str:
@@ -312,11 +336,11 @@ def _format_terms(terms) -> str:
         mag = abs(c)
         body = "*".join(factors)
         if not factors:
-            text = str(mag)
+            text = rational_text(mag)
         elif mag == 1:
             text = body
         else:
-            text = f"{mag}*{body}"
+            text = f"{rational_text(mag)}*{body}"
         if not pieces:
             pieces.append(text if c > 0 else f"-{text}")
         else:
@@ -328,13 +352,15 @@ def _power_text(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
+def _factor_texts(m: Monomial) -> list:
+    """The factors of a kappa/lambda monomial as text, e.g. ['kappa_1^2']."""
+    return [_power_text(f"{GENERATOR_NAMES[kind]}_{index}", exp)
+            for (kind, index), exp in m]
+
+
 def format_poly(p: GradedPoly) -> str:
     """Deterministic human-readable form, e.g. '1 - 3/4*kappa_1*lambda_2^2'."""
-    return _format_terms(
-        ([_power_text(f"{GENERATOR_NAMES[kind]}_{index}", exp)
-          for (kind, index), exp in m], c)
-        for m, c in p.terms()
-    )
+    return _format_terms((_factor_texts(m), c) for m, c in p.terms())
 
 
 # -- one-variable series ---------------------------------------------------

@@ -276,3 +276,21 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
                                                            argv, text):
     exits_2_with_one_line(capsys, monkeypatch, argv, text)
+
+
+def test_results_longer_than_the_int_str_digit_limit_are_written(capsys, monkeypatch):
+    # (1/12)^4000 kappa_1^4000 has a 4,317-digit denominator
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    payload = _kl_payload(genus=2, **{"lambda": {"1": 4000}})
+    expected = lambda_to_kappa(parse_kl(payload))
+    assert expected.coefficient((((0, 1), 4000),)) == Fraction(1, 12 ** 4000)
+    for argv in (["lambda-to-kappa", "-"], ["lambda-to-kappa", "-", "--json"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if "--json" in argv:
+            assert parse_kl(json.loads(captured.out)) == expected
+        else:
+            assert parse_kl_pretty(captured.out, 2) == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -31,7 +31,6 @@ from sqtaut.pointed import (
     _chern_F_cached,
     _merge_monomials,
     PointedClass,
-    chern_B,
     chern_F,
     diagonal_monomial,
     epsilon_push,
@@ -39,7 +38,6 @@ from sqtaut.pointed import (
     pc_delta_sym,
     pc_diagonal,
     pc_from_kl,
-    pc_inverse,
     pc_monomial,
     pc_mul,
     pc_one,
@@ -51,7 +49,45 @@ from sqtaut.pointed import (
     theorem5_class,
     unit_monomial,
 )
-from sqtaut.rings import InputError, check_set_partition, series_mul
+from sqtaut.rings import DomainError, InputError, check_set_partition, series_mul
+
+
+# -- ring-arithmetic oracles: c(B_d) as a product and inversion by series --
+
+def chern_B(genus: int, d: int, maxdeg: int) -> PointedClass:
+    """Total Chern class of the light-point subsheaf:
+    prod_{i=1}^{d} (1 + Delta_i - psihat_i), truncated."""
+    if d < 1:
+        raise InputError("d must be >= 1")
+    if maxdeg < 0:
+        raise InputError("negative truncation degree")
+    out = pc_one(genus, d, maxdeg)
+    for i in range(1, d + 1):
+        factor = (
+            pc_one(genus, d, maxdeg)
+            + pc_delta(genus, d, i, maxdeg)
+            - pc_psihat(genus, d, i, trunc=maxdeg)
+        )
+        out = out * factor
+    return out
+
+
+def pc_inverse(p: PointedClass, maxdeg: int) -> PointedClass:
+    """Inverse modulo degree > maxdeg; requires unit constant part."""
+    if maxdeg < 0:
+        raise InputError("negative truncation degree")
+    one = pc_one(p.genus, p.d, maxdeg)
+    if p.degree_part(0) != pc_one(p.genus, p.d):
+        raise DomainError("pc_inverse requires constant part 1")
+    n = (p.truncate(maxdeg) - one)
+    result = one
+    power = one
+    for _ in range(maxdeg):
+        power = power * (-n)
+        if power.is_zero:
+            break
+        result = result + power
+    return result
 
 
 def mono_with(d, blocks_exps):

@@ -15,8 +15,11 @@ from sqtaut.rings import (
     Rational,
     bernoulli,
     format_series,
+    int_from_text,
     int_mul,
+    int_text,
     poly_mul,
+    rational_text,
     series_mul,
     truncated_inverse,
 )
@@ -269,3 +272,24 @@ def test_bernoulli_rejects_bad_input():
     for bad in (0, 1, 3, 7, -2):
         with pytest.raises(InputError):
             bernoulli(bad)
+
+
+def test_decimal_text_of_any_length():
+    # CPython's default int <-> str limit is 4,300 digits
+    rng = random.Random(7)
+    for length in (1, 479, 480, 481, 4300, 4301, 9000, 20001):
+        digits = str(rng.randint(1, 9)) + "".join(
+            str(rng.randint(0, 9)) for _ in range(length - 1))
+        n = 0
+        for chunk in range(0, length, 400):  # an independent reading
+            piece = digits[chunk:chunk + 400]
+            n = n * 10 ** len(piece) + int(piece)
+        assert int_from_text(digits) == n
+        assert int_text(n) == digits and int_text(-n) == "-" + digits
+    assert int_text(10 ** 5000) == "1" + "0" * 5000
+    assert int_from_text("0" * 6000 + "12") == 12
+    assert int_text(0) == "0"
+    big = Fraction(-(10 ** 5000 + 1), 3 ** 9000)
+    num, den = rational_text(big).split("/")
+    assert Fraction(int_from_text(num[1:]), int_from_text(den)) == -big
+    assert rational_text(Fraction(-3, 4)) == "-3/4" and rational_text(5) == "5"
