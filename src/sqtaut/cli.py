@@ -5,6 +5,13 @@ pushforward and product of serialized classes, Poincare polynomials,
 genus-zero integrals, pairing certificates, local invariants, lambda
 elimination, and the named verification suite.
 
+Each `cmd_*` computes its result and returns two zero-argument renderers,
+`(text, payload)`, plus an exit code if it can fail (`verify-paper` gives 1
+when a check fails and still writes its report).  `main` renders only the
+form that `--json` selects and writes it once, to stdout or `--output`, so
+an error leaves stdout empty.  Rationals are written with
+`rings.rational_text`, which Python's int-to-str digit limit does not bound.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  Output
 is deterministic for fixed arguments; `--json` switches every command
 from its text form to a schema-tagged payload.  If SQTAUT_OUTPUT_DIR is
@@ -39,7 +46,7 @@ from .pairing import (
     rank_certificate,
 )
 from .pointed import chern_F, epsilon_push, pc_mul, theorem5_class
-from .rings import InputError, format_series
+from .rings import InputError, format_series, rational_text
 
 
 def _write_out(args, text: str) -> None:
@@ -54,10 +61,6 @@ def _write_out(args, text: str) -> None:
         fh.write(text + "\n")
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
-
-
 def _load_payload(path: str) -> dict:
     try:
         if path == "-":
@@ -68,9 +71,9 @@ def _load_payload(path: str) -> dict:
         raise InputError("JSON input is nested too deeply") from None
 
 
-# -- commands -------------------------------------------------------------
+# -- commands: each returns (text, payload[, exit code]) -------------------
 
-def cmd_relation(args) -> int:
+def cmd_relation(args):
     g, d = args.genus, args.d
     if args.theorem5:
         if args.k is None or not (args.a is None and args.b is None and args.c is None):
@@ -88,73 +91,48 @@ def cmd_relation(args) -> int:
     if args.kappa_only:
         rel = lambda_to_kappa(rel)
         provenance["kappa_only"] = True
-    if args.json:
-        _write_out(args, _dump(emit_kl(rel, provenance)))
-    else:
+
+    def text() -> str:
         params = " ".join(f"{k}={v}" for k, v in provenance["params"].items())
         suffix = " (kappa-only)" if args.kappa_only else ""
-        header = f"# {provenance['theorem']} {params}{suffix}"
-        _write_out(args, f"{header}\n{rel}")
-    return 0
+        return f"# {provenance['theorem']} {params}{suffix}\n{rel}"
+    return text, lambda: emit_kl(rel, provenance)
 
 
-def cmd_chern_f(args) -> int:
+def cmd_chern_f(args):
     part = chern_F(args.genus, args.d, args.degree).degree_part(args.degree)
-    if args.json:
-        _write_out(args, _dump(emit_pointed(part)))
-    else:
-        _write_out(args, str(part))
-    return 0
+    return lambda: str(part), lambda: emit_pointed(part)
 
 
-def cmd_push(args) -> int:
-    p = parse_pointed(_load_payload(args.file))
-    pushed = epsilon_push(p)
-    if args.json:
-        _write_out(args, _dump(emit_kl(pushed)))
-    else:
-        _write_out(args, str(pushed))
-    return 0
+def cmd_push(args):
+    pushed = epsilon_push(parse_pointed(_load_payload(args.file)))
+    return lambda: str(pushed), lambda: emit_kl(pushed)
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args):
     a = parse_pointed(_load_payload(args.file1))
     b = parse_pointed(_load_payload(args.file2))
     product = pc_mul(a, b)
     if args.trunc is not None:
         product = product.truncate(args.trunc)
-    if args.json:
-        _write_out(args, _dump(emit_pointed(product)))
-    else:
-        _write_out(args, str(product))
-    return 0
+    return lambda: str(product), lambda: emit_pointed(product)
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args):
     poly = poincare_Q02(args.d)
-    if args.json:
-        payload = emit_poly(poly, "t")
-        payload["d"] = args.d
-        _write_out(args, _dump(payload))
-    else:
-        _write_out(args, format_series(poly, "t"))
-    return 0
+    return (lambda: format_series(poly, "t"),
+            lambda: {**emit_poly(poly, "t"), "d": args.d})
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args):
     y = args.y if args.y is not None else [0] * args.d
     value = intersect_M02d(args.d, args.x1, args.x2, y)
-    if args.json:
-        payload = emit_rational(
-            value, d=args.d, x1=args.x1, x2=args.x2, y=list(y)
-        )
-        _write_out(args, _dump(payload))
-    else:
-        _write_out(args, str(value))
-    return 0
+    return (lambda: rational_text(value),
+            lambda: emit_rational(value, d=args.d, x1=args.x1, x2=args.x2, y=list(y)))
 
 
-def _pairing_payload(d: int, k: int) -> dict:
+def cmd_pairing(args):
+    d, k = args.d, args.k
     cert = rank_certificate(d, k)
     blocks = []
     for block in cert.blocks:
@@ -162,7 +140,7 @@ def _pairing_payload(d: int, k: int) -> dict:
             {
                 "length": block.length,
                 "size": block.size,
-                "diagonal": [str(v) for v in block.diagonal],
+                "diagonal": [rational_text(v) for v in block.diagonal],
                 "off_diagonal_zeros": block.off_diagonal_checked,
             }
         )
@@ -185,7 +163,7 @@ def _pairing_payload(d: int, k: int) -> dict:
             for j in range(matrix.size):
                 e = matrix.entry(i, j)
                 if e.status == COMPUTED:
-                    row.append(str(e.value))
+                    row.append(rational_text(e.value))
                 elif e.status == PROVEN_ZERO:
                     row.append("z")
                 else:
@@ -197,104 +175,85 @@ def _pairing_payload(d: int, k: int) -> dict:
             ".": "unevaluated",
             "number": "computed value",
         }
-    return payload
+
+    def text() -> str:
+        lines = [f"pairing matrix d={d} k={k}: {payload['size']} rows"]
+        for block in payload["blocks"]:
+            head = f"  length {block['length']}: {block['size']} rows"
+            if block["size"] <= 60:
+                head += ", diagonal " + " ".join(block["diagonal"])
+            else:
+                head += ", diagonal entries all positive (omitted)"
+            lines.append(head)
+        if "entries" in payload:
+            lines.append("  entries (z = proven zero, . = unevaluated):")
+            for row in payload["entries"]:
+                lines.append("    " + " ".join(row))
+        lines.append(
+            f"proven-zero pairs: {payload['proven_zero_pairs']}, "
+            f"unevaluated pairs: {payload['unevaluated_pairs']}"
+        )
+        lines.append("rank certificate: full rank")
+        return "\n".join(lines)
+    return text, lambda: payload
 
 
-def cmd_pairing(args) -> int:
-    payload = _pairing_payload(args.d, args.k)
-    if args.json:
-        _write_out(args, _dump(payload))
-        return 0
-    lines = [f"pairing matrix d={args.d} k={args.k}: {payload['size']} rows"]
-    for block in payload["blocks"]:
-        head = f"  length {block['length']}: {block['size']} rows"
-        if block["size"] <= 60:
-            head += ", diagonal " + " ".join(block["diagonal"])
-        else:
-            head += ", diagonal entries all positive (omitted)"
-        lines.append(head)
-    if "entries" in payload:
-        lines.append("  entries (z = proven zero, . = unevaluated):")
-        for row in payload["entries"]:
-            lines.append("    " + " ".join(row))
-    lines.append(
-        f"proven-zero pairs: {payload['proven_zero_pairs']}, "
-        f"unevaluated pairs: {payload['unevaluated_pairs']}"
-    )
-    lines.append("rank certificate: full rank")
-    _write_out(args, "\n".join(lines))
-    return 0
-
-
-def cmd_conifold(args) -> int:
+def cmd_conifold(args):
     series = conifold_F(args.max_genus)
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "conifold",
-            "max_genus": args.max_genus,
-            "constant_term": str(series.constant_term),
-            "n1": {str(g): str(series.N1(g)) for g in range(1, args.max_genus + 1)},
-        }
-        if args.d is not None:
-            payload["d"] = args.d
-            payload["nd"] = {
-                str(g): str(conifold_N(g, args.d, series))
-                for g in range(1, args.max_genus + 1)
-            }
-        _write_out(args, _dump(payload))
-        return 0
-    lines = [f"constant term: {series.constant_term}"]
-    for g in range(1, args.max_genus + 1):
-        line = f"N[{g},1] = {series.N1(g)}"
-        if args.d is not None:
-            line += f"   N[{g},{args.d}] = {conifold_N(g, args.d, series)}"
-        lines.append(line)
-    _write_out(args, "\n".join(lines))
-    return 0
+    genera = range(1, args.max_genus + 1)
+    payload = {
+        "schema": SCHEMA,
+        "kind": "conifold",
+        "max_genus": args.max_genus,
+        "constant_term": rational_text(series.constant_term),
+        "n1": {str(g): rational_text(series.N1(g)) for g in genera},
+    }
+    if args.d is not None:
+        payload["d"] = args.d
+        payload["nd"] = {str(g): rational_text(conifold_N(g, args.d, series))
+                         for g in genera}
+
+    def text() -> str:
+        lines = [f"constant term: {payload['constant_term']}"]
+        for g in genera:
+            line = f"N[{g},1] = {payload['n1'][str(g)]}"
+            if args.d is not None:
+                line += f"   N[{g},{args.d}] = {payload['nd'][str(g)]}"
+            lines.append(line)
+        return "\n".join(lines)
+    return text, lambda: payload
 
 
-def cmd_lambda_to_kappa(args) -> int:
+def cmd_lambda_to_kappa(args):
     payload = _load_payload(args.file)
     result = lambda_to_kappa(parse_kl(payload))
-    if args.json:
-        _write_out(args, _dump(emit_kl(result, payload.get("provenance"))))
-    else:
-        _write_out(args, str(result))
-    return 0
+    return lambda: str(result), lambda: emit_kl(result, payload.get("provenance"))
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args):
     from .verify import run_all  # the only command that needs verify
-    results = run_all(args.only)
-    all_passed = all(r.passed for r in results)
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "verify-report",
-            "checks": [
-                {
-                    "id": r.check_id,
-                    "statement": r.statement,
-                    "passed": r.passed,
-                    "details": list(r.details),
-                }
-                for r in results
-            ],
-            "passed": all_passed,
-        }
-        _write_out(args, _dump(payload))
-    else:
+    checks = [
+        {"id": r.check_id, "statement": r.statement, "passed": r.passed,
+         "details": list(r.details)}
+        for r in run_all(args.only)
+    ]
+    payload = {
+        "schema": SCHEMA,
+        "kind": "verify-report",
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }
+
+    def text() -> str:
         lines = []
-        for r in results:
-            lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.check_id}")
-            lines.append(f"      {r.statement}")
-            for detail in r.details:
+        for c in checks:
+            lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['id']}")
+            lines.append(f"      {c['statement']}")
+            for detail in c["details"]:
                 lines.append(f"      - {detail}")
-        passed = sum(r.passed for r in results)
-        lines.append(f"{passed}/{len(results)} checks passed")
-        _write_out(args, "\n".join(lines))
-    return 0 if all_passed else 1
+        lines.append(f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+        return "\n".join(lines)
+    return text, lambda: payload, 0 if payload["passed"] else 1
 
 
 # -- parser ---------------------------------------------------------------
@@ -378,7 +337,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text, payload, *code = args.func(args)
+        _write_out(args, json.dumps(payload(), indent=2) if args.json else text())
+        return code[0] if code else 0
     except CertificateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -71,8 +71,4 @@ def conifold_N(g: int, d: int, series: LocalSeries) -> Fraction:
         raise InputError("g must be >= 1")
     if d < 1:
         raise InputError("d must be >= 1")
-    base = series.N1(g)
-    exponent = 2 * g - 3
-    if exponent >= 0:
-        return base * Fraction(d) ** exponent
-    return base / Fraction(d) ** (-exponent)
+    return series.N1(g) * Fraction(d) ** (2 * g - 3)

@@ -87,7 +87,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .kappa_lambda import KLPoly, kappa_class, kl_zero
+from .kappa_lambda import KLPoly, check_genus, kappa_class, kl_zero
 from .pointed import (
     PointedClass,
     _block_series,
@@ -138,8 +138,7 @@ class CurveClass(SparseSum):
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise InputError("genus must be >= 2")
+        check_genus(self.genus)
         if self.d < 1:
             raise InputError("d must be >= 1")
         clean = {}
@@ -290,8 +289,7 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     with no class on the curve or the pointed base; the section calculus
     gives the same value through pi_push, chern_F and epsilon_push.
     """
-    if genus < 2:
-        raise InputError("genus must be >= 2")
+    check_genus(genus)
     if d < 1:
         raise InputError("d must be >= 1")
     if min(a, b) < 0:

@@ -33,8 +33,12 @@ from .rings import (GENERATOR_NAMES, GradedPoly, InputError, accumulate,
 
 SCHEMA = "sq-taut/1"
 
-# "p" or "p/q", the form `rational_text` writes
-_RATIO = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
+# "p" or "p/q", the form `rational_text` writes, is tried before the rest
+# of the string grammar of `Fraction`: underscores, decimals and exponents
+_RATIO = re.compile(r"\s*(?P<sign>[+-]?)(?P<num>\d+)(?:/(?P<den>\d+))?\s*")
+_NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d+(?:_\d+)*)?
+    (?:/(?P<den>\d+(?:_\d+)*) | (?:\.(?P<dec>\d+(?:_\d+)*)?)?
+    (?:e(?P<exp>[+-]?\d+(?:_\d+)*))?)\s*""", re.VERBOSE | re.IGNORECASE)
 
 
 # -- reading untrusted payloads ------------------------------------------
@@ -70,14 +74,20 @@ def _int(value, what: str) -> int:
 
 
 def _rational(value) -> Fraction:
-    # "p/q" at any length; other forms (decimals, "1_000") as Fraction reads them
-    match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+    # a string of any length: every digit run but the exponent is read in pieces
     try:
-        if match is None:
+        if not isinstance(value, str):
             return Fraction(value)
-        sign, num, den = match.groups()
-        q = Fraction(int_from_text(num), int_from_text(den or "1"))
-        return -q if sign == "-" else q
+        match = _RATIO.fullmatch(value) or _NUMBER.fullmatch(value)
+        if match is None:
+            raise ValueError
+        part = match.groupdict("")
+        dec = part.get("dec", "").replace("_", "")  # p.q is pq / 10^len(q)
+        q = Fraction(int_from_text(part["num"].replace("_", "") + dec),
+                     int_from_text(part["den"].replace("_", "") or "1") * 10 ** len(dec))
+        if part.get("exp"):
+            q *= Fraction(10) ** int(part["exp"])
+        return -q if part["sign"] == "-" else q
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"bad rational {value!r}") from None
 

@@ -83,6 +83,7 @@ from .kappa_lambda import (
     LAMBDA,
     KLPoly,
     chern_E_dual,
+    check_genus,
     genus_of,
     kl_one,
     kl_scalar,
@@ -204,8 +205,7 @@ class PointedClass(SparseSum):
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.genus < 2:
-            raise InputError("genus must be >= 2")
+        check_genus(self.genus)
         if self.d < 0:
             raise InputError("d must be >= 0")
         clean: dict = {}
@@ -461,8 +461,7 @@ def chern_F(genus: int, d: int, maxdeg: int) -> PointedClass:
     prod_S [x^{t_S}] g_{|S|}.  Only the set partitions with at least
     d - maxdeg blocks are visited.  Cached per (genus, d, maxdeg).
     """
-    if genus < 2:
-        raise InputError("genus must be >= 2")
+    check_genus(genus)
     if d < 0:
         raise InputError("d must be >= 0")
     if maxdeg < 0:
@@ -554,8 +553,7 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     chern_E_dual * E_d, and 0 when N < 0: O(d^2) products of int tables.
     `pushed_chern` gives the same value through c(F_d).
     """
-    if genus < 2:
-        raise InputError("genus must be >= 2")
+    check_genus(genus)
     if d < 1:
         raise InputError("d must be >= 1")
     if k < 1:

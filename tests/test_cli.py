@@ -3,18 +3,27 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sqtaut
+from sqtaut import cli, verify
 from sqtaut.cli import main
-from sqtaut.jsonio import emit_kl, emit_pointed, parse_kl, parse_kl_pretty, parse_pointed
+from sqtaut.conifold import conifold_F, conifold_N
+from sqtaut.jsonio import (emit_kl, emit_pointed, parse_kl, parse_kl_pretty,
+                           parse_pointed, parse_rational)
 from sqtaut.kappa_lambda import kappa_class, lambda_class, lambda_to_kappa
 from sqtaut.pointed import chern_F, pc_mul, pc_psihat, theorem5_class
 from sqtaut.curve import prop8_relation
+from sqtaut.pairing import CertificateError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -170,6 +179,28 @@ def test_conifold_output(capsys):
     assert payload["constant_term"] == "1"
 
 
+def test_conifold_beyond_the_int_str_digit_limit():
+    # N[160,1] has a 666-digit denominator; 640 is the lowest limit Python allows
+    series = conifold_F(160)
+    src = os.path.dirname(os.path.dirname(sqtaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+    argv = [sys.executable, "-m", "sqtaut", "conifold", "--max-genus", "160", "--d", "2"]
+    plain, as_json = (subprocess.run(argv + extra, env=env, capture_output=True,
+                                     text=True, timeout=120)
+                      for extra in ([], ["--json"]))
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (as_json.returncode, as_json.stderr) == (0, "")
+    payload = json.loads(as_json.stdout)
+    lines = plain.stdout.splitlines()
+    assert lines[0] == "constant term: 1" and payload["constant_term"] == "1"
+    for g in range(1, 161):
+        n1, nd = payload["n1"][str(g)], payload["nd"][str(g)]
+        assert lines[g] == f"N[{g},1] = {n1}   N[{g},2] = {nd}"
+        assert parse_rational({**payload, "kind": "rational", "value": n1}) == series.N1(g)
+        assert (parse_rational({**payload, "kind": "rational", "value": nd})
+                == conifold_N(g, 2, series))
+
+
 def test_lambda_to_kappa_preserves_provenance(capsys, tmp_path):
     p = lambda_class(6, 3) + kappa_class(6, 1) * lambda_class(6, 2)
     src = tmp_path / "kl.json"
@@ -193,6 +224,64 @@ def test_verify_paper_filtering(capsys):
     assert payload["passed"] is True
     assert payload["checks"][0]["id"] == "relation-genus6"
     assert run(capsys, "verify-paper", "--only", "nonsense")[0] == 2
+
+
+def test_failing_check_exits_1_and_still_reports(capsys, monkeypatch):
+    failing = verify.Check("always-fails", (), "A check that fails.", 1.0,
+                           lambda: (False, ("forced failure",)))
+    monkeypatch.setattr(verify, "CHECKS", (failing,))
+    code, out = run(capsys, "verify-paper")
+    assert code == 1
+    assert out.splitlines() == ["FAIL  always-fails", "      A check that fails.",
+                                "      - forced failure", "0/1 checks passed"]
+    code, out = run(capsys, "verify-paper", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"][0]["passed"] is False
+
+
+def test_certificate_error_exits_1_with_one_line(capsys, monkeypatch):
+    def fails(d, k):
+        raise CertificateError(f"forced failure at d={d} k={k}")
+    monkeypatch.setattr(cli, "rank_certificate", fails)
+    for argv in (["pairing", "--d", "2", "--k", "1"],
+                 ["pairing", "--d", "2", "--k", "1", "--json"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failure: forced failure at d=2 k=1\n"
+
+
+def _readme_examples() -> list:
+    """(command line, printed output) of every `$ sqtaut` line in README."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command, output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_six_examples():
+    assert len(README_EXAMPLES) == 6
+
+
+@pytest.mark.parametrize("command,output", README_EXAMPLES,
+                         ids=[c for c, _ in README_EXAMPLES])
+def test_readme_examples(capsys, monkeypatch, command, output):
+    # a pipe feeds each stage's stdout to the next stage's stdin
+    text = ""
+    for stage in command.split(" | "):
+        argv = shlex.split(stage)
+        assert argv[0] == "sqtaut"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(argv[1:]) == 0
+        text = capsys.readouterr().out
+    assert text == output
 
 
 def test_output_directory_override(capsys, tmp_path, monkeypatch):

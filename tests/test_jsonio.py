@@ -112,3 +112,34 @@ def test_parse_rejects_wrong_schema():
         parse_pointed({"schema": SCHEMA, "kind": "kl-class", "genus": 2, "terms": []})
     with pytest.raises(InputError):
         parse_kl_pretty("", 4)
+
+
+def _read_value(value):
+    return parse_rational({"schema": SCHEMA, "kind": "rational", "value": value})
+
+
+def test_rational_strings_read_as_fraction_reads_them():
+    # every string form Fraction accepts gives its value, every other
+    # string an InputError; non-strings still go to Fraction
+    rng = random.Random(25)
+    alphabet = "0123456789_./eE+- \t\n١x"
+    corpus = ["1.5", "-1_0.2_5E-1_0", " .5 ", "1.", "+.5e+2", "1_000/3",
+              "١/٢", "1/0", "1 /2", "1.d", "1e", ".", "", "1__0"]
+    corpus += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+               for _ in range(3000)]
+    for value in corpus + [0.1, True, 7, None, float("nan"), float("inf"), [1]]:
+        try:
+            expected = Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            with pytest.raises(InputError, match="^bad rational"):
+                _read_value(value)
+        else:
+            assert _read_value(value) == expected, value
+
+
+def test_long_decimal_and_exponent_strings_are_read():
+    ones = (10 ** 5000 - 1) // 9  # 5,000 ones, more than int() reads by default
+    assert _read_value("1" * 5000 + ".5") == ones + Fraction(1, 2)
+    assert _read_value("-" + "1" * 5000 + "e2") == -100 * ones
+    assert _read_value("0." + "0" * 4999 + "1") == Fraction(1, 10 ** 5000)
+    assert _read_value("1" * 5000 + "/" + "1" * 5000) == 1
