@@ -33,12 +33,11 @@ from .rings import (GENERATOR_NAMES, GradedPoly, InputError, accumulate,
 
 SCHEMA = "sq-taut/1"
 
-# "p" or "p/q", the form `rational_text` writes, is tried before the rest
-# of the string grammar of `Fraction`: underscores, decimals and exponents
-_RATIO = re.compile(r"\s*(?P<sign>[+-]?)(?P<num>\d+)(?:/(?P<den>\d+))?\s*")
-_NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d+(?:_\d+)*)?
-    (?:/(?P<den>\d+(?:_\d+)*) | (?:\.(?P<dec>\d+(?:_\d+)*)?)?
-    (?:e(?P<exp>[+-]?\d+(?:_\d+)*))?)\s*""", re.VERBOSE | re.IGNORECASE)
+# The string forms that `Fraction` reads on every supported Python: "p/q"
+# (the form `rational_text` writes), or "p.q" decimals with an exponent
+_NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d*)
+    (?:/(?P<den>\d+) | (?:\.(?P<dec>\d*))?(?:e(?P<exp>[+-]?\d+))?)\s*""",
+                     re.VERBOSE | re.IGNORECASE)
 
 
 # -- reading untrusted payloads ------------------------------------------
@@ -74,20 +73,18 @@ def _int(value, what: str) -> int:
 
 
 def _rational(value) -> Fraction:
-    # a string of any length: every digit run but the exponent is read in pieces
+    # _NUMBER strings at any length: every digit run but the exponent is read
+    # in pieces; other values (underscores, "1 / 2") as this Python's Fraction
+    match = _NUMBER.fullmatch(value) if isinstance(value, str) else None
     try:
-        if not isinstance(value, str):
-            return Fraction(value)
-        match = _RATIO.fullmatch(value) or _NUMBER.fullmatch(value)
         if match is None:
-            raise ValueError
-        part = match.groupdict("")
-        dec = part.get("dec", "").replace("_", "")  # p.q is pq / 10^len(q)
-        q = Fraction(int_from_text(part["num"].replace("_", "") + dec),
-                     int_from_text(part["den"].replace("_", "") or "1") * 10 ** len(dec))
-        if part.get("exp"):
-            q *= Fraction(10) ** int(part["exp"])
-        return -q if part["sign"] == "-" else q
+            return Fraction(value)
+        sign, num, den, dec, exp = match.group("sign", "num", "den", "dec", "exp")
+        dec = dec or ""  # p.q is pq / 10^len(q)
+        q = Fraction(int_from_text(num + dec), int_from_text(den or "1") * 10 ** len(dec))
+        if exp:
+            q *= Fraction(10) ** int(exp)
+        return -q if sign == "-" else q
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"bad rational {value!r}") from None
 
