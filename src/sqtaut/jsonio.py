@@ -15,7 +15,8 @@ fully expanded), the partition lists every block including exponent-zero
 singletons, and term order is canonical, so emission is deterministic and
 `parse(emit(x)) == x`.  Relations carry a provenance object naming the
 generating operation and its parameters.  Rationals of any length are
-written and read.  The readers sum one (monomial, scalar) pair per term,
+written and read; only the exponent of an "e" form is bounded, by
+MAX_EXPONENT.  The readers sum one (monomial, scalar) pair per term,
 built by `kappa_lambda.kl_factor`, into one table per class (per block
 monomial) and raise InputError with a one-line message on bad payloads.
 """
@@ -38,6 +39,14 @@ SCHEMA = "sq-taut/1"
 _NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d*)
     (?:/(?P<den>\d+) | (?:\.(?P<dec>\d*))?(?:e(?P<exp>[+-]?\d+))?)\s*""",
                      re.VERBOSE | re.IGNORECASE)
+
+# The largest exponent magnitude read in an "e" form.  An exponent asks for
+# as many digits as its value, in the read and in every later product and
+# write: 10**10_000 is read and written back in about a millisecond,
+# 10**1_000_000 takes seconds.  sqtaut itself writes no "e" form.
+MAX_EXPONENT = 10_000
+# The exponent of an "e" form as Fraction reads it, underscores included
+_EXPONENT = re.compile(r"e[+-]?(?P<digits>\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 # -- reading untrusted payloads ------------------------------------------
@@ -74,8 +83,16 @@ def _int(value, what: str) -> int:
 
 def _rational(value) -> Fraction:
     # _NUMBER strings at any length: every digit run but the exponent is read
-    # in pieces; other values (underscores, "1 / 2") as this Python's Fraction
-    match = _NUMBER.fullmatch(value) if isinstance(value, str) else None
+    # in pieces; other values (underscores, "1 / 2") as this Python's Fraction.
+    # Either way an exponent over MAX_EXPONENT is refused before it is read.
+    text = value if isinstance(value, str) else ""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent["digits"].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InputError(f"bad rational {value!r}: exponent magnitude "
+                             f"over {MAX_EXPONENT}")
+    match = _NUMBER.fullmatch(text)
     try:
         if match is None:
             return Fraction(value)

@@ -35,8 +35,10 @@ against the functionals: full rank.
 
 The certificate evaluates every cell it checks, so one evaluation has to
 be cheap: the structural entries (too few blocks, support mismatch,
-unevaluated) are shared immutable constants, and the component integrals
-are cached on (tau_i, tau'_i), so only the computed entries allocate.
+unevaluated) and the computed zeros are shared immutable constants, and
+the component factors are ints cached on (tau_i, tau'_i).  A computed
+cell is an int product that stops at the first zero factor, so only a
+nonzero computed cell allocates: one Fraction and one PairingEntry.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Iterator
 
 from .genus0 import psi_integral_M0n
 from .rings import (
+    DomainError,
     InputError,
     check_set_partition,
     iter_weak_compositions,
@@ -170,20 +173,23 @@ def enumerate_P(d: int, k: int) -> list:
     return out
 
 
-# The structural outcomes carry no cell-specific data; PairingEntry is
-# frozen, so every such cell shares one of these.
+# The structural outcomes and the computed zero carry no cell-specific
+# data; PairingEntry is frozen, so every such cell shares one of these.
 _TOO_FEW_BLOCKS = PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
 _SUPPORT_MISMATCH = PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
 _UNEVALUATED = PairingEntry(UNEVALUATED)
-_ONE = Fraction(1)
+_COMPUTED_ZERO = PairingEntry(COMPUTED, value=Fraction(0))
 
 
 @lru_cache(maxsize=256)
-def _component_integral(t: int, tp: int) -> Fraction:
+def _component_integral(t: int, tp: int) -> int:
     """The factor of interior component i: the integral on tau'_i + 4
     points of psi at the least heavy label and psi^t at the collapsed
-    light point."""
-    return psi_integral_M0n([1, t] + [0] * (tp + 2))
+    light point, a multinomial and so an int."""
+    value = psi_integral_M0n([1, t] + [0] * (tp + 2))
+    if value.denominator != 1:
+        raise DomainError(f"component integral ({t}, {tp}) is {value}, not an integer")
+    return value.numerator
 
 
 def pairing_entry(row: PairSpec, col: ChainStratum) -> PairingEntry:
@@ -197,12 +203,12 @@ def pairing_entry(row: PairSpec, col: ChainStratum) -> PairingEntry:
         return _UNEVALUATED
     if row.partition != col.partition:
         return _SUPPORT_MISMATCH
-    value = _ONE
+    value = 1
     for t, tp in zip(row.tau, col.tau):
         value *= _component_integral(t, tp)
-        if value == 0:
-            break
-    return PairingEntry(COMPUTED, value=value)
+        if not value:
+            return _COMPUTED_ZERO
+    return PairingEntry(COMPUTED, value=Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -319,12 +325,11 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
             for i in by_length[shorter]:
                 spec = specs[i]
                 for j, stratum in zip(rows, columns):
-                    e = pairing_entry(spec, stratum)
-                    if e.status != PROVEN_ZERO:
+                    if pairing_entry(spec, stratum).status != PROVEN_ZERO:
                         raise CertificateError(
                             f"entry ({i},{j}) should be proven zero"
                         )
-                    zero_pairs += 1
+                zero_pairs += len(rows)
         for longer in lengths[:li]:
             uneval_pairs += len(by_length[longer]) * len(rows)
     return Certificate(

@@ -334,6 +334,8 @@ MALFORMED = [
     ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4,
               "d": 10 ** 12, "terms": [{"partition": [[1]], "exponents": [1],
                                         "coeff": {"rational": "1"}}]}),
+    # 10 bytes that would ask for a 10,000,001-digit numerator
+    ("lambda-to-kappa", _kl_payload(rational="1e10000000")),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from sqtaut.genus0 import poincare_Q02
 from sqtaut.jsonio import (
+    MAX_EXPONENT,
     SCHEMA,
     emit_kl,
     emit_pointed,
@@ -143,3 +144,16 @@ def test_long_decimal_and_exponent_strings_are_read():
     assert _read_value("-" + "1" * 5000 + "e2") == -100 * ones
     assert _read_value("0." + "0" * 4999 + "1") == Fraction(1, 10 ** 5000)
     assert _read_value("1" * 5000 + "/" + "1" * 5000) == 1
+
+
+def test_exponents_are_read_up_to_the_bound():
+    # both the regex path and the Fraction fallback (underscores) stop at
+    # MAX_EXPONENT, before the power is built
+    assert MAX_EXPONENT == 10_000
+    assert _read_value("1e10000") == 10 ** 10_000
+    assert _read_value("-2.5E-10000") == Fraction(-25, 10 ** 10_001)
+    assert _read_value("3e000000000000000000002 ") == 300
+    for value in ("1e10000000", "1e-10000000", "1e1_000_000", "1e10001",
+                  "-1.5e+10001", "1e" + "9" * 5000, " 2E1_0001\n"):
+        with pytest.raises(InputError, match="^bad rational .*: exponent magnitude over 10000$"):
+            _read_value(value)

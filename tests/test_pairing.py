@@ -22,7 +22,7 @@ from sqtaut.pairing import (
     rank_certificate,
     set_partitions,
 )
-from sqtaut.rings import InputError
+from sqtaut.rings import DomainError, InputError
 
 
 # -- oracle: |P[d,k]| = sum_l S(d,l) * C(k-d+2l-1, l-1) -------------------
@@ -246,7 +246,7 @@ def test_certificate_counts_match_formula(d, k, bound):
 def test_certificate_evaluates_every_checked_cell(monkeypatch):
     """Every cell with row length <= column length goes through
     pairing_entry exactly once; no cell is counted without evaluation."""
-    for d, k in ((3, 2), (4, 3), (5, 2)):
+    for d, k in ((3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
         matrix = PairingMatrix(d, k)
         index = {id(x): i for i, x in enumerate(matrix.specs)}
         index.update({id(x): j for j, x in enumerate(matrix.strata)})
@@ -270,6 +270,36 @@ def test_certificate_evaluates_every_checked_cell(monkeypatch):
         assert len(seen) == len(set(seen)) == len(expected)
         assert set(seen) == expected
         assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(seen)
+
+
+# -- fault injection: a wrong component factor fails the certificate -------
+
+_FACTOR = pairing._component_integral
+FAULTS = [
+    # nonzero off-diagonal: tau != tau' no longer forces a zero factor
+    (lambda t, tp: t + 1 if t == tp else 1, "off-diagonal entry (0,1) is nonzero"),
+    (lambda t, tp: 0, "diagonal entry 0 is 0, expected positive"),
+    (lambda t, tp: 2 * _FACTOR(t, tp), "diagonal entry 0 is 64, expected 4"),
+]
+
+
+@pytest.mark.parametrize("factor,message", FAULTS)
+def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, message):
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    with pytest.raises(CertificateError) as err:
+        rank_certificate(4, 3)
+    assert str(err.value) == message
+
+
+def test_component_factor_must_be_an_integer(monkeypatch):
+    pairing._component_integral.cache_clear()
+    monkeypatch.setattr(pairing, "psi_integral_M0n", lambda a: Fraction(1, 2))
+    spec = PairSpec(1, 0, ((1,),), (0,))
+    try:
+        with pytest.raises(DomainError, match="not an integer"):
+            pairing_entry(spec, ChainStratum.from_spec(spec))
+    finally:
+        pairing._component_integral.cache_clear()
 
 
 # -- literal-seed oracle: pairing_entry written out cell by cell -------------
