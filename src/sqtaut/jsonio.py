@@ -15,10 +15,11 @@ fully expanded), the partition lists every block including exponent-zero
 singletons, and term order is canonical, so emission is deterministic and
 `parse(emit(x)) == x`.  Relations carry a provenance object naming the
 generating operation and its parameters.  Rationals of any length are
-written and read; only the exponent of an "e" form is bounded, by
-MAX_EXPONENT.  The readers sum one (monomial, scalar) pair per term,
-built by `kappa_lambda.kl_factor`, into one table per class (per block
-monomial) and raise InputError with a one-line message on bad payloads.
+written and read; only exponents are bounded, by MAX_EXPONENT: that of an
+"e" form and that of a kappa or lambda generator.  The readers sum one
+(monomial, scalar) pair per term, built by `kappa_lambda.kl_factor`, into
+one table per class (per block monomial) and raise InputError with a
+one-line message on bad payloads.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ _NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d*)
     (?:/(?P<den>\d+) | (?:\.(?P<dec>\d*))?(?:e(?P<exp>[+-]?\d+))?)\s*""",
                      re.VERBOSE | re.IGNORECASE)
 
-# The largest exponent magnitude read in an "e" form.  An exponent asks for
-# as many digits as its value, in the read and in every later product and
-# write: 10**10_000 is read and written back in about a millisecond,
-# 10**1_000_000 takes seconds.  sqtaut itself writes no "e" form.
+# The largest exponent magnitude read in an "e" form, and the largest
+# exponent of a kappa or lambda generator.  An exponent asks for as many
+# digits as its value, in the read and in every later product and write:
+# 10**10_000 is read and written back in about a millisecond, 10**1_000_000
+# takes seconds, and kappa_0^N is the scalar (2g-2)^N.  sqtaut itself
+# writes no "e" form.
 MAX_EXPONENT = 10_000
 # The exponent of an "e" form as Fraction reads it, underscores included
 _EXPONENT = re.compile(r"e[+-]?(?P<digits>\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -79,6 +82,13 @@ def _int(value, what: str) -> int:
         except ValueError:
             pass
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _exponent(value, what: str) -> int:
+    exp = _int(value, what)
+    if exp > MAX_EXPONENT:
+        raise InputError(f"{what} over {MAX_EXPONENT}")
+    return exp
 
 
 def _rational(value) -> Fraction:
@@ -123,7 +133,7 @@ def _coeff(genus: int, payload) -> tuple:
     for kind, name in enumerate(GENERATOR_NAMES):
         for idx, exp in _mapping(payload.get(name, {}), name).items():
             m, q = kl_factor(genus, kind, _int(idx, f"{name} index"),
-                             _int(exp, f"{name} exponent"))
+                             _exponent(exp, f"{name} exponent"))
             mono, scalar = mono_mul(mono, m), scalar * q
     return mono, scalar
 
@@ -274,7 +284,7 @@ def parse_kl_pretty(text: str, genus: int) -> KLPoly:
                 continue
             if "^" in chunk:
                 name, exp_text = chunk.split("^", 1)
-                exp = _int(exp_text, "exponent")
+                exp = _exponent(exp_text, "exponent")
             else:
                 name, exp = chunk, 1
             kind, _, idx_text = name.partition("_")

@@ -15,14 +15,23 @@ kappa_k) (Mumford's formula), the same at every genus g >= n.  The image
 of each lambda monomial is computed once and shared by all genera;
 concurrent first calls may duplicate work but agree on the value, so the
 cache is safe without locks.
+
+An image is stored over one denominator: (D, read-only table of int
+numerators), D the least common denominator of its coefficients, so that
+images multiply through `rings.int_mul`.  `lambda_to_kappa` scales every
+term to one common denominator, sums ints and builds one Fraction per
+output term; nothing is rounded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
-from .rings import GradedPoly, InputError, accumulate, bernoulli, mono_mul
+from .rings import GradedPoly, InputError, bernoulli, int_mul, mono_mul
 
 KAPPA, LAMBDA = 0, 1
 
@@ -82,57 +91,78 @@ def lambda_class(genus: int, index: int, exp: int = 1) -> KLPoly:
     return GradedPoly(genus, dict([kl_factor(genus, LAMBDA, index, exp)]))
 
 
+def _common_sum(terms: list) -> tuple:
+    """The sum of num/den * mono * table over (mono, num, den, table) terms
+    with int tables, as (D, int table) with D the lcm of the dens: every
+    term is scaled to D once, so the sum runs on ints."""
+    common = lcm(*(t[2] for t in terms))
+    acc: dict = {}
+    for mono, num, den, image in terms:
+        scale = num * (common // den)
+        for m, c in image.items():
+            key = mono_mul(mono, m)
+            acc[key] = acc.get(key, 0) + scale * c
+    return common, acc
+
+
+def _reduced(den: int, table: dict) -> tuple:
+    """(den, table) over the least denominator, the table made read-only."""
+    g = gcd(den, *table.values())
+    return den // g, MappingProxyType({m: c // g for m, c in table.items()})
+
+
 @lru_cache(maxsize=None)
 def _lambda_image(part: tuple) -> tuple:
     """The kappa image of a lambda part (a monomial of ((LAMBDA, i), e)
-    factors) as (monomial, coefficient) pairs, the same at every genus.
-    lambda_n alone: n e_n = sum_{k odd} B_{k+1}/(k+1) kappa_k e_{n-k}, from
-    exp(f)' = f' exp(f) for the exponent f of the module docstring.  A
-    product is its last factor times the rest; lambda_n^e splits in halves,
-    so the recursion depth grows with log e."""
+    factors) as (denominator, read-only table of int numerators), the same
+    at every genus.  lambda_n alone: n e_n = sum_{k odd} B_{k+1}/(k+1)
+    kappa_k e_{n-k}, from exp(f)' = f' exp(f) for the exponent f of the
+    module docstring.  A product is its last factor times the rest;
+    lambda_n^e splits in halves, so the recursion depth grows with log e."""
     if not part:
-        return (((), Fraction(1)),)
+        return 1, MappingProxyType({(): 1})
     (_, n), e = part[-1]
-    acc: dict = {}
     if len(part) == 1 and e == 1:
+        terms = []
         for k in range(1, n + 1, 2):
             q = bernoulli(k + 1) / ((k + 1) * n)
-            lower = (((LAMBDA, n - k), 1),) if n > k else ()
-            for m, c in _lambda_image(lower):
-                accumulate(acc, mono_mul(m, (((KAPPA, k), 1),)), q * c)
-        return tuple(acc.items())
+            den, image = _lambda_image((((LAMBDA, n - k), 1),) if n > k else ())
+            terms.append(((((KAPPA, k), 1),), q.numerator, q.denominator * den, image))
+        return _reduced(*_common_sum(terms))
     if len(part) > 1:
         first, second = part[:-1], part[-1:]
     else:
         first, second = (((LAMBDA, n), e // 2),), (((LAMBDA, n), e - e // 2),)
-    for m1, c1 in _lambda_image(first):
-        for m2, c2 in _lambda_image(second):
-            accumulate(acc, mono_mul(m1, m2), c1 * c2)
-    return tuple(acc.items())
+    (d1, t1), (d2, t2) = _lambda_image(first), _lambda_image(second)
+    return _reduced(d1 * d2, int_mul(t1, t2, None))
 
 
 @lru_cache(maxsize=None)
 def _lambda_table(genus: int) -> tuple:
     """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
     check_genus(genus)
-    return tuple(GradedPoly(genus, dict(_lambda_image((((LAMBDA, n), 1),))))
-                 for n in range(1, genus + 1))
+    images = (_lambda_image((((LAMBDA, n), 1),)) for n in range(1, genus + 1))
+    return tuple(GradedPoly(genus, {m: Fraction(c, den) for m, c in image.items()})
+                 for den, image in images)
 
 
 def lambda_to_kappa(p: KLPoly) -> KLPoly:
     """Rewrite p with every lambda generator eliminated in favor of kappas.
 
     A ring homomorphism: kappa generators are fixed, and the lambda part of
-    each monomial maps to its cached, genus-free kappa image.
+    each monomial maps to its cached, genus-free kappa image.  Every term is
+    scaled to one common denominator, so the sums run on ints and each
+    output coefficient is one Fraction.
     """
     genus = genus_of(p)
-    acc: dict = {}
+    terms = []
     for mono, coeff in p.coeffs.items():
-        kappas = tuple(f for f in mono if f[0][0] == KAPPA)
-        lambdas = tuple(f for f in mono if f[0][0] == LAMBDA)
-        for m, q in _lambda_image(lambdas):
-            accumulate(acc, mono_mul(kappas, m), coeff * q)
-    return GradedPoly(genus, acc)
+        # factors are sorted by (kind, index): the kappas come first
+        cut = bisect_left(mono, ((LAMBDA, 0),))
+        den, image = _lambda_image(mono[cut:])
+        terms.append((mono[:cut], coeff.numerator, coeff.denominator * den, image))
+    common, acc = _common_sum(terms)
+    return GradedPoly(genus, {m: Fraction(c, common) for m, c in acc.items() if c})
 
 
 def chern_E_dual(genus: int, maxdeg: int) -> KLPoly:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf, lcm
+from math import inf, lcm
 from types import MappingProxyType
 from typing import Iterator
 
@@ -409,21 +409,33 @@ def format_series(coeffs: list, variable: str) -> str:
 
 @lru_cache(maxsize=None)
 def _bernoulli_all(up_to: int) -> tuple:
-    """(B_0, ..., B_up_to) via series inversion of (e^x - 1)/x.
-
-    The generating function x/(e^x - 1) = sum B_n x^n / n! is computed by
-    inverting sum_j x^j/(j+1)!, keeping every coefficient exact.
+    """(B_0, ..., B_up_to) of x/(e^x - 1) = sum B_n x^n / n!, from the
+    tangent numbers T_k = tan^(2k-1)(0): B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)).  The T_k come from the O(k^2) integer recurrence of
+    Brent and Harvey (arXiv:1108.0286, "TangentNumbers"), so the only
+    rationals built are the returned ones.
     """
-    q = [Fraction(1, factorial(j + 1)) for j in range(up_to + 1)]
-    inv = truncated_inverse(q, up_to)
-    return tuple(inv[n] * factorial(n) for n in range(up_to + 1))
+    half = up_to // 2
+    t = [0, 1] + [k - 1 for k in range(2, half + 1)]
+    for k in range(2, half + 1):  # t[k] = (k-1)! before the sweeps
+        t[k] *= t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * up_to
+    for k in range(1, half + 1):
+        four = 4 ** k
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], four * (four - 1))
+    return tuple(out[:up_to + 1])
 
 
 def bernoulli(n: int) -> Fraction:
     """The Bernoulli number B_n for even n >= 2 (B_2 = 1/6 convention)."""
     if not isinstance(n, int) or n < 2 or n % 2:
         raise InputError(f"bernoulli defined here for even n >= 2, got {n!r}")
-    return _bernoulli_all(n)[n]
+    # a bound of at least 32, rounded up to a power of two, so that
+    # ascending calls fill the cache O(log n) times, not once per index
+    return _bernoulli_all(max(32, 1 << (n - 1).bit_length()))[n]
 
 
 def check_set_partition(blocks, exps, d: int, noun: str) -> None:

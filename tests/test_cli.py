@@ -336,6 +336,11 @@ MALFORMED = [
                                         "coeff": {"rational": "1"}}]}),
     # 10 bytes that would ask for a 10,000,001-digit numerator
     ("lambda-to-kappa", _kl_payload(rational="1e10000000")),
+    # kappa_0^N is the scalar (2g-2)^N: a million-digit number here
+    ("lambda-to-kappa", _kl_payload(kappa={"0": 10 ** 6})),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
+              "terms": [{"partition": [[1]], "exponents": [1],
+                         "coeff": {"rational": "1", "kappa": {"0": 10 ** 6}}}]}),
 ]
 
 

@@ -157,3 +157,27 @@ def test_exponents_are_read_up_to_the_bound():
                   "-1.5e+10001", "1e" + "9" * 5000, " 2E1_0001\n"):
         with pytest.raises(InputError, match="^bad rational .*: exponent magnitude over 10000$"):
             _read_value(value)
+
+
+def kl_payload(g, **coeff):
+    return {"schema": SCHEMA, "kind": "kl-class", "genus": g,
+            "terms": [{"coeff": {"rational": "1", **coeff}}]}
+
+
+def test_generator_exponents_are_read_up_to_the_bound():
+    # kappa_0^N is the scalar (2g-2)^N, so an exponent asks for its digits
+    g, over = 2, MAX_EXPONENT + 1
+    assert parse_kl(kl_payload(g, kappa={"0": MAX_EXPONENT})) == kl_scalar(g, 2 ** MAX_EXPONENT)
+    assert parse_kl(kl_payload(g, **{"lambda": {"1": 4000}})) == lambda_class(g, 1, 4000)
+    assert parse_kl_pretty(f"kappa_1^{MAX_EXPONENT}", g) == kappa_class(g, 1, MAX_EXPONENT)
+    pointed = {"schema": SCHEMA, "kind": "pointed-class", "genus": g, "d": 1,
+               "terms": [{"partition": [[1]], "exponents": [1],
+                          "coeff": {"rational": "1", "lambda": {"2": over}}}]}
+    for read in (lambda: parse_kl(kl_payload(g, kappa={"0": over})),
+                 lambda: parse_kl(kl_payload(g, kappa={"3": str(10 ** 100)})),
+                 lambda: parse_kl(kl_payload(g, **{"lambda": {"1": over}})),
+                 lambda: parse_pointed(pointed)):
+        with pytest.raises(InputError, match="^(kappa|lambda) exponent over 10000$"):
+            read()
+    with pytest.raises(InputError, match="^exponent over 10000$"):
+        parse_kl_pretty(f"3/4*kappa_0^{over}", g)

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from sqtaut.jsonio import SCHEMA, parse_kl
 from sqtaut.kappa_lambda import (
     KAPPA,
     LAMBDA,
@@ -18,7 +20,8 @@ from sqtaut.kappa_lambda import (
     lambda_class,
     lambda_to_kappa,
 )
-from sqtaut.rings import GradedPoly, InputError, bernoulli, poly_mul
+from sqtaut.rings import (GradedPoly, InputError, accumulate, bernoulli, mono_mul,
+                          poly_mul)
 
 
 # -- oracle: closed-form elementary symmetric functions in power sums -----
@@ -275,3 +278,105 @@ def test_large_lambda_powers_need_little_stack():
     p = lambda_class(g, 1, 700) * lambda_class(g, 2, 333) * kappa_class(g, 3)
     assert lambda_to_kappa(p) == per_call_lambda_to_kappa(p)
     assert lambda_to_kappa(p).homogeneous_degrees() == [1369]
+
+
+# -- oracle: lambda_to_kappa as a per-term Fraction loop, one product and
+# one sum per image term, over images built by the same recursion on
+# Fraction coefficients
+
+@lru_cache(maxsize=None)
+def fraction_image(part):
+    if not part:
+        return (((), Fraction(1)),)
+    (_, n), e = part[-1]
+    acc: dict = {}
+    if len(part) == 1 and e == 1:
+        for k in range(1, n + 1, 2):
+            q = bernoulli(k + 1) / ((k + 1) * n)
+            lower = (((LAMBDA, n - k), 1),) if n > k else ()
+            for m, c in fraction_image(lower):
+                accumulate(acc, mono_mul(m, (((KAPPA, k), 1),)), q * c)
+        return tuple(acc.items())
+    if len(part) > 1:
+        first, second = part[:-1], part[-1:]
+    else:
+        first, second = (((LAMBDA, n), e // 2),), (((LAMBDA, n), e - e // 2),)
+    for m1, c1 in fraction_image(first):
+        for m2, c2 in fraction_image(second):
+            accumulate(acc, mono_mul(m1, m2), c1 * c2)
+    return tuple(acc.items())
+
+
+def fraction_lambda_to_kappa(p):
+    acc: dict = {}
+    for mono, coeff in p.coeffs.items():
+        kappas = tuple(f for f in mono if f[0][0] == KAPPA)
+        lambdas = tuple(f for f in mono if f[0][0] == LAMBDA)
+        for m, q in fraction_image(lambdas):
+            accumulate(acc, mono_mul(kappas, m), coeff * q)
+    return GradedPoly(p.genus, acc)
+
+
+def kl_payload(genus, coeffs):
+    return {"schema": SCHEMA, "kind": "kl-class", "genus": genus,
+            "terms": [{"coeff": c} for c in coeffs]}
+
+
+MIXED_DENOMINATORS = [
+    {"rational": "3/7", "lambda": {"1": 3, "2": 1}, "kappa": {"1": 1}},
+    {"rational": "-5/12", "lambda": {"3": 2}},
+    {"rational": "1/1001", "lambda": {"7": 1}},
+    {"rational": "22/9", "kappa": {"2": 2}},
+    {"rational": "-1/2", "lambda": {"2": 1, "5": 1}, "kappa": {"3": 1}},
+    {"rational": "7/2", "lambda": {"1": 2}},
+    {"rational": "-13/30", "lambda": {"4": 1, "1": 1}},
+    {"rational": "1/3"},
+]
+
+
+def test_lambda_to_kappa_matches_fraction_loop_on_mixed_denominators():
+    p = parse_kl(kl_payload(7, MIXED_DENOMINATORS))
+    assert lambda_to_kappa(p) == fraction_lambda_to_kappa(p)
+    rng = random.Random(14)
+    for _ in range(40):
+        coeffs = []
+        for _ in range(rng.randint(1, 5)):
+            coeff = {"rational": f"{rng.randint(-30, 30)}/{rng.randint(1, 400)}"}
+            for name, top in (("kappa", 4), ("lambda", 7)):
+                coeff[name] = {str(rng.randint(1, top)): rng.randint(1, 3)
+                               for _ in range(rng.randint(0, 2))}
+            coeffs.append(coeff)
+        p = parse_kl(kl_payload(7, coeffs))
+        assert lambda_to_kappa(p) == fraction_lambda_to_kappa(p), coeffs
+    # terms that cancel: lambda_1 = kappa_1 / 12
+    p = parse_kl(kl_payload(3, [{"rational": "12", "lambda": {"1": 1}},
+                                {"rational": "-1", "kappa": {"1": 1}}]))
+    assert lambda_to_kappa(p) == kl_zero(3) == fraction_lambda_to_kappa(p)
+
+
+def test_lambda_to_kappa_is_additive_and_multiplicative_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    g = 6
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+    factor = st.tuples(st.sampled_from([KAPPA, LAMBDA]), st.integers(1, 4),
+                       st.integers(1, 3))
+    term = st.tuples(coeff, st.lists(factor, max_size=3)).map(lambda t: kl_term(g, *t))
+    kl_classes = st.lists(term, max_size=4).map(lambda ts: sum(ts, kl_zero(g)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kl_classes, kl_classes)
+    def check(a, b):
+        assert lambda_to_kappa(a + b) == lambda_to_kappa(a) + lambda_to_kappa(b)
+        assert lambda_to_kappa(a * b) == lambda_to_kappa(a) * lambda_to_kappa(b)
+
+    check()
+
+
+def kl_term(genus, coeff, factors):
+    """coeff times the (kind, index, exp) generator powers."""
+    out = kl_scalar(genus, coeff)
+    for kind, index, exp in factors:
+        out = out * (kappa_class if kind == KAPPA else lambda_class)(genus, index, exp)
+    return out

@@ -3,7 +3,7 @@ Bernoulli numbers."""
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, gcd, log2
 
 import pytest
 
@@ -13,6 +13,7 @@ from sqtaut.rings import (
     GradedPoly,
     InputError,
     Rational,
+    _bernoulli_all,
     bernoulli,
     format_series,
     int_from_text,
@@ -259,13 +260,20 @@ def test_bernoulli_frozen_values():
     assert bernoulli(12) == Fraction(-691, 2730)
 
 
-def test_bernoulli_matches_recurrence_oracle_up_to_30():
-    oracle = bernoulli_by_recurrence(30)
-    for n in range(2, 31, 2):
+def test_bernoulli_matches_recurrence_oracle_up_to_200():
+    oracle = bernoulli_by_recurrence(200)
+    for n in range(2, 201, 2):
         assert bernoulli(n) == oracle[n]
     # the recurrence itself re-checked on the produced values
-    for n in range(1, 31):
+    for n in range(1, 201):
         assert sum(Fraction(comb(n + 1, k)) * oracle[k] for k in range(n + 1)) == 0
+
+
+def test_ascending_bernoulli_calls_fill_the_cache_log_n_times():
+    _bernoulli_all.cache_clear()
+    for n in range(2, 201, 2):
+        bernoulli(n)
+    assert _bernoulli_all.cache_info().misses <= ceil(log2(200)) + 1
 
 
 def test_bernoulli_rejects_bad_input():
