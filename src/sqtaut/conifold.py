@@ -18,30 +18,29 @@ exponent is negative and the value is the exact rational N_{1,1}/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .rings import InputError, series_mul, truncated_inverse
+from .rings import Frozen, InputError, series_mul, setfield, truncated_inverse
 
 
-@dataclass(frozen=True)
-class LocalSeries:
+class LocalSeries(Frozen):
     """Exact coefficients N_{g,1} for 1 <= g <= max_genus.
 
     `constant_term` records the degree-zero value of the closed form
     ((t/2)/sin(t/2))^2, which is 1 and is not a curve count.
     """
 
-    max_genus: int
-    coeffs: tuple
-    constant_term: Fraction
+    _fields = ("max_genus", "coeffs", "constant_term")
 
-    def __post_init__(self) -> None:
-        if self.max_genus < 1:
+    def __init__(self, max_genus: int, coeffs: tuple, constant_term: Fraction) -> None:
+        if max_genus < 1:
             raise InputError("max_genus must be >= 1")
-        if len(self.coeffs) != self.max_genus:
+        if len(coeffs) != max_genus:
             raise InputError("need one coefficient per genus")
+        setfield(self, "max_genus", max_genus)
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "constant_term", constant_term)
 
     def N1(self, g: int) -> Fraction:
         """N_{g,1}."""

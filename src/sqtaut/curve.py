@@ -81,7 +81,6 @@ which the tests use as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -108,6 +107,7 @@ from .rings import (
     combine_caps,
     int_mul,
     series_mul,
+    setfield,
 )
 
 
@@ -122,7 +122,6 @@ def _valid_key(key, d: int) -> bool:
     return kind == OMEGA and n >= 0 or kind == SIGMA and 1 <= n <= d
 
 
-@dataclass(frozen=True, eq=False)
 class CurveClass(SparseSum):
     """Normal-form class on the universal curve over the d-pointed base.
 
@@ -132,26 +131,26 @@ class CurveClass(SparseSum):
     raises it, so the terms beyond a cap form an ideal.
     """
 
-    genus: int
-    d: int
-    terms: MappingProxyType
-    cap: int | None = None
+    _fields = ("genus", "d", "terms", "cap")
 
-    def __post_init__(self) -> None:
-        check_genus(self.genus)
-        if self.d < 1:
+    def __init__(self, genus: int, d: int, terms, cap: int | None = None) -> None:
+        check_genus(genus)
+        if d < 1:
             raise InputError("d must be >= 1")
         clean = {}
-        for key, coeff in self.terms.items():
-            if not _valid_key(key, self.d):
+        for key, coeff in terms.items():
+            if not _valid_key(key, d):
                 raise InputError(f"bad curve-class key {key!r}")
-            if (coeff.genus, coeff.d) != (self.genus, self.d):
+            if (coeff.genus, coeff.d) != (genus, d):
                 raise InputError("coefficient on wrong base")
-            if self.cap is not None:
-                coeff = coeff.truncate(self.cap)
+            if cap is not None:
+                coeff = coeff.truncate(cap)
             if not coeff.is_zero:
                 clean[key] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        setfield(self, "genus", genus)
+        setfield(self, "d", d)
+        setfield(self, "terms", MappingProxyType(clean))
+        setfield(self, "cap", cap)
 
     _space = property(lambda self: (self.genus, self.d))
     _table = property(lambda self: self.terms)

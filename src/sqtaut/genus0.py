@@ -25,26 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .rings import InputError
-
-
-def compositions(d: int) -> Iterator[tuple]:
-    """All ordered compositions of d >= 1, as tuples of positive parts, in
-    lexicographic order."""
-    if d < 1:
-        raise InputError("d must be >= 1")
-
-    def rec(rest):
-        if rest == 0:
-            yield ()
-            return
-        for head in range(1, rest + 1):
-            for tail in rec(rest - head):
-                yield (head,) + tail
-
-    yield from rec(d)
 
 
 def poincare_Q02(d: int) -> list:

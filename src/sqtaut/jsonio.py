@@ -15,8 +15,9 @@ fully expanded), the partition lists every block including exponent-zero
 singletons, and term order is canonical, so emission is deterministic and
 `parse(emit(x)) == x`.  Relations carry a provenance object naming the
 generating operation and its parameters.  Rationals of any length are
-written and read; only exponents are bounded, by MAX_EXPONENT: that of an
-"e" form and that of a kappa or lambda generator.  The readers sum one
+written and read; only exponents and the genus are bounded, by
+MAX_EXPONENT: the exponent of an "e" form and that of a kappa or lambda
+generator, and the genus of a class.  The readers sum one
 (monomial, scalar) pair per term, built by `kappa_lambda.kl_factor`, into
 one table per class (per block monomial) and raise InputError with a
 one-line message on bad payloads.
@@ -41,12 +42,13 @@ _NUMBER = re.compile(r"""\s*(?P<sign>[+-]?)(?=\d|\.\d)(?P<num>\d*)
     (?:/(?P<den>\d+) | (?:\.(?P<dec>\d*))?(?:e(?P<exp>[+-]?\d+))?)\s*""",
                      re.VERBOSE | re.IGNORECASE)
 
-# The largest exponent magnitude read in an "e" form, and the largest
-# exponent of a kappa or lambda generator.  An exponent asks for as many
-# digits as its value, in the read and in every later product and write:
-# 10**10_000 is read and written back in about a millisecond, 10**1_000_000
-# takes seconds, and kappa_0^N is the scalar (2g-2)^N.  sqtaut itself
-# writes no "e" form.
+# The largest exponent magnitude read in an "e" form, the largest exponent
+# of a kappa or lambda generator and the largest genus.  An exponent asks
+# for as many digits as its value, in the read and in every later product
+# and write: 10**10_000 is read and written back in about a millisecond,
+# 10**1_000_000 takes seconds, and kappa_0^N is the scalar (2g-2)^N, whose
+# digits also grow with the digits of the genus.  sqtaut itself writes no
+# "e" form.
 MAX_EXPONENT = 10_000
 # The exponent of an "e" form as Fraction reads it, underscores included
 _EXPONENT = re.compile(r"e[+-]?(?P<digits>\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -89,6 +91,13 @@ def _exponent(value, what: str) -> int:
     if exp > MAX_EXPONENT:
         raise InputError(f"{what} over {MAX_EXPONENT}")
     return exp
+
+
+def _genus(payload: Mapping) -> int:
+    genus = _int(_get(payload, "genus"), "genus")
+    if genus > MAX_EXPONENT:
+        raise InputError(f"genus over {MAX_EXPONENT}")
+    return genus
 
 
 def _rational(value) -> Fraction:
@@ -165,7 +174,7 @@ def emit_kl(p: KLPoly, provenance: Mapping | None = None) -> dict:
 
 def parse_kl(payload: Mapping) -> KLPoly:
     _check_header(payload, "kl-class")
-    genus = _int(_get(payload, "genus"), "genus")
+    genus = _genus(payload)
     check_genus(genus)
     acc: dict = {}
     for term in _terms(payload):
@@ -198,7 +207,7 @@ def emit_pointed(p: PointedClass) -> dict:
 
 def parse_pointed(payload: Mapping) -> PointedClass:
     _check_header(payload, "pointed-class")
-    genus = _int(_get(payload, "genus"), "genus")
+    genus = _genus(payload)
     d = _int(_get(payload, "d"), "d")
     acc: dict = {}
     for term in _terms(payload):

@@ -43,7 +43,6 @@ nonzero computed cell allocates: one Fraction and one PairingEntry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -51,10 +50,12 @@ from typing import Iterator
 from .genus0 import psi_integral_M0n
 from .rings import (
     DomainError,
+    Frozen,
     InputError,
     check_set_partition,
     iter_weak_compositions,
     set_partitions,
+    setfield,
 )
 
 PROVEN_ZERO = "proven-zero"
@@ -69,24 +70,24 @@ class CertificateError(Exception):
     """A pairing matrix failed its structural rank certificate."""
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(Frozen):
     """Index [P, tau]: a set partition with per-part exponents."""
 
-    d: int
-    k: int
-    partition: tuple
-    tau: tuple
+    _fields = ("d", "k", "partition", "tau")
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.k < 0:
+    def __init__(self, d: int, k: int, partition: tuple, tau: tuple) -> None:
+        if d < 1 or k < 0:
             raise InputError("need d >= 1 and k >= 0")
-        check_set_partition(self.partition, self.tau, self.d, "part")
-        l = len(self.partition)
-        if l < self.d - self.k:
+        check_set_partition(partition, tau, d, "part")
+        l = len(partition)
+        if l < d - k:
             raise InputError("too few parts for this degree")
-        if sum(self.tau) != self.k - self.d + l:
+        if sum(tau) != k - d + l:
             raise InputError("exponents must sum to k - d + #parts")
+        setfield(self, "d", d)
+        setfield(self, "k", k)
+        setfield(self, "partition", partition)
+        setfield(self, "tau", tau)
 
     @property
     def length(self) -> int:
@@ -97,17 +98,25 @@ class PairSpec:
         return f"[({parts}); tau={self.tau}]"
 
 
-@dataclass(frozen=True)
-class ChainStratum:
-    """The chain-of-components stratum paired against a PairSpec."""
+class ChainStratum(Frozen):
+    """The chain-of-components stratum paired against a PairSpec.
 
-    d: int
-    k: int
-    partition: tuple
-    tau: tuple
-    heavy_labels: tuple  # per component, components 0..length+1
-    light_blocks: tuple  # per component
-    psi_labels: tuple    # least heavy label of each interior component
+    `heavy_labels` and `light_blocks` hold one tuple per component
+    0..length+1; `psi_labels` the least heavy label of each interior one.
+    """
+
+    _fields = ("d", "k", "partition", "tau", "heavy_labels", "light_blocks",
+               "psi_labels")
+
+    def __init__(self, d: int, k: int, partition: tuple, tau: tuple,
+                 heavy_labels: tuple, light_blocks: tuple, psi_labels: tuple) -> None:
+        setfield(self, "d", d)
+        setfield(self, "k", k)
+        setfield(self, "partition", partition)
+        setfield(self, "tau", tau)
+        setfield(self, "heavy_labels", heavy_labels)
+        setfield(self, "light_blocks", light_blocks)
+        setfield(self, "psi_labels", psi_labels)
 
     @classmethod
     def from_spec(cls, spec: PairSpec) -> "ChainStratum":
@@ -153,11 +162,17 @@ class ChainStratum:
         return PairSpec(self.d, self.k, self.partition, self.tau)
 
 
-@dataclass(frozen=True)
-class PairingEntry:
-    status: str
-    value: Fraction | None = None
-    reason: str | None = None
+class PairingEntry(Frozen):
+    """One cell: its status, its value when computed, and the reason for a
+    proven zero."""
+
+    _fields = ("status", "value", "reason")
+
+    def __init__(self, status: str, value: Fraction | None = None,
+                 reason: str | None = None) -> None:
+        setfield(self, "status", status)
+        setfield(self, "value", value)
+        setfield(self, "reason", reason)
 
 
 def enumerate_P(d: int, k: int) -> list:
@@ -211,27 +226,39 @@ def pairing_entry(row: PairSpec, col: ChainStratum) -> PairingEntry:
     return PairingEntry(COMPUTED, value=Fraction(value))
 
 
-@dataclass(frozen=True)
-class DiagonalBlock:
+class DiagonalBlock(Frozen):
     """Evidence for one l = l' block: diagonal values and zero off-diagonal."""
 
-    length: int
-    size: int
-    diagonal: tuple  # Fractions in row order
-    off_diagonal_checked: int
+    _fields = ("length", "size", "diagonal", "off_diagonal_checked")
+
+    def __init__(self, length: int, size: int, diagonal: tuple,
+                 off_diagonal_checked: int) -> None:
+        setfield(self, "length", length)
+        setfield(self, "size", size)
+        setfield(self, "diagonal", diagonal)  # Fractions in row order
+        setfield(self, "off_diagonal_checked", off_diagonal_checked)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Structural full-rank certificate for the pairing matrix."""
+class Certificate(Frozen):
+    """Structural full-rank certificate for the pairing matrix.
 
-    d: int
-    k: int
-    size: int
-    blocks: tuple  # DiagonalBlock per length, descending
-    zero_pairs: int        # row length < column length, proven zero
-    unevaluated_pairs: int  # row length > column length, never needed
-    full_rank: bool
+    `blocks` holds one DiagonalBlock per length, descending; `zero_pairs`
+    counts the proven-zero cells (row shorter than column) and
+    `unevaluated_pairs` the cells never needed (row longer).
+    """
+
+    _fields = ("d", "k", "size", "blocks", "zero_pairs", "unevaluated_pairs",
+               "full_rank")
+
+    def __init__(self, d: int, k: int, size: int, blocks: tuple, zero_pairs: int,
+                 unevaluated_pairs: int, full_rank: bool) -> None:
+        setfield(self, "d", d)
+        setfield(self, "k", k)
+        setfield(self, "size", size)
+        setfield(self, "blocks", blocks)
+        setfield(self, "zero_pairs", zero_pairs)
+        setfield(self, "unevaluated_pairs", unevaluated_pairs)
+        setfield(self, "full_rank", full_rank)
 
 
 class PairingMatrix:

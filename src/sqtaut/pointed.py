@@ -71,7 +71,6 @@ cached per (genus, n, degree), until the return.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -90,6 +89,7 @@ from .kappa_lambda import (
     kl_zero,
 )
 from .rings import (
+    Frozen,
     GradedPoly,
     InputError,
     SparseSum,
@@ -106,11 +106,11 @@ from .rings import (
     poly_mul,
     series_mul,
     set_partitions,
+    setfield,
 )
 
 
-@dataclass(frozen=True)
-class BlockMonomial:
+class BlockMonomial(Frozen):
     """Canonical block monomial: partition of {1..d} + exponent per block.
 
     Blocks are tuples of strictly increasing labels, ordered by least
@@ -118,23 +118,34 @@ class BlockMonomial:
     this; `_trusted` skips the check for monomials built from valid ones.
     """
 
-    d: int
-    blocks: tuple
-    exps: tuple
+    _fields = ("d", "blocks", "exps")
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
+    def __init__(self, d: int, blocks: tuple, exps: tuple) -> None:
+        if d < 0:
             raise InputError("d must be >= 0")
-        check_set_partition(self.blocks, self.exps, self.d, "block")
+        check_set_partition(blocks, exps, d, "block")
+        setfield(self, "d", d)
+        setfield(self, "blocks", blocks)
+        setfield(self, "exps", exps)
 
     @classmethod
     def _trusted(cls, d: int, blocks: tuple, exps: tuple) -> "BlockMonomial":
         """A monomial whose canonical form the caller guarantees."""
         mono = object.__new__(cls)
-        object.__setattr__(mono, "d", d)
-        object.__setattr__(mono, "blocks", blocks)
-        object.__setattr__(mono, "exps", exps)
+        setfield(mono, "d", d)
+        setfield(mono, "blocks", blocks)
+        setfield(mono, "exps", exps)
         return mono
+
+    # written out, not Frozen's generic pair: monomials key every class
+    # table, and these run at the speed of a frozen dataclass's
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.d, self.blocks, self.exps) == (other.d, other.blocks, other.exps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.blocks, self.exps))
 
     @property
     def degree(self) -> int:
@@ -191,7 +202,6 @@ def diagonal_monomial(d: int, labels: Iterable[int]) -> BlockMonomial:
     return BlockMonomial(d, tuple(blocks), (0,) * len(blocks))
 
 
-@dataclass(frozen=True, eq=False)
 class PointedClass(SparseSum):
     """A finite sum of block monomials with kappa/lambda coefficients.
 
@@ -199,27 +209,27 @@ class PointedClass(SparseSum):
     the cap is the monomial codimension plus the coefficient degree.
     """
 
-    genus: int
-    d: int
-    terms: MappingProxyType
-    cap: int | None = None
+    _fields = ("genus", "d", "terms", "cap")
 
-    def __post_init__(self) -> None:
-        check_genus(self.genus)
-        if self.d < 0:
+    def __init__(self, genus: int, d: int, terms, cap: int | None = None) -> None:
+        check_genus(genus)
+        if d < 0:
             raise InputError("d must be >= 0")
         clean: dict = {}
-        for mono, coeff in self.terms.items():
-            if mono.d != self.d:
+        for mono, coeff in terms.items():
+            if mono.d != d:
                 raise InputError("monomial has wrong number of light points")
-            if genus_of(coeff) != self.genus:
+            if genus_of(coeff) != genus:
                 raise InputError("coefficient has wrong genus")
-            if self.cap is not None:
-                coeff = coeff.truncate(self.cap - mono.degree)
+            if cap is not None:
+                coeff = coeff.truncate(cap - mono.degree)
             if coeff.is_zero:
                 continue
             clean[mono] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        setfield(self, "genus", genus)
+        setfield(self, "d", d)
+        setfield(self, "terms", MappingProxyType(clean))
+        setfield(self, "cap", cap)
 
     _space = property(lambda self: (self.genus, self.d))
     _table = property(lambda self: self.terms)

@@ -22,13 +22,12 @@ step of every sum.
 One-variable series are plain lists of Fractions (or ints) indexed by
 degree; `series_mul` and `truncated_inverse` work on them.
 
-Every value is immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+Every value is immutable after construction (`Frozen`) and every
+operation is a pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
@@ -93,16 +92,56 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-class SparseSum:
+# Sets a field of a Frozen value; only its __init__ (or a trusted
+# constructor) calls this, once per field.
+setfield = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields, in order, in `_fields` and sets each one
+    once, in its own `__init__`, with `setfield`.  After that, assigning or
+    deleting an attribute raises AttributeError.  Values of the same class
+    compare equal and hash alike when their fields do, and print as
+    `Name(field=value, ...)`.
+    """
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SparseSum(Frozen):
     """Ring operations shared by the sparse class types.
 
     A value is a read-only table from basis keys to nonzero coefficients in
     a space that operands must share, with an optional degree `cap`: when
     set, the value is trusted only up to that total degree and terms beyond
-    it are dropped.  `==` ignores the cap, which is bookkeeping.
+    it are dropped.  `==` ignores the cap, which is bookkeeping, and values
+    are unhashable.
 
-    A subclass is a frozen dataclass built as `cls(*space, table, cap)`
-    that caps its table in `__post_init__` and provides `_space`, `_table`,
+    A subclass is built as `cls(*space, table, cap=None)`, caps a copy of
+    the table in its `__init__` and provides `_space`, `_table`,
     `_scalar(q)` (the uncapped constant q in the same space), `scale` by
     the `_SCALARS` types and `_mul`, its product with a value of its type.
     """
@@ -185,7 +224,6 @@ class SparseSum:
         return NotImplemented
 
 
-@dataclass(frozen=True, eq=False)
 class GradedPoly(SparseSum):
     """Sparse kappa/lambda polynomial with Rational coefficients at a genus.
 
@@ -193,14 +231,11 @@ class GradedPoly(SparseSum):
     degree for the cap is its total degree.
     """
 
-    genus: int
-    coeffs: MappingProxyType
-    cap: int | None = None
+    _fields = ("genus", "coeffs", "cap")
 
-    def __post_init__(self) -> None:
+    def __init__(self, genus: int, coeffs, cap: int | None = None) -> None:
         clean: dict = {}
-        cap = self.cap
-        for m, c in self.coeffs.items():
+        for m, c in coeffs.items():
             if not isinstance(c, Fraction):
                 c = Fraction(c)
             if c == 0:
@@ -208,7 +243,9 @@ class GradedPoly(SparseSum):
             if cap is not None and mono_degree(m) > cap:
                 continue
             clean[m] = c
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        setfield(self, "genus", genus)
+        setfield(self, "coeffs", MappingProxyType(clean))
+        setfield(self, "cap", cap)
 
     _space = property(lambda self: (self.genus,))
     _table = property(lambda self: self.coeffs)

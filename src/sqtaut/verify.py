@@ -10,7 +10,6 @@ test suite both dispatch through this registry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -49,27 +48,35 @@ from .pointed import (
     rank_F,
     theorem5_class,
 )
-from .rings import InputError, series_mul
+from .rings import Frozen, InputError, series_mul, setfield
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     """Outcome of one named check."""
 
-    check_id: str
-    statement: str
-    passed: bool
-    details: tuple
-    elapsed: float
+    _fields = ("check_id", "statement", "passed", "details", "elapsed")
+
+    def __init__(self, check_id: str, statement: str, passed: bool,
+                 details: tuple, elapsed: float) -> None:
+        setfield(self, "check_id", check_id)
+        setfield(self, "statement", statement)
+        setfield(self, "passed", passed)
+        setfield(self, "details", details)
+        setfield(self, "elapsed", elapsed)
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    aliases: tuple
-    statement: str
-    budget: float  # documented runtime bound in seconds
-    run: Callable
+class Check(Frozen):
+    """A named check: `run()` returns (passed, details)."""
+
+    _fields = ("check_id", "aliases", "statement", "budget", "run")
+
+    def __init__(self, check_id: str, aliases: tuple, statement: str,
+                 budget: float, run: Callable) -> None:
+        setfield(self, "check_id", check_id)
+        setfield(self, "aliases", aliases)
+        setfield(self, "statement", statement)
+        setfield(self, "budget", budget)  # documented runtime bound in seconds
+        setfield(self, "run", run)
 
 
 # -- individual checks ----------------------------------------------------

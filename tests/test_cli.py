@@ -136,6 +136,34 @@ def test_verify_is_loaded_only_on_use():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1 + 2*t^2 + t^4"
 
+
+def _imported(*args) -> set:
+    """The modules that a fresh interpreter imports to run `python args`."""
+    src = os.path.dirname(os.path.dirname(sqtaut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cold_start_imports_no_dataclasses():
+    # every command starts a fresh interpreter; dataclasses costs about
+    # 20 ms there (with inspect, ast, dis and tokenize) and nothing needs it
+    # at run time.  Measured against what argparse, fractions and json load
+    # by themselves on this Python.
+    bare = _imported("-c", "import argparse, fractions, json")
+    for args in (("-m", "sqtaut", "betti", "--d", "4"), ("-c", "import sqtaut.cli")):
+        extra = _imported(*args) - bare
+        assert "sqtaut.cli" in extra
+        assert not extra & {"dataclasses", "inspect"}, args
+    package = Path(sqtaut.__file__).parent
+    for path in package.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+dataclasses\b", text, re.M), path
+
+
 def test_intersect_output(capsys):
     code, out = run(capsys, "intersect", "--d", "5", "--x1", "2", "--x2", "2")
     assert code == 0
@@ -341,6 +369,11 @@ MALFORMED = [
     ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 4, "d": 1,
               "terms": [{"partition": [[1]], "exponents": [1],
                          "coeff": {"rational": "1", "kappa": {"0": 10 ** 6}}}]}),
+    # kappa_0^10000 at a 21-digit genus is a 210,000-digit scalar
+    ("lambda-to-kappa", _kl_payload(genus=10 ** 21, kappa={"0": 10_000})),
+    ("push", {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 10 ** 21,
+              "d": 1, "terms": [{"partition": [[1]], "exponents": [1],
+                                 "coeff": {"rational": "1", "kappa": {"0": 10_000}}}]}),
 ]
 
 

@@ -1,0 +1,152 @@
+"""The value types are immutable records: fixed fields, field equality.
+
+Every class here is built on `rings.Frozen`: its fields are set once by its
+constructor, and assigning or deleting an attribute raises AttributeError.
+The three ring classes (`GradedPoly`, `PointedClass`, `CurveClass`) compare
+through `SparseSum.__eq__` and are unhashable; the records compare and hash
+by their fields.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from sqtaut import pairing, verify
+from sqtaut.conifold import LocalSeries, conifold_F
+from sqtaut.curve import CurveClass, OMEGA, cc_omega
+from sqtaut.kappa_lambda import kappa_class, kl_one
+from sqtaut.pairing import (
+    COMPUTED,
+    PROVEN_ZERO,
+    ChainStratum,
+    PairingEntry,
+    PairSpec,
+    rank_certificate,
+)
+from sqtaut.pointed import BlockMonomial, PointedClass, chern_F, unit_monomial
+from sqtaut.rings import GradedPoly, InputError
+
+G = 4
+
+
+def values():
+    """One value of every Frozen class, with the pairing cells that every
+    structural or computed-zero cell shares."""
+    spec = PairSpec(2, 1, ((1,), (2,)), (0, 1))
+    cert = rank_certificate(2, 1)
+    check = verify.lookup("betti")
+    return {
+        "GradedPoly": kappa_class(G, 1),
+        "BlockMonomial": unit_monomial(2),
+        "PointedClass": chern_F(G, 2, 2),
+        "CurveClass": cc_omega(G, 2),
+        "PairSpec": spec,
+        "ChainStratum": ChainStratum.from_spec(spec),
+        "PairingEntry": PairingEntry(COMPUTED, value=Fraction(2)),
+        "_COMPUTED_ZERO": pairing._COMPUTED_ZERO,
+        "_TOO_FEW_BLOCKS": pairing._TOO_FEW_BLOCKS,
+        "_SUPPORT_MISMATCH": pairing._SUPPORT_MISMATCH,
+        "_UNEVALUATED": pairing._UNEVALUATED,
+        "DiagonalBlock": cert.blocks[0],
+        "Certificate": cert,
+        "LocalSeries": conifold_F(3),
+        "CheckResult": verify.run_check(check),
+        "Check": check,
+    }
+
+
+@pytest.mark.parametrize("name", list(values()))
+def test_fields_cannot_be_set_or_deleted(name):
+    value = values()[name]
+    field = value._fields[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.new_attribute = 1
+    assert getattr(value, field) is before
+
+
+def test_shared_pairing_cells_stay_as_built():
+    assert pairing._COMPUTED_ZERO == PairingEntry(COMPUTED, value=Fraction(0))
+    assert pairing._TOO_FEW_BLOCKS == PairingEntry(
+        PROVEN_ZERO, reason=pairing.REASON_TOO_FEW_BLOCKS)
+    assert pairing._UNEVALUATED == PairingEntry(pairing.UNEVALUATED)
+    with pytest.raises(AttributeError):
+        pairing._COMPUTED_ZERO.value = Fraction(1)
+    assert pairing._COMPUTED_ZERO.value == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PairSpec(3, 2, ((1, 2), (3,)), (0, 1)),
+    lambda: BlockMonomial(3, ((1, 2), (3,)), (0, 1)),
+    lambda: PairingEntry(COMPUTED, value=Fraction(3, 2)),
+], ids=["PairSpec", "BlockMonomial", "PairingEntry"])
+def test_equal_records_compare_and_hash_equal(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f) for f in a._fields))
+    assert {a: 1}[b] == 1
+    assert a != tuple(getattr(a, f) for f in a._fields)
+
+
+def test_records_differ_in_any_field():
+    assert PairSpec(2, 1, ((1,), (2,)), (0, 1)) != PairSpec(2, 1, ((1,), (2,)), (1, 0))
+    assert BlockMonomial(2, ((1, 2),), (0,)) != BlockMonomial(2, ((1, 2),), (1,))
+    assert BlockMonomial._trusted(2, ((1, 2),), (1,)) == BlockMonomial(2, ((1, 2),), (1,))
+    assert PairingEntry(COMPUTED, value=Fraction(0)) != PairingEntry(COMPUTED)
+    assert PairingEntry(PROVEN_ZERO, reason="a") != PairingEntry(PROVEN_ZERO, reason="b")
+    spec = PairSpec(2, 1, ((1,), (2,)), (0, 1))
+    assert ChainStratum.from_spec(spec).spec() == spec
+
+
+@pytest.mark.parametrize("name", ["GradedPoly", "PointedClass", "CurveClass"])
+def test_ring_classes_stay_unhashable(name):
+    with pytest.raises(TypeError):
+        hash(values()[name])
+
+
+def test_keyword_construction_and_defaults():
+    entry = PairingEntry(COMPUTED, value=Fraction(5))
+    assert (entry.status, entry.value, entry.reason) == (COMPUTED, 5, None)
+    entry = PairingEntry(status=PROVEN_ZERO, reason="why")
+    assert (entry.value, entry.reason) == (None, "why")
+    table = {(((0, 1), 2),): Fraction(3), (): 1}
+    p = GradedPoly(G, table)
+    assert p.cap is None and p == GradedPoly(genus=G, coeffs=table, cap=None)
+    assert GradedPoly(G, table, 1) == GradedPoly(G, {(): 1})
+    assert PairSpec(d=2, k=1, partition=((1, 2),), tau=(0,)) == PairSpec(2, 1, ((1, 2),), (0,))
+    mono = BlockMonomial(d=2, blocks=((1,), (2,)), exps=(1, 0))
+    assert mono == BlockMonomial(2, ((1,), (2,)), (1, 0))
+    pc = PointedClass(genus=G, d=2, terms={mono: kl_one(G)})
+    assert pc.cap is None and pc.terms[mono] == kl_one(G)
+    cc = CurveClass(genus=G, d=2, terms={(OMEGA, 1): pc}, cap=5)
+    assert cc == cc_omega(G, 2) * pc
+    series = LocalSeries(max_genus=1, coeffs=(Fraction(1, 12),), constant_term=Fraction(1))
+    assert series.N1(1) == Fraction(1, 12)
+    assert repr(series) == (
+        "LocalSeries(max_genus=1, coeffs=(Fraction(1, 12),), "
+        "constant_term=Fraction(1, 1))")
+
+
+@pytest.mark.parametrize("build,message", [
+    # the checks run in their order: d and k first, labels last
+    (lambda: PairSpec(0, -1, "not a partition", None), "need d >= 1 and k >= 0"),
+    (lambda: PairSpec(2, 1, ((1, 2),), (0, 0)), "one exponent per part required"),
+    (lambda: PairSpec(2, 1, ((2,), (1,)), (0, 1)), "parts must be ordered by least element"),
+    (lambda: PairSpec(3, 1, ((1, 2, 3),), (0,)), "too few parts for this degree"),
+    (lambda: PairSpec(2, 1, ((1,), (2,)), (0, 0)), "exponents must sum to k - d + #parts"),
+    (lambda: BlockMonomial(-1, None, None), "d must be >= 0"),
+    (lambda: BlockMonomial(2, ((1, 2),), (-1,)), "bad exponent -1"),
+    (lambda: BlockMonomial(3, ((1, 2),), (0,)), "blocks must partition {1..d}"),
+    (lambda: LocalSeries(0, None, None), "max_genus must be >= 1"),
+    (lambda: LocalSeries(2, (Fraction(1),), Fraction(1)), "need one coefficient per genus"),
+])
+def test_invalid_arguments_raise_input_error(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()

@@ -8,12 +8,7 @@ from math import comb
 
 import pytest
 
-from sqtaut.genus0 import (
-    compositions,
-    intersect_M02d,
-    poincare_Q02,
-    psi_integral_M0n,
-)
+from sqtaut.genus0 import intersect_M02d, poincare_Q02, psi_integral_M0n
 from sqtaut.rings import InputError
 
 
@@ -46,12 +41,35 @@ def psi_by_string_equation(a):
     return total
 
 
+def compositions(d: int):
+    """All ordered compositions of d >= 1, as tuples of positive parts, in
+    lexicographic order: the chain components that poincare_Q02 sums over."""
+    if d < 1:
+        raise InputError("d must be >= 1")
+
+    def rec(rest):
+        if rest == 0:
+            yield ()
+            return
+        for head in range(1, rest + 1):
+            for tail in rec(rest - head):
+                yield (head,) + tail
+
+    yield from rec(d)
+
+
 def test_composition_enumeration():
     assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert sum(1 for _ in compositions(8)) == 2 ** 7
     assert all(sum(c) == 6 and min(c) >= 1 for c in compositions(6))
     with pytest.raises(InputError):
         list(compositions(0))
+    # the strata sum that poincare_Q02 groups by the last part
+    for d in range(1, 9):
+        strata = [0] * (2 * d - 1)
+        for c in compositions(d):
+            strata[2 * sum(part - 1 for part in c)] += 1
+        assert poincare_Q02(d) == strata
 
 
 def test_poincare_closed_form():

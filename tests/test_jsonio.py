@@ -181,3 +181,19 @@ def test_generator_exponents_are_read_up_to_the_bound():
             read()
     with pytest.raises(InputError, match="^exponent over 10000$"):
         parse_kl_pretty(f"3/4*kappa_0^{over}", g)
+
+
+def test_genus_is_read_up_to_the_bound():
+    # kappa_0 is the scalar 2g - 2, so a genus of many digits asks for as
+    # many digits per kappa_0 factor; the bound holds before any scalar
+    big = MAX_EXPONENT
+    assert parse_kl(kl_payload(big, kappa={"0": 2})) == kl_scalar(big, (2 * big - 2) ** 2)
+    pointed = {"schema": SCHEMA, "kind": "pointed-class", "d": 1,
+               "terms": [{"partition": [[1]], "exponents": [0],
+                          "coeff": {"rational": "1/0", "kappa": {"0": MAX_EXPONENT}}}]}
+    for genus in (MAX_EXPONENT + 1, 10 ** 21, str(10 ** 200)):
+        for read in (lambda: parse_kl(kl_payload(genus, rational="1/0",
+                                                 kappa={"0": MAX_EXPONENT})),
+                     lambda: parse_pointed({**pointed, "genus": genus})):
+            with pytest.raises(InputError, match="^genus over 10000$"):
+                read()
