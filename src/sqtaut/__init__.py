@@ -12,7 +12,6 @@ from .curve import (
     cc_sections_sum,
     cc_sigma,
     pi_push,
-    prop8_relation,
 )
 from .genus0 import intersect_M02d, poincare_Q02, psi_integral_M0n
 from .jsonio import (
@@ -66,10 +65,9 @@ from .pointed import (
     pc_zero,
     psihat_monomial,
     pushed_chern,
-    rank_F,
-    theorem5_class,
     unit_monomial,
 )
+from .relations import prop8_relation, rank_F, theorem5_class
 from .rings import (
     DomainError,
     GradedPoly,

@@ -26,7 +26,6 @@ import os
 import sys
 
 from .conifold import conifold_F, conifold_N
-from .curve import prop8_relation
 from .genus0 import intersect_M02d, poincare_Q02
 from .jsonio import (
     SCHEMA,
@@ -45,7 +44,8 @@ from .pairing import (
     PairingMatrix,
     rank_certificate,
 )
-from .pointed import chern_F, epsilon_push, pc_mul, theorem5_class
+from .pointed import chern_F, epsilon_push, pc_mul
+from .relations import prop8_relation, theorem5_class
 from .rings import InputError, format_series, rational_text
 
 

@@ -19,94 +19,31 @@ pullback(a)*omega^{b+1} to a*kappa_b with kappa_{-1} = 0 skipped (a bare
 pullback integrates to zero) and kappa_0 = 2g-2, satisfying the projection
 formula by construction.
 
-`prop8_relation` produces, for c > 0, the degree R = g-2d-2+a+b+c relation
-
-    eps_*( pi_*(s^a omega^b) * c_{g-d-1+c}(F_d)
-           + (-1)^{g-d-1} [ pi_*((s-1)^a omega^b) * c_-(F_d) ]^{g-d-2+a+b+c} )
-
-where s = sigma_1 + ... + sigma_d, c_- is the total Chern class evaluated
-at -1, and [.]^k selects the degree-k part after the product is formed.
-P_j = pi_*(s^j omega^b) is homogeneous of degree j+b-1, so with
-N = g-d-2+a+b+c the term C(a,j) (-1)^{a-j} P_j of the bracket meets
-c_{N-j-b+1}(F_d) with the sign (-1)^{g-d-1} (-1)^{a-j} (-1)^{N-j-b+1} =
-(-1)^c, and the first term is the degree-N part of P_a * c(F_d).  Hence
-the relation is eps_*([Q * c(F_d)]^N) with
-
-    Q = pi_*((s^a + (-1)^c (s+1)^a) omega^b) = sum_j w_j P_j,
-    w_j = [j = a] + (-1)^c C(a, j).
-
-It is evaluated without block monomials, in three steps.
-
-  1. P_0 = kappa_{b-1} (0 for b = 0).  For j >= 1 expand s^j: a word of
-     length j in the sigma_i with support S (|S| = m) is D_S sigma_{min S}
-     times (-psihat_S)^{j-m}, and surj(j, m) words have support S, so
-
-         P_j = sum_{S nonempty} surj(j, m) (-1)^{j-m} D_S psihat_S^{j-m+b}.
-
-  2. c(F_d) = c(E^vee) sum_pi prod_{B in pi} D_B g_{|B|}(psihat_B) with the
-     block series g_s of `pointed`.  In D_S psihat_S^e * c(F_d) the r
-     blocks of pi that meet S merge with S into one block, which gains the
-     exponent |S| - r = sum_B (|B n S| - 1) with sign (-1)^{|S|-r}; blocks
-     missing S are unchanged.
-  3. eps_* sends a block with exponent T to kappa_{T-1}, so the blocks
-     missing S push to E_{d-n}, n the size of the merged block; C(d, n)
-     places that block and C(n, m) places S in it.  By steps 1 and 2 the
-     merged block carries x^{j+b-r} with sign (-1)^{j-r}, x = psihat,
-     that is (-1)^j x^{j+b-m} times -x^{|B n S|-1} for each block B of pi
-     it absorbs, so it pushes the series
-
-         A_n = x^b sum_{m>=1} C(n, m) W_m(x) Psi_{n,m}(x),
-         W_m = sum_j w_j (-1)^j surj(j, m) x^{j-m},
-
-     where Psi_{n,m} sums, over the set partitions of n points into blocks
-     that each meet a fixed m-set M, the product over blocks B of
-     -x^{|B n M|-1} g_{|B|}.  A recursion on the block holding the least
-     point of M gives Psi_{0,0} = 1 and
-
-         Psi_{n,m} = sum_{k>=1, l>=0} C(m-1, k-1) C(n-m, l)
-                     (-x^{k-1} g_{k+l}) Psi_{n-k-l, m-k}.
-
-The relation is the degree-R part of
-
-    c(E^vee) ( w_0 kappa_{b-1} E_d + sum_{n=1}^{d} C(d, n) eps(A_n) E_{d-n} ),
-
-eps(A) = sum_{T>=1} [x^T] A kappa_{T-1}: O(d^2 a^2) products of series of
-length R + 2 (Psi is cached across calls) and O(d^2) polynomial products of
-degree <= R, against one term per set partition of the light points and
-exponent pattern in c(F_d).  surj(j, m), w_j and the binomials are
-integers, so Psi_{n,m} and W_m are too and, as in `pointed`, all of it runs
-in ints.  `CurveClass` and `pi_push` keep the section calculus itself,
-which the tests use as the oracle.
+`CurveClass` and `pi_push` keep the section calculus itself; the tests
+use them as the oracle for `relations.prop8_relation`, which evaluates
+the Prop. 8 relation from per-block series instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 
-from .kappa_lambda import KLPoly, check_genus, kappa_class, kl_zero
+from .kappa_lambda import check_genus, kappa_class
 from .pointed import (
     PointedClass,
-    _block_series,
-    _dual_hodge_part,
-    _push_series,
-    _pushed_partition,
     chern_F,  # not used here; kept importable as sqtaut.curve.chern_F
     pc_diagonal,
     pc_one,
     pc_psihat,
-    rank_F,
 )
+from .relations import prop8_relation  # kept importable as sqtaut.curve.prop8_relation
 from .rings import (
     GradedPoly,
     InputError,
     SparseSum,
     accumulate,
     combine_caps,
-    int_mul,
-    series_mul,
     setfield,
 )
 
@@ -249,79 +186,3 @@ def pi_push(x: CurveClass) -> PointedClass:
         for mono, c in coeff.terms.items():
             accumulate(acc, mono, c)
     return PointedClass(g, d, acc, cap)
-
-
-# -- relation generator --------------------------------------------------
-
-def _surjections(j: int, m: int) -> int:
-    """The number of maps from a j-set onto an m-set."""
-    return sum((-1) ** i * comb(m, i) * (m - i) ** j for i in range(m + 1))
-
-
-@lru_cache(maxsize=None)
-def _meeting_series(n: int, m: int, maxdeg: int) -> tuple:
-    """Coefficients 0..maxdeg of Psi_{n,m}: set partitions of n points into
-    blocks that each meet a fixed m-set M, block B weighted by
-    -x^{|B n M| - 1} g_{|B|} (step 3 of the module docstring)."""
-    if m == 0:
-        return (int(n == 0),) + (0,) * maxdeg
-    out = [0] * (maxdeg + 1)
-    for k in range(1, m + 1):
-        for l in range(n - m + 1):
-            weight = comb(m - 1, k - 1) * comb(n - m, l)
-            block = _block_series(k + l, maxdeg)
-            rest = _meeting_series(n - k - l, m - k, maxdeg)
-            for t, q in enumerate(series_mul(block, rest, maxdeg - k + 1)):
-                out[t + k - 1] -= weight * q
-    return tuple(out)
-
-
-def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
-    """Pushforward relation from the section calculus; requires c > 0.
-
-    Returns the (vanishing) kappa/lambda class of degree R = g-2d-2+a+b+c,
-    eps_*([Q * c(F_d)]_N) with Q = pi_*((s^a + (-1)^c (s+1)^a) omega^b)
-    and N = g-d-2+a+b+c.  Degrees involved must be nonnegative: the Chern
-    index g-d-1+c and the selection degree N.
-
-    Computed in ints from per-block series (module docstring, steps 1-3),
-    with no class on the curve or the pointed base; the section calculus
-    gives the same value through pi_push, chern_F and epsilon_push.
-    """
-    check_genus(genus)
-    if d < 1:
-        raise InputError("d must be >= 1")
-    if min(a, b) < 0:
-        raise InputError("a and b must be >= 0")
-    if c <= 0:
-        raise InputError("c must be > 0")
-    chern_index = rank_F(genus, d) + c
-    select = genus - d - 2 + a + b + c
-    if chern_index < 0 or select < 0:
-        raise InputError("negative Chern or selection degree")
-    R = select - d
-    if R < 0:
-        return kl_zero(genus)
-    top = R + 1  # x^T pushes to kappa_{T-1}, of degree T - 1 <= R
-    sign = -1 if c % 2 else 1
-    w = [sign * comb(a, j) for j in range(a + 1)]
-    w[a] += 1
-    W = [None]
-    for m in range(1, min(a, d) + 1):
-        series = [0] * (top + 1)
-        for j in range(m, min(a, top + m) + 1):
-            series[j - m] = (-1) ** j * w[j] * _surjections(j, m)
-        W.append(series)
-    total: dict = {}
-    for n in range(d + 1):
-        A = [0] * (top + 1)
-        if n == 0 and b <= top:  # w_0 kappa_{b-1} is w_0 x^b pushed
-            A[b] = w[0]
-        for m in range(1, min(a, n) + 1):
-            part = series_mul(W[m], _meeting_series(n, m, top), top - b)
-            for t, q in enumerate(part):
-                A[t + b] += comb(n, m) * q
-        E = _pushed_partition(genus, d - n, R)
-        for mono, q in int_mul(_push_series(genus, A, R), E, R).items():
-            total[mono] = total.get(mono, 0) + comb(d, n) * q
-    return _dual_hodge_part(genus, total, R)

@@ -24,8 +24,9 @@ every light label lies in exactly one block of each factor.
 
 Coefficients are kappa/lambda polynomials pulled back from the base; a
 `PointedClass` is a `rings.SparseSum` over block monomials whose degree
-cap counts codimension plus coefficient degree.  The pushforward to the base sends a block monomial to prod_B kappa_{t_B - 1}
-(kappa_{-1} = 0, kappa_0 = 2g - 2), lowering degree by exactly d.
+cap counts codimension plus coefficient degree.  The pushforward to the
+base sends a block monomial to prod_B kappa_{t_B - 1} (kappa_{-1} = 0,
+kappa_0 = 2g - 2), lowering degree by exactly d.
 
 The total Chern class of the index-type obstruction bundle F_d (rank
 g - d - 1) is
@@ -33,39 +34,14 @@ g - d - 1) is
     chern_F = chern_E_dual * (prod_{i=1}^{d} (1 + Delta_i - psihat_i))^{-1}
 
 with Delta_i = D_{1,i} + ... + D_{i-1,i}, and chern_B is the product being
-inverted.  Pushing the single Chern class of degree (g - d - 1) + 2k to
-the base yields a kappa/lambda class that vanishes on the base for every
-k >= 1; `theorem5_class` returns that expression so callers can emit it as
-a relation.
-
-Three facts give c(F_d) and the pushforward of its Chern classes:
-
-  1. chern_B^{-1} is a product over blocks: it equals the sum over set
-     partitions P of {1..d} of prod_{S in P} D_S * g_{|S|}(psihat_S), with
-     universal one-variable series g_1 = 1/(1 - x) and
-
-         (1 - (s+1) x) g_{s+1} = - sum_{a=1}^{s} C(s, a-1) (s+1-a) g_a g_{s+1-a},
-
-     the single-block coefficient of chern_B(s+1)^{-1} *
-     (1 + Delta_{s+1} - psihat_{s+1}) = chern_B(s)^{-1} lifted (so
-     g_2 = -1/((1-x)^2 (1-2x))).
-     `chern_F` writes c(F_d) down term by term from it: the block monomial
-     (P, t) has coefficient chern_E_dual * prod_{S in P} [x^{t_S}] g_{|S|},
-     over the set partitions with at least d - maxdeg blocks.
-  2. epsilon_push sends a block with exponent t to kappa_{t-1} whatever its
-     size, so it pushes chern_B^{-1} to E_d, where H_s = sum_{t>=1} [x^t]
-     g_s * kappa_{t-1} and, summing over the size of the block of label n,
-     E_0 = 1, E_n = sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}.
-  3. chern_E_dual is pulled back from the base, so by the projection
-     formula the relation is the degree g-2d-1+2k part of chern_E_dual * E_d.
-
-By facts 2 and 3 `theorem5_class` never builds c(F_d) in block monomials:
-its pushforward takes O(d^2) products instead of one term per set partition
-of the light points, and `curve.prop8_relation` uses the same g_s, H_s and
-E_n.  The route is integral (g_1 = 1/(1 - x), the division by 1 - (s+1) x,
-kappa_0 = 2g - 2 and binomial weights keep integers; chern_E_dual is +-1,
-one monomial per degree), so it runs on int tables (`int_mul`), with E_n
-cached per (genus, n, degree), until the return.
+inverted.  By fact 1 of `relations`, chern_B^{-1} is the sum over set
+partitions P of {1..d} of prod_{S in P} D_S * g_{|S|}(psihat_S), g_s a
+one-variable series, so `chern_F` writes c(F_d) down term by term: the
+block monomial (P, t) has coefficient chern_E_dual * prod_{S in P}
+[x^{t_S}] g_{|S|}, over the set partitions with at least d - maxdeg
+blocks.  Pushing its Chern class of degree (g - d - 1) + 2k to the base
+gives the Theorem 5 relation (`pushed_chern`), which
+`relations.theorem5_class` computes without block monomials.
 """
 
 from __future__ import annotations
@@ -73,13 +49,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .kappa_lambda import (
     KAPPA,
-    LAMBDA,
     KLPoly,
     chern_E_dual,
     check_genus,
@@ -88,6 +62,8 @@ from .kappa_lambda import (
     kl_scalar,
     kl_zero,
 )
+from .relations import _block_series
+from .relations import theorem5_class  # kept importable as sqtaut.pointed.theorem5_class
 from .rings import (
     Frozen,
     GradedPoly,
@@ -99,12 +75,9 @@ from .rings import (
     accumulate,
     check_set_partition,
     combine_caps,
-    int_mul,
     iter_weak_compositions,
-    mono_degree,
     mono_mul,
     poly_mul,
-    series_mul,
     set_partitions,
     setfield,
 )
@@ -298,53 +271,49 @@ class PointedClass(SparseSum):
 
 # -- constructors --------------------------------------------------------
 
-def pc_zero(genus: int, d: int, trunc: int | None = None) -> PointedClass:
-    return PointedClass(genus, d, {}, trunc)
+def pc_zero(genus: int, d: int) -> PointedClass:
+    return PointedClass(genus, d, {})
 
 
-def pc_one(genus: int, d: int, trunc: int | None = None) -> PointedClass:
-    return PointedClass(genus, d, {unit_monomial(d): kl_one(genus)}, trunc)
+def pc_one(genus: int, d: int) -> PointedClass:
+    return PointedClass(genus, d, {unit_monomial(d): kl_one(genus)})
 
 
-def pc_from_kl(genus: int, d: int, coeff: KLPoly,
-               trunc: int | None = None) -> PointedClass:
+def pc_from_kl(genus: int, d: int, coeff: KLPoly) -> PointedClass:
     if genus_of(coeff) != genus:
         raise InputError("coefficient has wrong genus")
-    return PointedClass(genus, d, {unit_monomial(d): coeff}, trunc)
+    return PointedClass(genus, d, {unit_monomial(d): coeff})
 
 
-def pc_monomial(genus: int, d: int, mono: BlockMonomial,
-                coeff=None, trunc: int | None = None) -> PointedClass:
+def pc_monomial(genus: int, d: int, mono: BlockMonomial, coeff=None) -> PointedClass:
     if coeff is None:
         coeff = kl_one(genus)
-    return PointedClass(genus, d, {mono: coeff}, trunc)
+    return PointedClass(genus, d, {mono: coeff})
 
 
-def pc_psihat(genus: int, d: int, j: int, exp: int = 1,
-              trunc: int | None = None) -> PointedClass:
-    return pc_monomial(genus, d, psihat_monomial(d, j, exp), trunc=trunc)
+def pc_psihat(genus: int, d: int, j: int, exp: int = 1) -> PointedClass:
+    return pc_monomial(genus, d, psihat_monomial(d, j, exp))
 
 
-def pc_diagonal(genus: int, d: int, labels: Iterable[int],
-                trunc: int | None = None) -> PointedClass:
-    return pc_monomial(genus, d, diagonal_monomial(d, labels), trunc=trunc)
+def pc_diagonal(genus: int, d: int, labels: Iterable[int]) -> PointedClass:
+    return pc_monomial(genus, d, diagonal_monomial(d, labels))
 
 
-def pc_delta(genus: int, d: int, i: int, trunc: int | None = None) -> PointedClass:
+def pc_delta(genus: int, d: int, i: int) -> PointedClass:
     """Delta_i = D_{1,i} + ... + D_{i-1,i}; Delta_1 = 0."""
     if not 1 <= i <= d:
         raise InputError(f"light label {i} out of range 1..{d}")
     one = kl_one(genus)
     return PointedClass(genus, d, {diagonal_monomial(d, (j, i)): one
-                                   for j in range(1, i)}, trunc)
+                                   for j in range(1, i)})
 
 
-def pc_delta_sym(genus: int, d: int, trunc: int | None = None) -> PointedClass:
+def pc_delta_sym(genus: int, d: int) -> PointedClass:
     """The symmetric diagonal divisor: sum of all D_{i,j}, i < j."""
     one = kl_one(genus)
     return PointedClass(genus, d, {diagonal_monomial(d, (i, j)): one
                                    for i in range(1, d + 1)
-                                   for j in range(i + 1, d + 1)}, trunc)
+                                   for j in range(i + 1, d + 1)})
 
 
 # -- multiplication ------------------------------------------------------
@@ -422,33 +391,11 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
 
 # -- Chern classes of the obstruction theory -----------------------------
 
-@lru_cache(maxsize=None)
-def _block_series(s: int, maxdeg: int) -> tuple:
-    """Coefficients 0..maxdeg of g_s, the series of a block of s light
-    points in chern_B^{-1} (see the module docstring); all ints."""
-    if s == 1:
-        return (1,) * (maxdeg + 1)
-    for smaller in range(2, s):  # cache upward: recursion stays one level deep
-        _block_series(smaller, maxdeg)
-    rhs = [0] * (maxdeg + 1)
-    for a in range(1, s):
-        weight = comb(s - 1, a - 1) * (s - a)
-        prod = series_mul(_block_series(a, maxdeg), _block_series(s - a, maxdeg),
-                          maxdeg)
-        for n, c in enumerate(prod):
-            rhs[n] -= weight * c
-    out, prev = [], 0
-    for c in rhs:  # divide by 1 - s x
-        prev = c + s * prev
-        out.append(prev)
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
 def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
     dual = chern_E_dual(genus, maxdeg)
     if d == 0:
-        return pc_from_kl(genus, 0, dual, maxdeg)
+        return pc_from_kl(genus, 0, dual).truncate(maxdeg)
     series = [None] + [_block_series(s, maxdeg) for s in range(1, d + 1)]
     terms = {}
     # a partition into l blocks has degree d - l before its exponents
@@ -466,10 +413,7 @@ def chern_F(genus: int, d: int, maxdeg: int) -> PointedClass:
     """Total Chern class of the rank g-d-1 obstruction bundle, truncated.
 
     Equals chern_E_dual times the inverse of chern_B, written down term by
-    term from fact 1 of the module docstring: the block monomial with
-    blocks S and exponents t_S has coefficient chern_E_dual *
-    prod_S [x^{t_S}] g_{|S|}.  Only the set partitions with at least
-    d - maxdeg blocks are visited.  Cached per (genus, d, maxdeg).
+    term as the module docstring says.  Cached per (genus, d, maxdeg).
     """
     check_genus(genus)
     if d < 0:
@@ -487,15 +431,16 @@ def epsilon_push(c: PointedClass) -> KLPoly:
     Block rule: a monomial with blocks B and exponents t_B pushes to
     prod_B kappa_{t_B - 1}; any exponent-0 block kills the term, and a
     block with t_B = 1 gives the scalar kappa_0 = 2g-2.  Lowers degree by
-    exactly d.
+    exactly d, and so every cap by d.
     """
-    genus = c.genus
+    genus, d = c.genus, c.d
     acc: dict = {}
-    cap = None
+    cap = None if c.cap is None else c.cap - d
     for mono, coeff in c.terms.items():
         if 0 in mono.exps:
             continue
-        cap = combine_caps(cap, coeff.cap)
+        if coeff.cap is not None:  # the push lowers degree by d
+            cap = combine_caps(cap, mono.degree - d + coeff.cap)
         scalar = (2 * genus - 2) ** mono.exps.count(1)
         kappas = Counter((KAPPA, t - 1) for t in mono.exps if t > 1)
         kappas = tuple(sorted(kappas.items()))
@@ -504,74 +449,9 @@ def epsilon_push(c: PointedClass) -> KLPoly:
     return GradedPoly(genus, acc, cap)
 
 
-def rank_F(genus: int, d: int) -> int:
-    return genus - d - 1
-
-
 def pushed_chern(genus: int, d: int, chern_degree: int) -> KLPoly:
     """epsilon_*(c_m(F_d)) for m = chern_degree."""
     if chern_degree < 0:
         raise InputError("negative Chern degree")
     total = chern_F(genus, d, chern_degree)
     return epsilon_push(total.degree_part(chern_degree))
-
-
-def _push_series(genus: int, series, maxdeg: int) -> dict:
-    """The pushforward sum_{t>=1} [x^t] series * kappa_{t-1} of one block
-    whose exponent runs over the series, given through x^{maxdeg+1}, in
-    degrees <= maxdeg (kappa_0 = 2g-2), as a monomial -> int table."""
-    table = {(): series[1] * (2 * genus - 2)}
-    for t in range(2, maxdeg + 2):
-        table[(((KAPPA, t - 1), 1),)] = series[t]
-    return table
-
-
-@lru_cache(maxsize=None)
-def _pushed_partition(genus: int, n: int, maxdeg: int) -> MappingProxyType:
-    """E_n = epsilon_* of the block product of chern_B^{-1} on n light
-    points in degrees <= maxdeg, a read-only int table: E_0 = 1 and E_n =
-    sum_{s=1}^{n} C(n-1, s-1) H_s E_{n-s}, H_s the pushed g_s."""
-    if n == 0:
-        return MappingProxyType({(): 1})
-    acc: dict = {}
-    for s in range(n, 0, -1):  # E_{n-s} from E_0 up: recursion stays shallow
-        H = _push_series(genus, _block_series(s, maxdeg + 1), maxdeg)
-        rest = _pushed_partition(genus, n - s, maxdeg)
-        for m, c in int_mul(H, rest, maxdeg).items():
-            acc[m] = acc.get(m, 0) + comb(n - 1, s - 1) * c
-    return MappingProxyType({m: c for m, c in acc.items() if c})
-
-
-def _dual_hodge_part(genus: int, table, degree: int) -> KLPoly:
-    """The degree part of chern_E_dual * table, in one pass: a monomial m
-    of the table meets only (-1)^i lambda_i, i = degree - deg m."""
-    acc: dict = {}
-    for m, c in table.items():
-        i = degree - mono_degree(m)
-        if 0 <= i <= genus:
-            key = mono_mul(m, (((LAMBDA, i), 1),)) if i else m
-            acc[key] = acc.get(key, 0) + (-c if i % 2 else c)
-    return GradedPoly(genus, acc)
-
-
-def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
-    """The degree N = g-2d-1+2k relation epsilon_*(c_{r+2k}(F_d)), r = g-d-1.
-
-    Vanishes in the tautological ring of the base for every k >= 1; the
-    returned expression is the relation's left-hand side.  Computed without
-    block monomials (module docstring, facts 1-3) as the degree-N part of
-    chern_E_dual * E_d, and 0 when N < 0: O(d^2) products of int tables.
-    `pushed_chern` gives the same value through c(F_d).
-    """
-    check_genus(genus)
-    if d < 1:
-        raise InputError("d must be >= 1")
-    if k < 1:
-        raise InputError("k must be >= 1")
-    target = rank_F(genus, d) + 2 * k
-    if target < 0:
-        raise InputError("negative Chern degree")
-    N = target - d
-    if N < 0:
-        return kl_zero(genus)
-    return _dual_hodge_part(genus, _pushed_partition(genus, d, N), N)

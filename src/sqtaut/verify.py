@@ -23,7 +23,6 @@ from .curve import (
     cc_sections_sum,
     cc_sigma,
     pi_push,
-    prop8_relation,
 )
 from .genus0 import intersect_M02d, poincare_Q02
 from .kappa_lambda import (
@@ -45,9 +44,8 @@ from .pointed import (
     pc_mul,
     pc_psihat,
     pushed_chern,
-    rank_F,
-    theorem5_class,
 )
+from .relations import prop8_relation, rank_F, theorem5_class
 from .rings import Frozen, InputError, series_mul, setfield
 
 

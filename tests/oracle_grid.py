@@ -27,9 +27,9 @@ import itertools
 import sys
 import time
 
-from sqtaut.curve import prop8_relation
 from sqtaut.kappa_lambda import _lambda_table, kl_one, lambda_to_kappa
-from sqtaut.pointed import pushed_chern, rank_F, theorem5_class
+from sqtaut.pointed import pushed_chern
+from sqtaut.relations import prop8_relation, rank_F, theorem5_class
 from sqtaut.rings import InputError
 from test_curve import pushed_product_prop8
 from test_kappa_lambda import lambda_monomial, newton_lambda_table, partitions

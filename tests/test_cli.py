@@ -19,8 +19,8 @@ from sqtaut.conifold import conifold_F, conifold_N
 from sqtaut.jsonio import (emit_kl, emit_pointed, parse_kl, parse_kl_pretty,
                            parse_pointed, parse_rational)
 from sqtaut.kappa_lambda import kappa_class, lambda_class, lambda_to_kappa
-from sqtaut.pointed import chern_F, pc_mul, pc_psihat, theorem5_class
-from sqtaut.curve import prop8_relation
+from sqtaut.pointed import chern_F, pc_mul, pc_psihat
+from sqtaut.relations import prop8_relation, theorem5_class
 from sqtaut.pairing import CertificateError
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -10,7 +10,6 @@ from math import comb
 import pytest
 
 from sqtaut.curve import (
-    _meeting_series,
     OMEGA,
     SIGMA,
     CurveClass,
@@ -22,7 +21,6 @@ from sqtaut.curve import (
     cc_sigma,
     cc_zero,
     pi_push,
-    prop8_relation,
 )
 from sqtaut.kappa_lambda import kappa_class, kl_scalar, lambda_to_kappa
 from sqtaut.pointed import (
@@ -35,9 +33,8 @@ from sqtaut.pointed import (
     pc_one,
     pc_psihat,
     pc_zero,
-    rank_F,
-    theorem5_class,
 )
+from sqtaut.relations import _meeting_series, prop8_relation, rank_F, theorem5_class
 from sqtaut.rings import InputError
 
 
@@ -182,12 +179,12 @@ def test_prop8_sum_identity():
 
 
 def literal_prop8(g, d, a, b, c):
-    """The two-term formula of the curve module docstring, as written."""
+    """The two-term formula of the relations module docstring, as written."""
     r = rank_F(g, d)
     N = g - d - 2 + a + b + c
     top = max(r + c, N)
     cF = chern_F(g, d, top)
-    c_minus = pc_zero(g, d, top)
+    c_minus = pc_zero(g, d).truncate(top)
     for k in range(top + 1):
         c_minus = c_minus + cF.degree_part(k).scale((-1) ** k)
     s = cc_sections_sum(g, d)
@@ -222,7 +219,7 @@ def single_block_sum(g, d, j, b):
 
 
 def test_section_power_pushforward_is_single_block_sum():
-    # step 1 of the curve module docstring: pi_*(s^j omega^b)
+    # Prop. 8 step 1 of the relations module docstring: pi_*(s^j omega^b)
     for g, d in ((3, 1), (4, 2), (4, 3), (5, 4)):
         s = cc_sections_sum(g, d)
         w = cc_omega(g, d)

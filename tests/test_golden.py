@@ -59,6 +59,13 @@ CASES = (
      P8 + ["-g", "7", "-d", "3", "-a", "1", "-b", "1", "-c", "3", "--json"], None),
     ("p8-9-5-2-2-3-json",
      P8 + ["-g", "9", "-d", "5", "-a", "2", "-b", "2", "-c", "3", "--json"], None),
+    ("t5-14-5-4-ko-json",
+     T5 + ["-g", "14", "-d", "5", "-k", "4", "--kappa-only", "--json"], None),
+    ("t5-12-4-3", T5 + ["-g", "12", "-d", "4", "-k", "3"], None),
+    ("p8-10-4-2-1-3-ko",
+     P8 + ["-g", "10", "-d", "4", "-a", "2", "-b", "1", "-c", "3", "--kappa-only"], None),
+    ("p8-12-5-3-0-2-json",
+     P8 + ["-g", "12", "-d", "5", "-a", "3", "-b", "0", "-c", "2", "--json"], None),
     ("relation-bad", T5 + ["-g", "1", "-d", "1", "-k", "1"], None),
     ("chern-5-2-2-json", ["chern-f", "-g", "5", "-d", "2", "--degree", "2", "--json"], None),
     ("chern-5-2-2", ["chern-f", "-g", "5", "-d", "2", "--degree", "2"], None),

@@ -27,7 +27,8 @@ from sqtaut.kappa_lambda import (
     lambda_class,
     lambda_to_kappa,
 )
-from sqtaut.pointed import chern_F, theorem5_class
+from sqtaut.pointed import chern_F
+from sqtaut.relations import theorem5_class
 from sqtaut.rings import InputError
 
 

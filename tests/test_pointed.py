@@ -1,6 +1,7 @@
 """Canonical-form rewriting, obstruction Chern classes, pushforwards, and
 the even-shift relation generator."""
 
+import ast
 import itertools
 import os
 import random
@@ -27,7 +28,6 @@ from sqtaut.kappa_lambda import (
 )
 from sqtaut.pointed import (
     BlockMonomial,
-    _block_series,
     _chern_F_cached,
     _merge_monomials,
     PointedClass,
@@ -45,10 +45,9 @@ from sqtaut.pointed import (
     pc_zero,
     psihat_monomial,
     pushed_chern,
-    rank_F,
-    theorem5_class,
     unit_monomial,
 )
+from sqtaut.relations import _block_series, rank_F, theorem5_class
 from sqtaut.rings import DomainError, InputError, check_set_partition, series_mul
 
 
@@ -61,13 +60,11 @@ def chern_B(genus: int, d: int, maxdeg: int) -> PointedClass:
         raise InputError("d must be >= 1")
     if maxdeg < 0:
         raise InputError("negative truncation degree")
-    out = pc_one(genus, d, maxdeg)
+    out = pc_one(genus, d).truncate(maxdeg)
     for i in range(1, d + 1):
         factor = (
-            pc_one(genus, d, maxdeg)
-            + pc_delta(genus, d, i, maxdeg)
-            - pc_psihat(genus, d, i, trunc=maxdeg)
-        )
+            pc_one(genus, d) + pc_delta(genus, d, i) - pc_psihat(genus, d, i)
+        ).truncate(maxdeg)
         out = out * factor
     return out
 
@@ -76,7 +73,7 @@ def pc_inverse(p: PointedClass, maxdeg: int) -> PointedClass:
     """Inverse modulo degree > maxdeg; requires unit constant part."""
     if maxdeg < 0:
         raise InputError("negative truncation degree")
-    one = pc_one(p.genus, p.d, maxdeg)
+    one = pc_one(p.genus, p.d).truncate(maxdeg)
     if p.degree_part(0) != pc_one(p.genus, p.d):
         raise DomainError("pc_inverse requires constant part 1")
     n = (p.truncate(maxdeg) - one)
@@ -234,16 +231,16 @@ def test_chern_B_small():
     g = 4
     cb = chern_B(g, 2, 1)
     expect = (
-        pc_one(g, 2, 1)
-        - pc_psihat(g, 2, 1, trunc=1)
-        - pc_psihat(g, 2, 2, trunc=1)
-        + pc_diagonal(g, 2, (1, 2), trunc=1)
-    )
+        pc_one(g, 2)
+        - pc_psihat(g, 2, 1)
+        - pc_psihat(g, 2, 2)
+        + pc_diagonal(g, 2, (1, 2))
+    ).truncate(1)
     assert cb.degree_part(0) == pc_one(g, 2)
     assert cb.degree_part(1) == expect.degree_part(1)
     assert chern_B(g, 1, 3) == (
-        pc_one(g, 1, 3) - pc_psihat(g, 1, 1, trunc=3)
-    )
+        pc_one(g, 1) - pc_psihat(g, 1, 1)
+    ).truncate(3)
 
 
 def test_chern_F_degree_one_parts():
@@ -267,14 +264,14 @@ def test_chern_F_against_geometric_series_oracle():
     g = 5
     N = 4
     d = 2
-    geom1 = pc_zero(g, d, N)
-    geom2 = pc_zero(g, d, N)
-    x1 = pc_psihat(g, d, 1, trunc=N)
-    x2 = pc_psihat(g, d, 2, trunc=N) - pc_delta(g, d, 2, N)
+    geom1 = pc_zero(g, d).truncate(N)
+    geom2 = pc_zero(g, d).truncate(N)
+    x1 = pc_psihat(g, d, 1).truncate(N)
+    x2 = (pc_psihat(g, d, 2) - pc_delta(g, d, 2)).truncate(N)
     for j in range(N + 1):
         geom1 = geom1 + x1 ** j
         geom2 = geom2 + x2 ** j
-    oracle = pc_from_kl(g, d, chern_E_dual(g, N), N) * geom1 * geom2
+    oracle = pc_from_kl(g, d, chern_E_dual(g, N)).truncate(N) * geom1 * geom2
     assert chern_F(g, d, N) == oracle
 
 
@@ -283,8 +280,8 @@ def test_chern_F_times_chern_B_is_dual_hodge():
              for N in range(7)]
     for g, d, N in cases + [(7, 5, 4), (20, 12, 2)]:
         prod = chern_F(g, d, N) * chern_B(g, d, N)
-        assert prod == pc_from_kl(g, d, chern_E_dual(g, N), N), (g, d, N)
-    assert chern_F(5, 0, 3) == pc_from_kl(5, 0, chern_E_dual(5, 3), 3)
+        assert prod == pc_from_kl(g, d, chern_E_dual(g, N)).truncate(N), (g, d, N)
+    assert chern_F(5, 0, 3) == pc_from_kl(5, 0, chern_E_dual(5, 3)).truncate(3)
     start = time.perf_counter()
     _chern_F_cached.__wrapped__(20, 12, 2)  # bypass the cache
     assert time.perf_counter() - start < 1.0
@@ -312,6 +309,25 @@ def test_epsilon_push_degree_drop():
         if pushed.is_zero:
             continue
         assert pushed.homogeneous_degrees() == [mono.degree - d]
+
+
+def test_epsilon_push_of_a_capped_class_keeps_every_valid_term():
+    # the push lowers degree by exactly d, so a class capped at M pushes to
+    # the sum of its pushed degree parts, capped at M - d
+    for g, d, M in ((8, 2, 6), (6, 3, 5), (5, 1, 4), (7, 4, 6)):
+        c = chern_F(g, d, M)
+        whole = epsilon_push(c)
+        parts = sum((epsilon_push(c.degree_part(k)) for k in range(M + 1)), kl_zero(g))
+        assert whole == parts, (g, d, M)
+        assert whole.cap == M - d
+    assert len(epsilon_push(chern_F(8, 2, 6)).coeffs) == 22
+    g = 5
+    mixed = (pc_psihat(g, 1, 1, 8) + pc_psihat(g, 1, 1, 2)).truncate(10)
+    assert epsilon_push(mixed) == kappa_class(g, 1) + kappa_class(g, 7)
+    # a coefficient's own cap counts from the degree of the pushed monomial
+    capped = pc_monomial(g, 1, psihat_monomial(1, 1, 3), kl_one(g).truncate(0))
+    assert epsilon_push(capped) == kappa_class(g, 2)
+    assert epsilon_push(capped).cap == 2
 
 
 def test_pushforward_of_mixed_psihat_diagonal_powers():
@@ -395,12 +411,10 @@ def test_rank_and_parameter_validation():
 
 def test_truncation_total_degree():
     g = 3
-    p = pc_monomial(g, 2, mono_with(2, {(1,): 1}), kappa_class(g, 2),
-                    trunc=2)
+    p = pc_monomial(g, 2, mono_with(2, {(1,): 1}), kappa_class(g, 2)).truncate(2)
     # monomial degree 1 + coefficient degree 2 exceeds the cap
     assert p.is_zero
-    q = pc_monomial(g, 2, mono_with(2, {(1,): 1}), kappa_class(g, 1),
-                    trunc=2)
+    q = pc_monomial(g, 2, mono_with(2, {(1,): 1}), kappa_class(g, 1)).truncate(2)
     assert not q.is_zero
 
 
@@ -584,8 +598,7 @@ def test_relation_recursion_depth_does_not_grow_with_d():
     # caches cold
     script = (
         "import sys\n"
-        "from sqtaut.curve import prop8_relation\n"
-        "from sqtaut.pointed import _block_series, theorem5_class\n"
+        "from sqtaut.relations import _block_series, prop8_relation, theorem5_class\n"
         "sys.setrecursionlimit(100)\n"
         "assert len(_block_series(200, 3)) == 4\n"
         "assert theorem5_class(2, 150, 150).homogeneous_degrees() == [1]\n"
@@ -619,3 +632,31 @@ def test_theorem5_below_degree_zero_is_zero():
     # Chern degree 2 on 3 light points pushes below degree 0
     assert theorem5_class(4, 3, 1) == kl_zero(4)
     assert pushed_chern(4, 3, 2) == kl_zero(4)
+
+
+def test_relation_series_live_in_relations():
+    # one series engine: `relations` reads only the ring layers, `curve`
+    # imports no private name, and no other module defines a series helper
+    package = os.path.dirname(sqtaut.__file__)
+    trees = {}
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+
+    def imports(module):
+        return [node for node in ast.walk(trees[module])
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+    local = {node.module for node in imports("relations")
+             if isinstance(node, ast.ImportFrom) and node.level}
+    assert local == {"rings", "kappa_lambda"}
+    assert not any(alias.name.startswith("sqtaut") for node in imports("relations")
+                   if isinstance(node, ast.Import) for alias in node.names)
+    assert not [alias.name for node in imports("curve") for alias in node.names
+                if alias.name.startswith("_")]
+    for helper in ("_block_series", "_pushed_partition", "_meeting_series"):
+        homes = [module for module, tree in trees.items()
+                 if any(isinstance(node, ast.FunctionDef) and node.name == helper
+                        for node in ast.walk(tree))]
+        assert homes == ["relations"], helper

@@ -17,7 +17,6 @@ from typing import Mapping
 
 import pytest
 
-from sqtaut.curve import prop8_relation
 from sqtaut.jsonio import (
     SCHEMA,
     emit_kl,
@@ -27,7 +26,8 @@ from sqtaut.jsonio import (
     parse_pointed,
 )
 from sqtaut.kappa_lambda import KAPPA, LAMBDA, kl_one, kl_scalar, kl_zero
-from sqtaut.pointed import BlockMonomial, PointedClass, chern_F, theorem5_class
+from sqtaut.pointed import BlockMonomial, PointedClass, chern_F
+from sqtaut.relations import prop8_relation, theorem5_class
 from sqtaut.rings import GENERATOR_NAMES, GradedPoly, InputError, SparseSum, accumulate
 
 
