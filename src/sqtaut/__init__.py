@@ -42,7 +42,6 @@ from .pairing import (
     Certificate,
     CertificateError,
     ChainStratum,
-    PairSpec,
     PairingMatrix,
     enumerate_P,
     pairing_entry,
@@ -93,7 +92,6 @@ __all__ = [
     "InputError",
     "KLPoly",
     "LocalSeries",
-    "PairSpec",
     "PairingMatrix",
     "PointedClass",
     "Rational",

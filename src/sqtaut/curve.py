@@ -100,7 +100,8 @@ class CurveClass(SparseSum):
         """Multiply by a pulled-back PointedClass, kappa/lambda class, or scalar."""
         if not isinstance(factor, self._SCALARS):
             raise InputError(f"cannot scale by {type(factor).__name__}")
-        return self._new({key: c * factor for key, c in self.terms.items()}, self.cap)
+        cap = combine_caps(self.cap, getattr(factor, "cap", None))
+        return self._new({key: c * factor for key, c in self.terms.items()}, cap)
 
     def _mul(self, other: "CurveClass") -> "CurveClass":
         return cc_mul(self, other)

@@ -186,8 +186,7 @@ def parse_kl(payload: Mapping) -> KLPoly:
 
 def emit_pointed(p: PointedClass) -> dict:
     terms = []
-    for mono in sorted(p.terms, key=lambda m: (m.degree, m.blocks, m.exps)):
-        coeff = p.terms[mono]
+    for mono, coeff in p.ordered_terms():
         for kl_mono, q in coeff.terms():
             terms.append(
                 {

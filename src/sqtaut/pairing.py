@@ -1,12 +1,13 @@
 """Pairing of diagonal/psihat monomial classes against boundary chain
 strata in genus zero, with the block-triangular rank certificate.
 
-For d light points and degree k, the candidate basis X[P, tau] is indexed
-by pairs of a set partition P of {1..d} into l parts (l >= d-k, parts
-ordered by least element) and an exponent tuple tau of length l with
-sum(tau) = k - d + l.  The monomial is prod_i psihat_{P_i}^{tau_i} D_{P_i}
-on the space with two heavy points, extended here to m = 4 + k - d + 2l
-heavy points.
+For d light points and degree k, the rows and the columns of the matrix
+are both indexed by the block monomials of `pointed` of degree k: a set
+partition P of {1..d} into l blocks (l >= d-k, blocks ordered by least
+element) with an exponent tuple tau of length l, sum(tau) = k - d + l.
+Row [P, tau] is the monomial X[P, tau] = prod_i psihat_{P_i}^{tau_i}
+D_{P_i} on the space with two heavy points, extended here to
+m = 4 + k - d + 2l heavy points.
 
 The paired functional Y[P', tau'] integrates against a chain stratum: a
 curve with components R_0 - R_1 - ... - R_{l'} - R_{l'+1} in a chain,
@@ -48,11 +49,11 @@ from functools import lru_cache
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
+from .pointed import BlockMonomial
 from .rings import (
     DomainError,
     Frozen,
     InputError,
-    check_set_partition,
     iter_weak_compositions,
     set_partitions,
     setfield,
@@ -65,88 +66,45 @@ UNEVALUATED = "unevaluated"
 REASON_TOO_FEW_BLOCKS = "fewer diagonal blocks than interior components"
 REASON_SUPPORT_MISMATCH = "diagonal supports miss the stratum's light blocks"
 
+MAX_DK = 5  # the largest d and k that rank_certificate accepts
+
 
 class CertificateError(Exception):
     """A pairing matrix failed its structural rank certificate."""
 
 
-class PairSpec(Frozen):
-    """Index [P, tau]: a set partition with per-part exponents."""
-
-    _fields = ("d", "k", "partition", "tau")
-
-    def __init__(self, d: int, k: int, partition: tuple, tau: tuple) -> None:
-        if d < 1 or k < 0:
-            raise InputError("need d >= 1 and k >= 0")
-        check_set_partition(partition, tau, d, "part")
-        l = len(partition)
-        if l < d - k:
-            raise InputError("too few parts for this degree")
-        if sum(tau) != k - d + l:
-            raise InputError("exponents must sum to k - d + #parts")
-        setfield(self, "d", d)
-        setfield(self, "k", k)
-        setfield(self, "partition", partition)
-        setfield(self, "tau", tau)
-
-    @property
-    def length(self) -> int:
-        return len(self.partition)
-
-    def __str__(self) -> str:
-        parts = ",".join("{" + ",".join(map(str, p)) + "}" for p in self.partition)
-        return f"[({parts}); tau={self.tau}]"
-
-
 class ChainStratum(Frozen):
-    """The chain-of-components stratum paired against a PairSpec.
+    """The chain-of-components stratum of the column indexed by `monomial`.
 
     `heavy_labels` and `light_blocks` hold one tuple per component
-    0..length+1; `psi_labels` the least heavy label of each interior one.
+    0..l+1, l the number of blocks; `psi_labels` the least heavy label of
+    each interior one.
     """
 
-    _fields = ("d", "k", "partition", "tau", "heavy_labels", "light_blocks",
-               "psi_labels")
+    _fields = ("monomial", "heavy_labels", "light_blocks", "psi_labels")
 
-    def __init__(self, d: int, k: int, partition: tuple, tau: tuple,
-                 heavy_labels: tuple, light_blocks: tuple, psi_labels: tuple) -> None:
-        setfield(self, "d", d)
-        setfield(self, "k", k)
-        setfield(self, "partition", partition)
-        setfield(self, "tau", tau)
+    def __init__(self, monomial: BlockMonomial, heavy_labels: tuple,
+                 light_blocks: tuple, psi_labels: tuple) -> None:
+        setfield(self, "monomial", monomial)
         setfield(self, "heavy_labels", heavy_labels)
         setfield(self, "light_blocks", light_blocks)
         setfield(self, "psi_labels", psi_labels)
 
     @classmethod
-    def from_spec(cls, spec: PairSpec) -> "ChainStratum":
-        l = spec.length
+    def from_spec(cls, mono: BlockMonomial) -> "ChainStratum":
         heavy = [(1, 2)]
         light = [()]
         psi = []
         next_label = 3
-        for i in range(l):
-            count = spec.tau[i] + 1
-            labels = tuple(range(next_label, next_label + count))
-            next_label += count
+        for block, t in zip(mono.blocks, mono.exps):
+            labels = tuple(range(next_label, next_label + t + 1))
+            next_label += t + 1
             heavy.append(labels)
-            light.append(spec.partition[i])
+            light.append(block)
             psi.append(labels[0])
         heavy.append((next_label, next_label + 1))
         light.append(())
-        return cls(
-            spec.d,
-            spec.k,
-            spec.partition,
-            spec.tau,
-            tuple(heavy),
-            tuple(light),
-            tuple(psi),
-        )
-
-    @property
-    def length(self) -> int:
-        return len(self.partition)
+        return cls(mono, tuple(heavy), tuple(light), tuple(psi))
 
     @property
     def heavy_count(self) -> int:
@@ -156,10 +114,8 @@ class ChainStratum(Frozen):
     @property
     def dimension(self) -> int:
         """dim of the ambient space minus one node per component join."""
-        return (self.heavy_count + self.d - 3) - (self.length + 1)
-
-    def spec(self) -> PairSpec:
-        return PairSpec(self.d, self.k, self.partition, self.tau)
+        mono = self.monomial
+        return (self.heavy_count + mono.d - 3) - (len(mono.blocks) + 1)
 
 
 class PairingEntry(Frozen):
@@ -176,15 +132,17 @@ class PairingEntry(Frozen):
 
 
 def enumerate_P(d: int, k: int) -> list:
-    """All PairSpec indices for (d, k), partition length descending, then
-    lexicographic in (partition, tau)."""
+    """The block monomials of degree k on d light points, the index of both
+    rows and columns: number of blocks descending, then lexicographic in
+    (blocks, exps)."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
     out = []
-    for partition in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p)):
-        l = len(partition)
-        for tau in iter_weak_compositions(k - d + l, l):
-            out.append(PairSpec(d, k, partition, tau))
+    # l blocks have degree d - l before their exponents
+    for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p)):
+        l = len(blocks)
+        for exps in iter_weak_compositions(k - d + l, l):
+            out.append(BlockMonomial._trusted(d, blocks, exps))
     return out
 
 
@@ -207,19 +165,20 @@ def _component_integral(t: int, tp: int) -> int:
     return value.numerator
 
 
-def pairing_entry(row: PairSpec, col: ChainStratum) -> PairingEntry:
-    """Evaluate the pairing of a monomial row against a stratum column."""
-    if row.d != col.d or row.k != col.k:
+def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
+    """Evaluate the pairing of the monomial `row` against the chain stratum
+    of the monomial `col`."""
+    if row.d != col.d or row.degree != col.degree:
         raise InputError("row and column have mismatched (d, k)")
-    l, lp = len(row.partition), len(col.partition)
+    l, lp = len(row.blocks), len(col.blocks)
     if l < lp:
         return _TOO_FEW_BLOCKS
     if l > lp:
         return _UNEVALUATED
-    if row.partition != col.partition:
+    if row.blocks != col.blocks:
         return _SUPPORT_MISMATCH
     value = 1
-    for t, tp in zip(row.tau, col.tau):
+    for t, tp in zip(row.exps, col.exps):
         value *= _component_integral(t, tp)
         if not value:
             return _COMPUTED_ZERO
@@ -262,7 +221,8 @@ class Certificate(Frozen):
 
 
 class PairingMatrix:
-    """Rows: PairSpec monomials; columns: chain strata of the same indices.
+    """Rows and columns: the block monomials `specs` of `enumerate_P`;
+    column j is the chain stratum of `specs[j]`.
 
     Entries are computed on demand (the full matrix for d = k = 5 has
     ~600k cells); `entry(i, j)` and `entries()` expose them.  Invariants:
@@ -274,14 +234,13 @@ class PairingMatrix:
         self.d = d
         self.k = k
         self.specs = enumerate_P(d, k)
-        self.strata = [ChainStratum.from_spec(s) for s in self.specs]
 
     @property
     def size(self) -> int:
         return len(self.specs)
 
     def entry(self, i: int, j: int) -> PairingEntry:
-        return pairing_entry(self.specs[i], self.strata[j])
+        return pairing_entry(self.specs[i], self.specs[j])
 
     def entries(self) -> Iterator[tuple]:
         for i in range(self.size):
@@ -289,33 +248,32 @@ class PairingMatrix:
                 yield i, j, self.entry(i, j)
 
 
-def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
+def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank.
 
     Raises CertificateError if any diagonal entry vanishes or an
     equal-length off-diagonal entry is nonzero.
     """
-    if d > bound or k > bound:
-        raise InputError(f"d and k must be <= {bound}")
+    if d > MAX_DK or k > MAX_DK:
+        raise InputError(f"d and k must be <= {MAX_DK}")
     matrix = PairingMatrix(d, k)
     specs = matrix.specs
-    strata = matrix.strata
     by_length: dict = {}
     for idx, s in enumerate(specs):
-        by_length.setdefault(s.length, []).append(idx)
+        by_length.setdefault(len(s.blocks), []).append(idx)
     blocks = []
     zero_pairs = 0
     uneval_pairs = 0
     lengths = sorted(by_length, reverse=True)
     for li, l in enumerate(lengths):
         rows = by_length[l]
-        columns = [strata[j] for j in rows]
+        columns = [specs[j] for j in rows]
         diag = []
         off_checked = 0
         for i in rows:
             spec = specs[i]
-            for j, stratum in zip(rows, columns):
-                e = pairing_entry(spec, stratum)
+            for j, col in zip(rows, columns):
+                e = pairing_entry(spec, col)
                 if i == j:
                     if e.status != COMPUTED:
                         raise CertificateError(
@@ -326,7 +284,7 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
                             f"diagonal entry {i} is {e.value}, expected positive"
                         )
                     expected = 1
-                    for t in spec.tau:
+                    for t in spec.exps:
                         expected *= t + 1
                     if e.value != expected:
                         raise CertificateError(
@@ -351,8 +309,8 @@ def rank_certificate(d: int, k: int, bound: int = 5) -> Certificate:
         for shorter in lengths[li + 1:]:
             for i in by_length[shorter]:
                 spec = specs[i]
-                for j, stratum in zip(rows, columns):
-                    if pairing_entry(spec, stratum).status != PROVEN_ZERO:
+                for j, col in zip(rows, columns):
+                    if pairing_entry(spec, col).status != PROVEN_ZERO:
                         raise CertificateError(
                             f"entry ({i},{j}) should be proven zero"
                         )

@@ -89,6 +89,7 @@ class BlockMonomial(Frozen):
     Blocks are tuples of strictly increasing labels, ordered by least
     element; together they cover {1..d} exactly.  The constructor checks
     this; `_trusted` skips the check for monomials built from valid ones.
+    `degree`, the codimension, is stored once, at construction.
     """
 
     _fields = ("d", "blocks", "exps")
@@ -96,19 +97,22 @@ class BlockMonomial(Frozen):
     def __init__(self, d: int, blocks: tuple, exps: tuple) -> None:
         if d < 0:
             raise InputError("d must be >= 0")
-        check_set_partition(blocks, exps, d, "block")
-        setfield(self, "d", d)
-        setfield(self, "blocks", blocks)
-        setfield(self, "exps", exps)
+        check_set_partition(blocks, exps, d)
+        self._set(d, blocks, exps)
 
     @classmethod
     def _trusted(cls, d: int, blocks: tuple, exps: tuple) -> "BlockMonomial":
         """A monomial whose canonical form the caller guarantees."""
         mono = object.__new__(cls)
-        setfield(mono, "d", d)
-        setfield(mono, "blocks", blocks)
-        setfield(mono, "exps", exps)
+        mono._set(d, blocks, exps)
         return mono
+
+    def _set(self, d: int, blocks: tuple, exps: tuple) -> None:
+        setfield(self, "d", d)
+        setfield(self, "blocks", blocks)
+        setfield(self, "exps", exps)
+        # the blocks cover d labels, and a block of size s adds s - 1
+        setfield(self, "degree", sum(exps) + d - len(blocks))
 
     # written out, not Frozen's generic pair: monomials key every class
     # table, and these run at the speed of a frozen dataclass's
@@ -119,10 +123,6 @@ class BlockMonomial(Frozen):
 
     def __hash__(self):
         return hash((self.d, self.blocks, self.exps))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps) + sum(len(b) - 1 for b in self.blocks)
 
     def relabel(self, perm: Mapping[int, int]) -> "BlockMonomial":
         pairs = sorted(
@@ -223,6 +223,12 @@ class PointedClass(SparseSum):
                 out.add(mono.degree + k)
         return sorted(out)
 
+    def ordered_terms(self) -> list:
+        """Terms in canonical order: monomial degree, then blocks, then
+        exponents."""
+        return sorted(self.terms.items(),
+                      key=lambda mc: (mc[0].degree, mc[0].blocks, mc[0].exps))
+
     def degree_part(self, k: int) -> "PointedClass":
         parts = {mono: coeff.degree_part(k - mono.degree)
                  for mono, coeff in self.terms.items()}
@@ -247,26 +253,22 @@ class PointedClass(SparseSum):
             factor = kl_scalar(self.genus, factor)
         if genus_of(factor) != self.genus:
             raise InputError("coefficient has wrong genus")
+        cap = combine_caps(self.cap, factor.cap)
         out = {}
         for mono, coeff in self.terms.items():
-            cap = None if self.cap is None else self.cap - mono.degree
-            out[mono] = poly_mul(coeff, factor, cap)
-        return PointedClass(self.genus, self.d, out, self.cap)
+            out[mono] = poly_mul(coeff, factor, None if cap is None else cap - mono.degree)
+        return PointedClass(self.genus, self.d, out, cap)
 
     def _mul(self, other: "PointedClass") -> "PointedClass":
         return pc_mul(self, other)
 
     def __str__(self) -> str:
-        def term(mono):  # a coefficient of several terms is parenthesized
-            coeff = self.terms[mono]
+        def term(mono, coeff):  # a coefficient of several terms is parenthesized
             if len(coeff.coeffs) > 1:
                 return [f"({coeff})", *mono.factor_texts()], 1
             [(m, q)] = coeff.coeffs.items()
             return [*_factor_texts(m), *mono.factor_texts()], q
-        return _format_terms(
-            term(mono)
-            for mono in sorted(self.terms, key=lambda m: (m.degree, m.blocks, m.exps))
-        )
+        return _format_terms(term(mono, coeff) for mono, coeff in self.ordered_terms())
 
 
 # -- constructors --------------------------------------------------------

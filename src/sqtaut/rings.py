@@ -475,12 +475,12 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_all(max(32, 1 << (n - 1).bit_length()))[n]
 
 
-def check_set_partition(blocks, exps, d: int, noun: str) -> None:
+def check_set_partition(blocks, exps, d: int) -> None:
     """Raise InputError unless `blocks` are nonempty tuples of strictly
     increasing labels, ordered by least element, covering {1..d} exactly,
     and `exps` holds one nonnegative integer exponent per block."""
     if len(exps) != len(blocks):
-        raise InputError(f"one exponent per {noun} required")
+        raise InputError("one exponent per block required")
     for exp in exps:
         if not isinstance(exp, int) or exp < 0:
             raise InputError(f"bad exponent {exp!r}")
@@ -488,14 +488,14 @@ def check_set_partition(blocks, exps, d: int, noun: str) -> None:
     last_min = 0
     for block in blocks:
         if not block or list(block) != sorted(set(block)):
-            raise InputError(f"bad {noun} {block!r}")
+            raise InputError(f"bad block {block!r}")
         if block[0] <= last_min:
-            raise InputError(f"{noun}s must be ordered by least element")
+            raise InputError("blocks must be ordered by least element")
         last_min = block[0]
         seen.extend(block)
     # the count goes first so that a huge d never reaches range()
     if len(seen) != d or sorted(seen) != list(range(1, d + 1)):
-        raise InputError(f"{noun}s must partition {{1..d}}")
+        raise InputError("blocks must partition {1..d}")
 
 
 def set_partitions(d: int, min_parts: int = 1) -> Iterator[tuple]:

@@ -22,7 +22,7 @@ from sqtaut.curve import (
     cc_zero,
     pi_push,
 )
-from sqtaut.kappa_lambda import kappa_class, kl_scalar, lambda_to_kappa
+from sqtaut.kappa_lambda import chern_E_dual, kappa_class, kl_scalar, lambda_to_kappa
 from sqtaut.pointed import (
     BlockMonomial,
     chern_F,
@@ -323,3 +323,12 @@ def test_curve_class_leaves_caller_tables_alone():
     assert x == cc_scalar(G, D, 1) + cc_sigma(G, D, 3) * cc_pullback(pc_psihat(G, D, 1))
     with pytest.raises(TypeError):
         x.terms[(OMEGA, 2)] = pc_one(G, D)
+
+
+def test_scale_keeps_the_cap_of_a_capped_factor():
+    # chern_E_dual(4, 1) = 1 - lambda_1 is trusted only through degree 1
+    c = cc_omega(4, 2) * cc_pullback(pc_psihat(4, 2, 1))
+    product = c * chern_E_dual(4, 1)
+    assert product.cap == 1
+    assert product == cc_omega(4, 2) * cc_pullback(pc_psihat(4, 2, 1))
+    assert product.terms[(OMEGA, 1)].cap == 1

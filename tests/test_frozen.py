@@ -21,7 +21,7 @@ from sqtaut.pairing import (
     PROVEN_ZERO,
     ChainStratum,
     PairingEntry,
-    PairSpec,
+    enumerate_P,
     rank_certificate,
 )
 from sqtaut.pointed import BlockMonomial, PointedClass, chern_F, unit_monomial
@@ -33,7 +33,7 @@ G = 4
 def values():
     """One value of every Frozen class, with the pairing cells that every
     structural or computed-zero cell shares."""
-    spec = PairSpec(2, 1, ((1,), (2,)), (0, 1))
+    spec = BlockMonomial(2, ((1,), (2,)), (0, 1))
     cert = rank_certificate(2, 1)
     check = verify.lookup("betti")
     return {
@@ -41,7 +41,6 @@ def values():
         "BlockMonomial": unit_monomial(2),
         "PointedClass": chern_F(G, 2, 2),
         "CurveClass": cc_omega(G, 2),
-        "PairSpec": spec,
         "ChainStratum": ChainStratum.from_spec(spec),
         "PairingEntry": PairingEntry(COMPUTED, value=Fraction(2)),
         "_COMPUTED_ZERO": pairing._COMPUTED_ZERO,
@@ -70,6 +69,15 @@ def test_fields_cannot_be_set_or_deleted(name):
     assert getattr(value, field) is before
 
 
+def test_stored_monomial_degree_cannot_be_set():
+    mono = BlockMonomial(3, ((1, 2), (3,)), (0, 1))
+    with pytest.raises(AttributeError):
+        mono.degree = 0
+    with pytest.raises(AttributeError):
+        del mono.degree
+    assert mono.degree == 2
+
+
 def test_shared_pairing_cells_stay_as_built():
     assert pairing._COMPUTED_ZERO == PairingEntry(COMPUTED, value=Fraction(0))
     assert pairing._TOO_FEW_BLOCKS == PairingEntry(
@@ -81,10 +89,9 @@ def test_shared_pairing_cells_stay_as_built():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: PairSpec(3, 2, ((1, 2), (3,)), (0, 1)),
     lambda: BlockMonomial(3, ((1, 2), (3,)), (0, 1)),
     lambda: PairingEntry(COMPUTED, value=Fraction(3, 2)),
-], ids=["PairSpec", "BlockMonomial", "PairingEntry"])
+], ids=["BlockMonomial", "PairingEntry"])
 def test_equal_records_compare_and_hash_equal(build):
     a, b = build(), build()
     assert a is not b
@@ -96,13 +103,14 @@ def test_equal_records_compare_and_hash_equal(build):
 
 
 def test_records_differ_in_any_field():
-    assert PairSpec(2, 1, ((1,), (2,)), (0, 1)) != PairSpec(2, 1, ((1,), (2,)), (1, 0))
     assert BlockMonomial(2, ((1, 2),), (0,)) != BlockMonomial(2, ((1, 2),), (1,))
     assert BlockMonomial._trusted(2, ((1, 2),), (1,)) == BlockMonomial(2, ((1, 2),), (1,))
     assert PairingEntry(COMPUTED, value=Fraction(0)) != PairingEntry(COMPUTED)
     assert PairingEntry(PROVEN_ZERO, reason="a") != PairingEntry(PROVEN_ZERO, reason="b")
-    spec = PairSpec(2, 1, ((1,), (2,)), (0, 1))
-    assert ChainStratum.from_spec(spec).spec() == spec
+    spec = BlockMonomial(2, ((1,), (2,)), (0, 1))
+    assert ChainStratum.from_spec(spec).monomial is spec
+    assert ChainStratum.from_spec(spec) != ChainStratum.from_spec(
+        BlockMonomial(2, ((1,), (2,)), (1, 0)))
 
 
 @pytest.mark.parametrize("name", ["GradedPoly", "PointedClass", "CurveClass"])
@@ -120,7 +128,10 @@ def test_keyword_construction_and_defaults():
     p = GradedPoly(G, table)
     assert p.cap is None and p == GradedPoly(genus=G, coeffs=table, cap=None)
     assert GradedPoly(G, table, 1) == GradedPoly(G, {(): 1})
-    assert PairSpec(d=2, k=1, partition=((1, 2),), tau=(0,)) == PairSpec(2, 1, ((1, 2),), (0,))
+    spec = BlockMonomial(2, ((1, 2),), (0,))
+    assert ChainStratum(monomial=spec, heavy_labels=((1, 2), (3,), (4, 5)),
+                        light_blocks=((), (1, 2), ()),
+                        psi_labels=(3,)) == ChainStratum.from_spec(spec)
     mono = BlockMonomial(d=2, blocks=((1,), (2,)), exps=(1, 0))
     assert mono == BlockMonomial(2, ((1,), (2,)), (1, 0))
     pc = PointedClass(genus=G, d=2, terms={mono: kl_one(G)})
@@ -135,12 +146,10 @@ def test_keyword_construction_and_defaults():
 
 
 @pytest.mark.parametrize("build,message", [
-    # the checks run in their order: d and k first, labels last
-    (lambda: PairSpec(0, -1, "not a partition", None), "need d >= 1 and k >= 0"),
-    (lambda: PairSpec(2, 1, ((1, 2),), (0, 0)), "one exponent per part required"),
-    (lambda: PairSpec(2, 1, ((2,), (1,)), (0, 1)), "parts must be ordered by least element"),
-    (lambda: PairSpec(3, 1, ((1, 2, 3),), (0,)), "too few parts for this degree"),
-    (lambda: PairSpec(2, 1, ((1,), (2,)), (0, 0)), "exponents must sum to k - d + #parts"),
+    # the checks run in their order: d first, labels last
+    (lambda: enumerate_P(0, -1), "need d >= 1 and k >= 0"),
+    (lambda: BlockMonomial(2, ((1, 2),), (0, 0)), "one exponent per block required"),
+    (lambda: BlockMonomial(2, ((2,), (1,)), (0, 1)), "blocks must be ordered by least element"),
     (lambda: BlockMonomial(-1, None, None), "d must be >= 0"),
     (lambda: BlockMonomial(2, ((1, 2),), (-1,)), "bad exponent -1"),
     (lambda: BlockMonomial(3, ((1, 2),), (0,)), "blocks must partition {1..d}"),

@@ -8,9 +8,14 @@ so `push`, `mult` and `lambda-to-kappa` consume outputs that are pinned
 themselves.  The corpus covers every command shown in README.md except the
 bare `verify-paper` and `verify-paper --json`, which run all eleven checks.
 
-To record the digests again after an intended output change:
+To record the digests of new cases:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It keeps every digest already in the file and runs only the cases the file
+lacks, with the earlier cases they read, so a re-record never accepts a
+changed output.  After an intended output change, delete the affected
+entries from the file first.
 """
 
 import contextlib
@@ -101,17 +106,29 @@ CASES = (
     ("pairing-2-1-json", ["pairing", "--d", "2", "--k", "1", "--json"], None),
     ("pairing-3-2", ["pairing", "--d", "3", "--k", "2"], None),
     ("pairing-5-3-json", ["pairing", "--d", "5", "--k", "3", "--json"], None),
+    ("pairing-4-4", ["pairing", "--d", "4", "--k", "4"], None),
+    ("pairing-5-5-json", ["pairing", "--d", "5", "--k", "5", "--json"], None),
     ("verify-genus6", ["verify-paper", "--only", "genus6"], None),
     ("verify-lemma4-json", ["verify-paper", "--only", "lemma4", "--json"], None),
 )
 
 
-def run_corpus() -> dict:
-    """Run every case in order; return {id: {"exit": code, "sha256": hex}}."""
+def run_corpus(wanted=None) -> dict:
+    """Run the cases named in `wanted` (default: every case) and the earlier
+    cases whose stdout they read, in order; return {id: {"exit": code,
+    "sha256": hex}} for each case run."""
+    needed = {case_id for case_id, _, _ in CASES} if wanted is None else set(wanted)
+    for case_id, argv, stdin_from in reversed(CASES):
+        if case_id in needed:
+            needed.update(arg[1:] for arg in argv if arg.startswith("@"))
+            if stdin_from is not None:
+                needed.add(stdin_from)
     outputs: dict = {}
     results: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case_id, argv, stdin_from in CASES:
+            if case_id not in needed:
+                continue
             args = []
             for arg in argv:
                 if arg.startswith("@"):
@@ -147,5 +164,8 @@ def test_cli_output_matches_golden_corpus():
 
 
 if __name__ == "__main__":
+    known = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    got = run_corpus([case_id for case_id, _, _ in CASES if case_id not in known])
+    table = {case_id: known.get(case_id) or got[case_id] for case_id, _, _ in CASES}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(run_corpus(), indent=2) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")

@@ -16,12 +16,12 @@ from sqtaut.pairing import (
     ChainStratum,
     PairingEntry,
     PairingMatrix,
-    PairSpec,
     enumerate_P,
     pairing_entry,
     rank_certificate,
     set_partitions,
 )
+from sqtaut.pointed import BlockMonomial
 from sqtaut.rings import DomainError, InputError
 
 
@@ -67,13 +67,13 @@ def test_set_partitions_min_parts_keeps_order():
         for m in range(d + 2):
             assert list(set_partitions(d, m)) == [p for p in full if len(p) >= m]
     for d, k in ((4, 2), (5, 3)):
-        parts = [s.partition for s in enumerate_P(d, k)]
+        parts = [s.blocks for s in enumerate_P(d, k)]
         assert parts == sorted(parts, key=lambda p: (-len(p), p))
 
 
 def test_enumerate_d2_k1():
     specs = enumerate_P(2, 1)
-    assert [(s.partition, s.tau) for s in specs] == [
+    assert [(s.blocks, s.exps) for s in specs] == [
         (((1,), (2,)), (0, 1)),
         (((1,), (2,)), (1, 0)),
         (((1, 2),), (0,)),
@@ -81,12 +81,12 @@ def test_enumerate_d2_k1():
 
 
 def test_enumerate_edge_cases():
-    assert [(s.partition, s.tau) for s in enumerate_P(1, 0)] == [(((1,),), (0,))]
-    assert [(s.partition, s.tau) for s in enumerate_P(2, 0)] == [
+    assert [(s.blocks, s.exps) for s in enumerate_P(1, 0)] == [(((1,),), (0,))]
+    assert [(s.blocks, s.exps) for s in enumerate_P(2, 0)] == [
         (((1,), (2,)), (0, 0))
     ]
     # d=3, k=1: l >= 2 only
-    assert all(s.length >= 2 for s in enumerate_P(3, 1))
+    assert all(len(s.blocks) >= 2 for s in enumerate_P(3, 1))
 
 
 def test_count_matches_formula():
@@ -99,74 +99,85 @@ def test_enumeration_is_deterministic_and_length_descending():
     for d, k in ((3, 2), (4, 3), (5, 5)):
         specs = enumerate_P(d, k)
         assert specs == enumerate_P(d, k)
-        lengths = [s.length for s in specs]
+        lengths = [len(s.blocks) for s in specs]
         assert lengths == sorted(lengths, reverse=True)
 
 
+def test_enumerated_rows_are_the_validated_monomials_of_degree_k():
+    for d in range(1, 6):
+        for k in range(0, 6):
+            for row in enumerate_P(d, k):
+                valid = BlockMonomial(d, row.blocks, row.exps)
+                assert row == valid and row.degree == valid.degree == k, (d, k, row)
+
+
 def test_chain_stratum_shape():
-    spec = PairSpec(3, 2, ((1, 3), (2,)), (1, 0))
+    spec = BlockMonomial(3, ((1, 3), (2,)), (1, 0))
+    assert spec.degree == 2
     st = ChainStratum.from_spec(spec)
+    assert st.monomial is spec
     # m = 4 + k - d + 2l = 7 heavy labels
     assert st.heavy_count == 7
     assert st.heavy_labels == ((1, 2), (3, 4), (5,), (6, 7))
     assert st.light_blocks == ((), (1, 3), (2,), ())
     assert st.psi_labels == (3, 5)
-    assert st.dimension == spec.length + spec.k
+    assert st.dimension == len(spec.blocks) + spec.degree
 
 
 def test_stratum_dimension_formula():
     for d, k in ((2, 1), (3, 3), (5, 4)):
         for spec in enumerate_P(d, k):
             st = ChainStratum.from_spec(spec)
-            assert st.heavy_count == 4 + k - d + 2 * spec.length
-            assert st.dimension == spec.length + k
+            assert st.heavy_count == 4 + k - d + 2 * len(spec.blocks)
+            assert st.dimension == len(spec.blocks) + k
 
 
 def test_entry_rules():
     specs = enumerate_P(2, 1)
-    strata = [ChainStratum.from_spec(s) for s in specs]
     # shorter row against longer column: proven zero
-    e = pairing_entry(specs[2], strata[0])
+    e = pairing_entry(specs[2], specs[0])
     assert e.status == PROVEN_ZERO and e.reason
     # longer row against shorter column: unevaluated, never zero-claimed
-    e = pairing_entry(specs[0], strata[2])
+    e = pairing_entry(specs[0], specs[2])
     assert e.status == UNEVALUATED and e.value is None
     # equal length, equal partition, equal tau: product of (t_i + 1)
-    e = pairing_entry(specs[0], strata[0])
+    e = pairing_entry(specs[0], specs[0])
     assert e.status == COMPUTED and e.value == 2
-    e = pairing_entry(specs[1], strata[1])
+    e = pairing_entry(specs[1], specs[1])
     assert e.status == COMPUTED and e.value == 2
-    e = pairing_entry(specs[2], strata[2])
+    e = pairing_entry(specs[2], specs[2])
     assert e.status == COMPUTED and e.value == 1
     # equal length, different tau: computed zero
-    e = pairing_entry(specs[0], strata[1])
+    e = pairing_entry(specs[0], specs[1])
     assert e.status == COMPUTED and e.value == 0
 
 
 def test_entry_partition_mismatch():
     specs = enumerate_P(3, 2)
-    two_part = [s for s in specs if s.length == 2]
+    two_part = [s for s in specs if len(s.blocks) == 2]
     assert len(two_part) >= 4
     a = two_part[0]
-    b = next(s for s in two_part if s.partition != a.partition)
-    e = pairing_entry(a, ChainStratum.from_spec(b))
+    b = next(s for s in two_part if s.blocks != a.blocks)
+    e = pairing_entry(a, b)
     assert e.status == PROVEN_ZERO
 
 
 def test_entry_diagonal_values():
     for spec in enumerate_P(4, 3):
-        e = pairing_entry(spec, ChainStratum.from_spec(spec))
+        e = pairing_entry(spec, spec)
         expected = 1
-        for t in spec.tau:
+        for t in spec.exps:
             expected *= t + 1
         assert e.status == COMPUTED and e.value == expected
 
 
 def test_entry_requires_matching_indices():
     a = enumerate_P(2, 1)[0]
-    b = ChainStratum.from_spec(enumerate_P(2, 2)[0])
+    b = enumerate_P(2, 2)[0]
     with pytest.raises(InputError):
         pairing_entry(a, b)
+    with pytest.raises(InputError):
+        pairing_entry(a, enumerate_P(3, 1)[0])
 
 
 def test_matrix_small():
@@ -190,25 +201,24 @@ def test_certificates_spot_checks():
     assert c.full_rank and c.size == 1
 
 
-def test_certificate_bound():
-    with pytest.raises(InputError):
+def test_certificate_bound(monkeypatch):
+    with pytest.raises(InputError, match=r"^d and k must be <= 5$"):
         rank_certificate(6, 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^d and k must be <= 5$"):
         rank_certificate(2, 7)
-    assert rank_certificate(6, 1, bound=6).full_rank
+    monkeypatch.setattr(pairing, "MAX_DK", 6)
+    assert rank_certificate(6, 1).full_rank
 
 
-def test_pairspec_validation():
+def test_pairing_index_validation():
+    # the index is a validated block monomial; a degree that does not fit
+    # the blocks cannot be stated, since the degree is derived from them
     with pytest.raises(InputError):
-        PairSpec(2, 1, ((2,), (1,)), (0, 1))
+        BlockMonomial(2, ((2,), (1,)), (0, 1))
     with pytest.raises(InputError):
-        PairSpec(2, 1, ((1,), (2,)), (0, 0))  # wrong tau sum
+        BlockMonomial(2, ((1,),), (1,))
     with pytest.raises(InputError):
-        PairSpec(3, 1, ((1, 2, 3),), (0,))  # l < d - k
-    with pytest.raises(InputError):
-        PairSpec(2, 1, ((1,),), (1,))
-    with pytest.raises(InputError):
-        PairSpec(10 ** 12, 1, ((1,),), (0,))  # label count checked before range()
+        BlockMonomial(10 ** 12, ((1,),), (0,))  # label count checked before range()
 
 
 # -- count oracle: the certificate's shape follows from |P[d,k]| by length --
@@ -221,8 +231,9 @@ def rows_of_length(d, k, l):
 
 
 @pytest.mark.parametrize("d,k,bound", CERTIFIED)
-def test_certificate_counts_match_formula(d, k, bound):
-    cert = rank_certificate(d, k, bound=bound)
+def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
+    monkeypatch.setattr(pairing, "MAX_DK", bound)
+    cert = rank_certificate(d, k)
     lengths = [l for l in range(d, 0, -1) if rows_of_length(d, k, l)]
     n = {l: rows_of_length(d, k, l) for l in lengths}
     assert cert.full_rank and cert.size == sum(n.values())
@@ -239,7 +250,7 @@ def test_certificate_counts_match_formula(d, k, bound):
     assert cert.unevaluated_pairs == cross
     diagonal = [v for b in cert.blocks for v in b.diagonal]
     specs = enumerate_P(d, k)
-    assert diagonal == [prod(t + 1 for t in s.tau) for s in specs]
+    assert diagonal == [prod(t + 1 for t in s.exps) for s in specs]
     assert all(type(v) is Fraction for v in diagonal)
 
 
@@ -249,7 +260,7 @@ def test_certificate_evaluates_every_checked_cell(monkeypatch):
     for d, k in ((3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
         matrix = PairingMatrix(d, k)
         index = {id(x): i for i, x in enumerate(matrix.specs)}
-        index.update({id(x): j for j, x in enumerate(matrix.strata)})
+        assert len(index) == matrix.size
         seen = []
 
         def counting(row, col):
@@ -260,7 +271,7 @@ def test_certificate_evaluates_every_checked_cell(monkeypatch):
         monkeypatch.setattr(pairing, "pairing_entry", counting)
         cert = rank_certificate(d, k)
         monkeypatch.undo()
-        lengths = [s.length for s in matrix.specs]
+        lengths = [len(s.blocks) for s in matrix.specs]
         expected = {
             (i, j)
             for i in range(matrix.size)
@@ -294,36 +305,41 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
 def test_component_factor_must_be_an_integer(monkeypatch):
     pairing._component_integral.cache_clear()
     monkeypatch.setattr(pairing, "psi_integral_M0n", lambda a: Fraction(1, 2))
-    spec = PairSpec(1, 0, ((1,),), (0,))
+    spec = BlockMonomial(1, ((1,),), (0,))
     try:
         with pytest.raises(DomainError, match="not an integer"):
-            pairing_entry(spec, ChainStratum.from_spec(spec))
+            pairing_entry(spec, spec)
     finally:
         pairing._component_integral.cache_clear()
 
 
 # -- literal-seed oracle: pairing_entry written out cell by cell -------------
 
+def literal_degree(mono):
+    """Codimension of a block monomial, counted block by block."""
+    return sum(mono.exps) + sum(len(b) - 1 for b in mono.blocks)
+
+
 def literal_pairing_entry(row, col):
     """The entry rule written out directly: a new PairingEntry per cell and
     the product of the component integrals taken straight from
     psi_integral_M0n."""
-    if (row.d, row.k) != (col.d, col.k):
+    if (row.d, literal_degree(row)) != (col.d, literal_degree(col)):
         raise InputError("row and column have mismatched (d, k)")
-    l, lp = row.length, col.length
+    l, lp = len(row.blocks), len(col.blocks)
     if l < lp:
         return PairingEntry(
             "proven-zero", reason="fewer diagonal blocks than interior components"
         )
     if l > lp:
         return PairingEntry("unevaluated")
-    if row.partition != col.partition:
+    if row.blocks != col.blocks:
         return PairingEntry(
             "proven-zero", reason="diagonal supports miss the stratum's light blocks"
         )
     value = Fraction(1)
     for i in range(l):
-        value *= psi_integral_M0n([1, row.tau[i]] + [0] * (col.tau[i] + 2))
+        value *= psi_integral_M0n([1, row.exps[i]] + [0] * (col.exps[i] + 2))
         if value == 0:
             break
     return PairingEntry("computed", value=value)
@@ -338,7 +354,7 @@ LITERAL_GRIDS = [
 def test_entries_match_literal_rule(d, k):
     matrix = PairingMatrix(d, k)
     for row in matrix.specs:
-        for col in matrix.strata:
+        for col in matrix.specs:
             got = pairing_entry(row, col)
             want = literal_pairing_entry(row, col)
             assert (got.status, got.value, got.reason) == (

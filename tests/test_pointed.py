@@ -479,12 +479,13 @@ def test_trusted_monomials_are_canonical():
     for _ in range(500):
         d = rng.randint(1, 6)
         mono, _ = _merge_monomials(random_monomial(rng, d), random_monomial(rng, d))
-        check_set_partition(mono.blocks, mono.exps, d, "block")
-        assert mono == BlockMonomial(d, mono.blocks, mono.exps)
+        check_set_partition(mono.blocks, mono.exps, d)
+        valid = BlockMonomial(d, mono.blocks, mono.exps)
+        assert mono == valid and mono.degree == valid.degree
     keys = 0
     for g, d, N in itertools.product((2, 5), range(5), range(6)):
         for mono in chern_F(g, d, N).terms:
-            check_set_partition(mono.blocks, mono.exps, d, "block")
+            check_set_partition(mono.blocks, mono.exps, d)
             keys += 1
     assert keys > 1000
 
@@ -501,6 +502,19 @@ def test_capped_pc_mul_is_truncated_product():
             b = b + pc_monomial(g, d, random_monomial(rng, d), random_coeff(rng, g))
         cap = rng.randint(0, 6)
         assert pc_mul(a.truncate(cap), b) == (a * b).truncate(cap)
+
+
+def test_scale_keeps_the_cap_of_a_capped_factor():
+    # chern_E_dual(4, 1) = 1 - lambda_1 is trusted only through degree 1,
+    # so psihat_1 (degree 1) times it is psihat_1 through degree 1
+    product = pc_psihat(4, 2, 1) * chern_E_dual(4, 1)
+    assert product == pc_psihat(4, 2, 1) and product.cap == 1
+    # the same rule as the kappa/lambda product
+    assert (kappa_class(4, 2) * chern_E_dual(4, 1)).cap == 1
+    # with both operands capped, the smaller cap wins
+    capped = pc_psihat(4, 2, 1).truncate(3) * chern_E_dual(4, 2)
+    assert capped.cap == 2
+    assert capped == pc_psihat(4, 2, 1) * chern_E_dual(4, 1).truncate(None)
 
 
 def test_block_series_closed_forms():
