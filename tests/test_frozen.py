@@ -146,12 +146,12 @@ def test_keyword_construction_and_defaults():
 
 
 @pytest.mark.parametrize("build,message", [
-    # the checks run in their order: d first, labels last
     (lambda: enumerate_P(0, -1), "need d >= 1 and k >= 0"),
-    (lambda: BlockMonomial(2, ((1, 2),), (0, 0)), "one exponent per block required"),
-    (lambda: BlockMonomial(2, ((2,), (1,)), (0, 1)), "blocks must be ordered by least element"),
+    # the checks run in their order: d first, labels last
     (lambda: BlockMonomial(-1, None, None), "d must be >= 0"),
+    (lambda: BlockMonomial(2, ((1, 2),), (0, 0)), "one exponent per block required"),
     (lambda: BlockMonomial(2, ((1, 2),), (-1,)), "bad exponent -1"),
+    (lambda: BlockMonomial(2, ((2,), (1,)), (0, 1)), "blocks must be ordered by least element"),
     (lambda: BlockMonomial(3, ((1, 2),), (0,)), "blocks must partition {1..d}"),
     (lambda: LocalSeries(0, None, None), "max_genus must be >= 1"),
     (lambda: LocalSeries(2, (Fraction(1),), Fraction(1)), "need one coefficient per genus"),
