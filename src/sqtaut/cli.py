@@ -11,6 +11,8 @@ when a check fails and still writes its report).  `main` renders only the
 form that `--json` selects and writes it once, to stdout or `--output`, so
 an error leaves stdout empty.  Rationals are written with
 `rings.rational_text`, which Python's int-to-str digit limit does not bound.
+Each `cmd_*` imports the module it computes with, so that a run, which
+starts a fresh interpreter, compiles only the modules it uses.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  Output
 is deterministic for fixed arguments; `--json` switches every command
@@ -25,8 +27,6 @@ import json
 import os
 import sys
 
-from .conifold import conifold_F, conifold_N
-from .genus0 import intersect_M02d, poincare_Q02
 from .jsonio import (
     SCHEMA,
     emit_kl,
@@ -36,17 +36,7 @@ from .jsonio import (
     parse_kl,
     parse_pointed,
 )
-from .kappa_lambda import lambda_to_kappa
-from .pairing import (
-    COMPUTED,
-    PROVEN_ZERO,
-    CertificateError,
-    PairingMatrix,
-    rank_certificate,
-)
-from .pointed import chern_F, epsilon_push, pc_mul
-from .relations import prop8_relation, theorem5_class
-from .rings import InputError, format_series, rational_text
+from .rings import CertificateError, InputError, format_series, rational_text
 
 
 def _write_out(args, text: str) -> None:
@@ -74,6 +64,8 @@ def _load_payload(path: str) -> dict:
 # -- commands: each returns (text, payload[, exit code]) -------------------
 
 def cmd_relation(args):
+    from .kappa_lambda import lambda_to_kappa
+    from .relations import prop8_relation, theorem5_class
     g, d = args.genus, args.d
     if args.theorem5:
         if args.k is None or not (args.a is None and args.b is None and args.c is None):
@@ -100,16 +92,19 @@ def cmd_relation(args):
 
 
 def cmd_chern_f(args):
+    from .pointed import chern_F
     part = chern_F(args.genus, args.d, args.degree).degree_part(args.degree)
     return lambda: str(part), lambda: emit_pointed(part)
 
 
 def cmd_push(args):
+    from .pointed import epsilon_push
     pushed = epsilon_push(parse_pointed(_load_payload(args.file)))
     return lambda: str(pushed), lambda: emit_kl(pushed)
 
 
 def cmd_mult(args):
+    from .pointed import pc_mul
     a = parse_pointed(_load_payload(args.file1))
     b = parse_pointed(_load_payload(args.file2))
     product = pc_mul(a, b)
@@ -119,12 +114,14 @@ def cmd_mult(args):
 
 
 def cmd_betti(args):
+    from .genus0 import poincare_Q02
     poly = poincare_Q02(args.d)
     return (lambda: format_series(poly, "t"),
             lambda: {**emit_poly(poly, "t"), "d": args.d})
 
 
 def cmd_intersect(args):
+    from .genus0 import intersect_M02d
     y = args.y if args.y is not None else [0] * args.d
     value = intersect_M02d(args.d, args.x1, args.x2, y)
     return (lambda: rational_text(value),
@@ -132,6 +129,7 @@ def cmd_intersect(args):
 
 
 def cmd_pairing(args):
+    from .pairing import COMPUTED, PROVEN_ZERO, PairingMatrix, rank_certificate
     d, k = args.d, args.k
     cert = rank_certificate(d, k)
     blocks = []
@@ -199,6 +197,7 @@ def cmd_pairing(args):
 
 
 def cmd_conifold(args):
+    from .conifold import conifold_F, conifold_N
     series = conifold_F(args.max_genus)
     genera = range(1, args.max_genus + 1)
     payload = {
@@ -225,13 +224,14 @@ def cmd_conifold(args):
 
 
 def cmd_lambda_to_kappa(args):
+    from .kappa_lambda import lambda_to_kappa
     payload = _load_payload(args.file)
     result = lambda_to_kappa(parse_kl(payload))
     return lambda: str(result), lambda: emit_kl(result, payload.get("provenance"))
 
 
 def cmd_verify_paper(args):
-    from .verify import run_all  # the only command that needs verify
+    from .verify import run_all
     checks = [
         {"id": r.check_id, "statement": r.statement, "passed": r.passed,
          "details": list(r.details)}

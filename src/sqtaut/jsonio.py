@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .kappa_lambda import KLPoly, check_genus, genus_of, kl_factor
-from .pointed import BlockMonomial, PointedClass
 from .rings import (GENERATOR_NAMES, GradedPoly, InputError, accumulate,
                     int_from_text, mono_mul, rational_text)
+
+# parse_pointed imports `pointed` itself, so that a command line run that
+# reads no pointed class does not load it
+if TYPE_CHECKING:
+    from .pointed import PointedClass
 
 SCHEMA = "sq-taut/1"
 
@@ -205,6 +209,7 @@ def emit_pointed(p: PointedClass) -> dict:
 
 
 def parse_pointed(payload: Mapping) -> PointedClass:
+    from .pointed import BlockMonomial, PointedClass
     _check_header(payload, "pointed-class")
     genus = _genus(payload)
     d = _int(_get(payload, "d"), "d")

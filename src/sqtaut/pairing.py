@@ -51,6 +51,7 @@ from typing import Iterator
 from .genus0 import psi_integral_M0n
 from .pointed import BlockMonomial
 from .rings import (
+    CertificateError,
     DomainError,
     Frozen,
     InputError,
@@ -67,10 +68,6 @@ REASON_TOO_FEW_BLOCKS = "fewer diagonal blocks than interior components"
 REASON_SUPPORT_MISMATCH = "diagonal supports miss the stratum's light blocks"
 
 MAX_DK = 5  # the largest d and k that rank_certificate accepts
-
-
-class CertificateError(Exception):
-    """A pairing matrix failed its structural rank certificate."""
 
 
 class ChainStratum(Frozen):

@@ -284,7 +284,8 @@ def pc_one(genus: int, d: int) -> PointedClass:
 def pc_from_kl(genus: int, d: int, coeff: KLPoly) -> PointedClass:
     if genus_of(coeff) != genus:
         raise InputError("coefficient has wrong genus")
-    return PointedClass(genus, d, {unit_monomial(d): coeff})
+    # the unit monomial has degree 0, so the coefficient's cap is the class's
+    return PointedClass(genus, d, {unit_monomial(d): coeff}, coeff.cap)
 
 
 def pc_monomial(genus: int, d: int, mono: BlockMonomial, coeff=None) -> PointedClass:
@@ -385,7 +386,8 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
             if trunc is not None and mono.degree > trunc:
                 continue
             cap = None if trunc is None else trunc - mono.degree
-            coeff = poly_mul(c1, c2, cap)
+            # each coefficient is trusted only through its own cap too
+            coeff = poly_mul(c1, c2, combine_caps(cap, combine_caps(c1.cap, c2.cap)))
             if coeff:
                 accumulate(acc, mono, -coeff if sign < 0 else coeff)
     return PointedClass(genus, a.d, acc, trunc)

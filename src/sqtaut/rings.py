@@ -49,6 +49,10 @@ class DomainError(ValueError):
     """A value lies outside an operation's mathematical domain."""
 
 
+class CertificateError(Exception):
+    """A pairing matrix failed its structural rank certificate."""
+
+
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2

@@ -164,6 +164,48 @@ def test_cold_start_imports_no_dataclasses():
         assert not re.search(r"^\s*(import|from)\s+dataclasses\b", text, re.M), path
 
 
+# what `python -m sqtaut` imports for every command: the package, the
+# front end and the readers and writers it uses (runpy executes
+# sqtaut.__main__ without importing it)
+CLI_MODULES = {"sqtaut", "sqtaut.cli", "sqtaut.jsonio", "sqtaut.kappa_lambda",
+               "sqtaut.rings"}
+POINTED_MODULES = {"pointed", "relations"}
+
+
+# command -> (arguments, the modules it loads besides CLI_MODULES)
+COMMAND_MODULES = {
+    "relation-theorem5": ("relation --theorem5 -g 6 -d 2 -k 1 --kappa-only",
+                          {"relations"}),
+    "relation-prop8": ("relation --prop8 -g 5 -d 1 -a 0 -b 1 -c 2 --json",
+                       {"relations"}),
+    "chern-f": ("chern-f -g 5 -d 2 --degree 2", POINTED_MODULES),
+    "push": ("push {pointed}", POINTED_MODULES),
+    "mult": ("mult {pointed} {pointed} --json", POINTED_MODULES),
+    "betti": ("betti --d 4", {"genus0"}),
+    "intersect": ("intersect --d 5 --x1 2 --x2 2", {"genus0"}),
+    "pairing": ("pairing --d 2 --k 1", {"pairing", "genus0", *POINTED_MODULES}),
+    "conifold": ("conifold --max-genus 3 --d 2", {"conifold"}),
+    "lambda-to-kappa": ("lambda-to-kappa {kl} --json", set()),
+    "verify-paper": ("verify-paper --only conifold",
+                     {"verify", "curve", "conifold", "genus0", "pairing",
+                      *POINTED_MODULES}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # without cached bytecode, every loaded module is compiled on every start
+    pointed = tmp_path / "pointed.json"
+    pointed.write_text(json.dumps(emit_pointed(chern_F(5, 2, 1).degree_part(1))))
+    kl = tmp_path / "kl.json"
+    kl.write_text(json.dumps(emit_kl(theorem5_class(6, 2, 1))))
+    argv, extra = COMMAND_MODULES[command]
+    args = argv.format(pointed=pointed, kl=kl).split()
+    loaded = {m for m in _imported("-m", "sqtaut", *args)
+              if m.split(".")[0] == "sqtaut"}
+    assert loaded == CLI_MODULES | {f"sqtaut.{m}" for m in extra}
+
+
 def test_intersect_output(capsys):
     code, out = run(capsys, "intersect", "--d", "5", "--x1", "2", "--x2", "2")
     assert code == 0
@@ -272,7 +314,7 @@ def test_failing_check_exits_1_and_still_reports(capsys, monkeypatch):
 def test_certificate_error_exits_1_with_one_line(capsys, monkeypatch):
     def fails(d, k):
         raise CertificateError(f"forced failure at d={d} k={k}")
-    monkeypatch.setattr(cli, "rank_certificate", fails)
+    monkeypatch.setattr(sqtaut.pairing, "rank_certificate", fails)
     for argv in (["pairing", "--d", "2", "--k", "1"],
                  ["pairing", "--d", "2", "--k", "1", "--json"]):
         assert main(argv) == 1

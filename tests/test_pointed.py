@@ -517,6 +517,23 @@ def test_scale_keeps_the_cap_of_a_capped_factor():
     assert capped == pc_psihat(4, 2, 1) * chern_E_dual(4, 1).truncate(None)
 
 
+def test_capped_coefficients_keep_their_caps_through_pc_mul():
+    # a class built from 1 - lambda_1, trusted through degree 1, keeps that
+    # cap, so its product with psihat_1 is the scaled product above
+    dual = pc_from_kl(4, 2, chern_E_dual(4, 1))
+    assert dual.cap == 1
+    product = dual * pc_psihat(4, 2, 1)
+    assert product == pc_psihat(4, 2, 1) * chern_E_dual(4, 1)
+    assert str(product) == "psih_{1}" and product.cap == 1
+    # with no class cap, the coefficients' own caps bound their product:
+    # (1 - lambda_1) * lambda_1 is lambda_1 through coefficient degree 1
+    a = pc_monomial(4, 2, unit_monomial(2), chern_E_dual(4, 1))
+    b = pc_monomial(4, 2, psihat_monomial(2, 1), lambda_class(4, 1))
+    assert a.cap is None and b.cap is None
+    coeff = pc_mul(a, b).coefficient(psihat_monomial(2, 1))
+    assert coeff == lambda_class(4, 1) and coeff.cap == 1
+
+
 def test_block_series_closed_forms():
     # g_2 = -1/((1-x)^2 (1-2x)): [x^t] g_2 = -(2^(t+2) - t - 3)
     assert _block_series(2, 10) == tuple(
