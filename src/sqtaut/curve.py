@@ -81,7 +81,7 @@ class CurveClass(SparseSum):
             if (coeff.genus, coeff.d) != (genus, d):
                 raise InputError("coefficient on wrong base")
             if cap is not None:
-                coeff = coeff.truncate(cap)
+                coeff = coeff.truncate(combine_caps(coeff.cap, cap))
             if not coeff.is_zero:
                 clean[key] = coeff
         setfield(self, "genus", genus)

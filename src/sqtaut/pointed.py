@@ -195,7 +195,7 @@ class PointedClass(SparseSum):
             if genus_of(coeff) != genus:
                 raise InputError("coefficient has wrong genus")
             if cap is not None:
-                coeff = coeff.truncate(cap - mono.degree)
+                coeff = coeff.truncate(combine_caps(coeff.cap, cap - mono.degree))
             if coeff.is_zero:
                 continue
             clean[mono] = coeff

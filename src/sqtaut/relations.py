@@ -85,7 +85,9 @@ points and exponent pattern in c(F_d).
 Both routes are integral (g_1 = 1/(1 - x), the division by 1 - (s+1) x,
 kappa_0 = 2g - 2, surj(j, m), w_j and binomial weights keep integers;
 chern_E_dual is +-1, one monomial per degree), so they run on int tables
-(`rings.int_mul`) until the return, with g_s, E_n and Psi_{n,m} cached.
+until the return, with g_s, E_n and Psi_{n,m} cached.  A table is keyed by
+partitions p (kappa indices, nonincreasing; () is 1, of degree sum(p)), so
+a product with the linear form eps(A) adds one part to each key.
 `pointed.pushed_chern` and the section calculus (`curve.pi_push`) give the
 same values, and the tests use them as the oracle.
 """
@@ -97,7 +99,7 @@ from math import comb
 from types import MappingProxyType
 
 from .kappa_lambda import KAPPA, LAMBDA, KLPoly, check_genus, kl_zero
-from .rings import GradedPoly, InputError, int_mul, mono_degree, mono_mul, series_mul
+from .rings import GradedPoly, InputError, series_mul
 
 
 def rank_F(genus: int, d: int) -> int:
@@ -126,24 +128,30 @@ def _block_series(s: int, maxdeg: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _with_parts(p: tuple, maxdeg: int) -> tuple:
+    """p, then p plus a part t = 1..maxdeg - sum(p), parts nonincreasing."""
+    return (p,) + tuple(tuple(sorted(p + (t,), reverse=True))
+                        for t in range(1, maxdeg - sum(p) + 1))
+
+
 def _push_products(genus: int, terms, maxdeg: int) -> dict:
     """sum weight * eps(series) * E_rest over the (weight, series, rest)
-    triples of terms, in degrees <= maxdeg, as a monomial -> int table;
+    triples of terms, in degrees <= maxdeg, as a partition -> int table;
     each series is given through x^{maxdeg+1} (fact 2)."""
     acc: dict = {}
     for weight, series, rest in terms:
-        pushed = {(): series[1] * (2 * genus - 2)}
-        for t in range(2, maxdeg + 2):
-            pushed[(((KAPPA, t - 1), 1),)] = series[t]
-        for m, c in int_mul(pushed, _pushed_partition(genus, rest, maxdeg),
-                            maxdeg).items():
-            acc[m] = acc.get(m, 0) + weight * c
-    return {m: c for m, c in acc.items() if c}
+        # eps(series) as the linear form in kappa_0 = 2g - 2, kappa_1, ...
+        form = [weight * c for c in (series[1] * (2 * genus - 2), *series[2:])]
+        for p, c in _pushed_partition(genus, rest, maxdeg).items():
+            for q, f in zip(_with_parts(p, maxdeg), form):
+                acc[q] = acc.get(q, 0) + c * f
+    return {p: c for p, c in acc.items() if c}
 
 
 @lru_cache(maxsize=None)
 def _pushed_partition(genus: int, n: int, maxdeg: int) -> MappingProxyType:
-    """E_n (fact 2) in degrees <= maxdeg, a read-only int table."""
+    """E_n (fact 2) in degrees <= maxdeg, a read-only partition -> int table."""
     if n == 0:
         return MappingProxyType({(): 1})
     # E_{n-s} from E_0 up: recursion stays shallow
@@ -152,16 +160,18 @@ def _pushed_partition(genus: int, n: int, maxdeg: int) -> MappingProxyType:
                 for s in range(n, 0, -1)), maxdeg))
 
 
+@lru_cache(maxsize=None)
+def _kappa_monomial(p: tuple) -> tuple:
+    """The `rings` monomial of prod kappa_t over the parts t of p."""
+    return tuple(((KAPPA, t), p.count(t)) for t in sorted(set(p)))
+
+
 def _dual_hodge_part(genus: int, table, degree: int) -> KLPoly:
-    """The degree part of chern_E_dual * table, in one pass: a monomial m
-    of the table meets only (-1)^i lambda_i, i = degree - deg m."""
-    acc: dict = {}
-    for m, c in table.items():
-        i = degree - mono_degree(m)
-        if 0 <= i <= genus:
-            key = mono_mul(m, (((LAMBDA, i), 1),)) if i else m
-            acc[key] = acc.get(key, 0) + (-c if i % 2 else c)
-    return GradedPoly(genus, acc)
+    """The degree part of chern_E_dual * table, in one pass: the partition p
+    of the table meets only (-1)^i lambda_i, i = degree - sum(p)."""
+    return GradedPoly(genus, {
+        _kappa_monomial(p) + ((((LAMBDA, i), 1),) if i else ()): (-1) ** i * c
+        for p, c in table.items() if 0 <= (i := degree - sum(p)) <= genus})
 
 
 def theorem5_class(genus: int, d: int, k: int) -> KLPoly:

@@ -29,6 +29,7 @@ from sqtaut.pointed import (
     epsilon_push,
     pc_delta_sym,
     pc_diagonal,
+    pc_from_kl,
     pc_monomial,
     pc_one,
     pc_psihat,
@@ -332,3 +333,12 @@ def test_scale_keeps_the_cap_of_a_capped_factor():
     assert product.cap == 1
     assert product == cc_omega(4, 2) * cc_pullback(pc_psihat(4, 2, 1))
     assert product.terms[(OMEGA, 1)].cap == 1
+
+
+def test_class_cap_keeps_a_tighter_coefficient_cap():
+    # a pulled-back 1 - lambda_1 is trusted through degree 1, under any
+    # looser class cap
+    dual = pc_from_kl(4, 2, chern_E_dual(4, 1))
+    capped = CurveClass(4, 2, {(SIGMA, 1): dual}, 5)
+    assert capped.terms[(SIGMA, 1)].cap == 1
+    assert pi_push(capped).cap == 1 == pi_push(CurveClass(4, 2, {(SIGMA, 1): dual})).cap

@@ -27,8 +27,11 @@ import tempfile
 from pathlib import Path
 
 from sqtaut.cli import main
+from sqtaut.jsonio import emit_kl
+from sqtaut.relations import prop8_relation, theorem5_class
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+RELATION_GRID_SHA256 = "b175a4630604fcb026e10c8a525d5dd06a13470132dea927a9984ea3ba79cd4d"
 
 T5 = ["relation", "--theorem5"]
 P8 = ["relation", "--prop8"]
@@ -161,6 +164,34 @@ def test_cli_output_matches_golden_corpus():
     assert list(got) == list(expected)
     mismatched = [case_id for case_id in got if got[case_id] != expected[case_id]]
     assert not mismatched
+
+
+def relation_grid_digest() -> str:
+    """sha256 of the `emit_kl` JSON of every theorem5_class with g <= 16,
+    d <= 6, k <= d + 1 and relation degree 0..g-2 (170 points), then every
+    prop8_relation with 4 <= g <= 12, d <= 5, a, b <= 3, 1 <= c <= 4 and
+    nonnegative Chern and selection degrees (2,861 points)."""
+    digest = hashlib.sha256()
+    for g in range(2, 17):
+        for d in range(1, 7):
+            for k in range(1, d + 2):
+                if 0 <= g - 2 * d - 1 + 2 * k <= g - 2:
+                    rel = theorem5_class(g, d, k)
+                    digest.update(json.dumps(emit_kl(rel), sort_keys=True).encode())
+    for g in range(4, 13):
+        for d in range(1, 6):
+            for a in range(4):
+                for b in range(4):
+                    for c in range(1, 5):
+                        if g - d - 1 + c >= 0 and g - d - 2 + a + b + c >= 0:
+                            rel = prop8_relation(g, d, a, b, c)
+                            digest.update(json.dumps(emit_kl(rel), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_relation_grids_match_recorded_digest():
+    # the relation generators beyond the benchmark's domain, byte for byte
+    assert relation_grid_digest() == RELATION_GRID_SHA256
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import pytest
 
 import sqtaut
 from sqtaut.kappa_lambda import (
+    KAPPA,
     _lambda_table,
     chern_E_dual,
     kappa_class,
@@ -47,8 +48,15 @@ from sqtaut.pointed import (
     pushed_chern,
     unit_monomial,
 )
-from sqtaut.relations import _block_series, rank_F, theorem5_class
-from sqtaut.rings import DomainError, InputError, check_set_partition, series_mul
+from sqtaut.relations import (
+    _block_series,
+    _kappa_monomial,
+    _pushed_partition,
+    _with_parts,
+    rank_F,
+    theorem5_class,
+)
+from sqtaut.rings import DomainError, InputError, check_set_partition, mono_mul, series_mul
 
 
 # -- ring-arithmetic oracles: c(B_d) as a product and inversion by series --
@@ -534,6 +542,16 @@ def test_capped_coefficients_keep_their_caps_through_pc_mul():
     assert coeff == lambda_class(4, 1) and coeff.cap == 1
 
 
+def test_class_cap_keeps_a_tighter_coefficient_cap():
+    # 1 - lambda_1 is trusted through degree 1; the class cap 5 leaves room
+    # 3 beside psihat_1^2, which must not widen the coefficient's own cap
+    mono, dual = psihat_monomial(1, 1, 2), chern_E_dual(4, 1)
+    capped = PointedClass(4, 1, {mono: dual}, 5)
+    assert capped.terms[mono].cap == 1
+    assert epsilon_push(capped).cap == 2
+    assert epsilon_push(PointedClass(4, 1, {mono: dual})).cap == 2
+
+
 def test_block_series_closed_forms():
     # g_2 = -1/((1-x)^2 (1-2x)): [x^t] g_2 = -(2^(t+2) - t - 3)
     assert _block_series(2, 10) == tuple(
@@ -686,8 +704,53 @@ def test_relation_series_live_in_relations():
                    if isinstance(node, ast.Import) for alias in node.names)
     assert not [alias.name for node in imports("curve") for alias in node.names
                 if alias.name.startswith("_")]
-    for helper in ("_block_series", "_pushed_partition", "_meeting_series"):
+    for helper in ("_block_series", "_pushed_partition", "_meeting_series",
+                   "_with_parts", "_kappa_monomial"):
         homes = [module for module, tree in trees.items()
                  if any(isinstance(node, ast.FunctionDef) and node.name == helper
                         for node in ast.walk(tree))]
         assert homes == ["relations"], helper
+
+
+def kappa_partitions(r, largest=None):
+    """Partitions of r, parts nonincreasing."""
+    if r == 0:
+        yield ()
+        return
+    for part in range(min(r, largest or r), 0, -1):
+        for rest in kappa_partitions(r - part, part):
+            yield (part,) + rest
+
+
+def test_with_parts_adds_one_part_and_keeps_parts_nonincreasing():
+    for r in range(9):
+        for p in kappa_partitions(r):
+            extended = _with_parts(p, 10)
+            assert extended[0] == p and len(extended) == 11 - r
+            for t, q in enumerate(extended[1:], 1):
+                assert all(x >= y for x, y in zip(q, q[1:])), (p, t)
+                assert sorted(q) == sorted(p + (t,)), (p, t)
+
+
+def test_kappa_monomial_is_the_canonical_rings_monomial():
+    count = 0
+    for r in range(13):
+        for p in kappa_partitions(r):
+            want = ()
+            for t in p:
+                want = mono_mul(want, (((KAPPA, t), 1),))
+            got = _kappa_monomial(p)
+            assert got == want, p
+            assert got == tuple(sorted(got)) and all(e >= 1 for _, e in got), p
+            count += 1
+    assert count == 272  # p(0) + ... + p(12)
+
+
+def test_pushed_partition_tables_are_read_only():
+    table = _pushed_partition(5, 3, 4)
+    assert table and all(sum(p) <= 4 for p in table)
+    with pytest.raises(TypeError):
+        table[(1,)] = 0
+    with pytest.raises(TypeError):
+        table[()] = 0
+    assert _pushed_partition(5, 3, 4) is table
