@@ -23,6 +23,8 @@ from math import factorial
 
 from .rings import Frozen, InputError, series_mul, setfield, truncated_inverse
 
+MAX_PRODUCTS = 40_000  # coefficient products of conifold_F: max_genus <= 199
+
 
 class LocalSeries(Frozen):
     """Exact coefficients N_{g,1} for 1 <= g <= max_genus.
@@ -59,6 +61,10 @@ def conifold_F(max_genus: int) -> LocalSeries:
     """Exact N_{g,1} for g up to max_genus by series inversion."""
     if max_genus < 1:
         raise InputError("max_genus must be >= 1")
+    products = (max_genus + 1) ** 2  # about half in the square, half in the inverse
+    if products > MAX_PRODUCTS:
+        raise InputError(f"conifold_F({max_genus}) needs about {products:,} coefficient "
+                         f"products; the limit is {MAX_PRODUCTS:,}")
     inv = truncated_inverse(_sine_square_series(max_genus), max_genus)
     coeffs = tuple(inv[g] / Fraction(4) ** g for g in range(1, max_genus + 1))
     return LocalSeries(max_genus, coeffs, inv[0])

@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from math import prod
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
@@ -245,81 +247,50 @@ class PairingMatrix:
                 yield i, j, self.entry(i, j)
 
 
+def _diagonal_value(i: int, row: BlockMonomial, e: PairingEntry) -> Fraction:
+    """The value of diagonal cell i, checked computed, positive and equal
+    to the product of t + 1 over the row's exponents t."""
+    if e.status != COMPUTED:
+        raise CertificateError(f"diagonal entry {i} not computed")
+    if e.value <= 0:
+        raise CertificateError(f"diagonal entry {i} is {e.value}, expected positive")
+    expected = prod(t + 1 for t in row.exps)
+    if e.value != expected:
+        raise CertificateError(f"diagonal entry {i} is {e.value}, expected {expected}")
+    return e.value
+
+
 def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank.
 
-    Raises CertificateError if any diagonal entry vanishes or an
-    equal-length off-diagonal entry is nonzero.
+    For each length block of columns, rows lo..hi-1 (the block) must be
+    diagonal and rows hi.. (shorter) proven zero; every such cell is
+    evaluated once.  Raises CertificateError if any diagonal entry
+    vanishes or an equal-length off-diagonal entry is nonzero.
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
-    matrix = PairingMatrix(d, k)
-    specs = matrix.specs
-    by_length: dict = {}
-    for idx, s in enumerate(specs):
-        by_length.setdefault(len(s.blocks), []).append(idx)
-    blocks = []
-    zero_pairs = 0
-    uneval_pairs = 0
-    lengths = sorted(by_length, reverse=True)
-    for li, l in enumerate(lengths):
-        rows = by_length[l]
-        columns = [specs[j] for j in rows]
+    specs = PairingMatrix(d, k).specs
+    n = len(specs)
+    blocks, lo = [], 0
+    for l, group in groupby(specs, key=lambda s: len(s.blocks)):
+        columns = list(group)
+        hi = lo + len(columns)
         diag = []
-        off_checked = 0
-        for i in rows:
-            spec = specs[i]
-            for j, col in zip(rows, columns):
-                e = pairing_entry(spec, col)
-                if i == j:
-                    if e.status != COMPUTED:
-                        raise CertificateError(
-                            f"diagonal entry {i} not computed"
-                        )
-                    if e.value <= 0:
-                        raise CertificateError(
-                            f"diagonal entry {i} is {e.value}, expected positive"
-                        )
-                    expected = 1
-                    for t in spec.exps:
-                        expected *= t + 1
-                    if e.value != expected:
-                        raise CertificateError(
-                            f"diagonal entry {i} is {e.value}, expected {expected}"
-                        )
-                    diag.append(e.value)
-                else:
-                    # off-diagonal within the block: computed zero when the
-                    # partitions agree, proven zero when they differ
-                    zero = (e.status == COMPUTED and e.value == 0) or (
-                        e.status == PROVEN_ZERO
-                    )
-                    if not zero:
-                        raise CertificateError(
-                            f"off-diagonal entry ({i},{j}) is nonzero"
-                        )
-                    off_checked += 1
-        blocks.append(
-            DiagonalBlock(l, len(rows), tuple(diag), off_checked)
-        )
-        # strictly-shorter rows against this block's columns: proven zero
-        for shorter in lengths[li + 1:]:
-            for i in by_length[shorter]:
-                spec = specs[i]
-                for j, col in zip(rows, columns):
-                    if pairing_entry(spec, col).status != PROVEN_ZERO:
-                        raise CertificateError(
-                            f"entry ({i},{j}) should be proven zero"
-                        )
-                zero_pairs += len(rows)
-        for longer in lengths[:li]:
-            uneval_pairs += len(by_length[longer]) * len(rows)
-    return Certificate(
-        d,
-        k,
-        matrix.size,
-        tuple(blocks),
-        zero_pairs,
-        uneval_pairs,
-        True,
-    )
+        for i in range(lo, n):
+            row = specs[i]
+            for j, col in enumerate(columns, lo):
+                e = pairing_entry(row, col)
+                if i >= hi:
+                    if e.status != PROVEN_ZERO:
+                        raise CertificateError(f"entry ({i},{j}) should be proven zero")
+                elif i == j:
+                    diag.append(_diagonal_value(i, row, e))
+                elif e.value or e.status == UNEVALUATED:  # a zero is computed or proven
+                    raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
+        blocks.append(DiagonalBlock(l, hi - lo, tuple(diag), (hi - lo) * (hi - lo - 1)))
+        lo = hi
+    # cells between different lengths: proven zero below the blocks, as
+    # many unevaluated above
+    cross = (n * n - sum(b.size ** 2 for b in blocks)) // 2
+    return Certificate(d, k, n, tuple(blocks), cross, cross, True)

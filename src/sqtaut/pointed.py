@@ -46,14 +46,12 @@ gives the Theorem 5 relation (`pushed_chern`), which
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .kappa_lambda import (
-    KAPPA,
     KLPoly,
     chern_E_dual,
     check_genus,
@@ -62,7 +60,7 @@ from .kappa_lambda import (
     kl_scalar,
     kl_zero,
 )
-from .relations import _block_series
+from .relations import _block_series, _kappa_monomial
 from .relations import theorem5_class  # kept importable as sqtaut.pointed.theorem5_class
 from .rings import (
     Frozen,
@@ -322,48 +320,30 @@ def pc_delta_sym(genus: int, d: int) -> PointedClass:
 # -- multiplication ------------------------------------------------------
 
 def _merge_monomials(m1: BlockMonomial, m2: BlockMonomial):
-    """Merge block structures; return (monomial, sign, psihat shift baked in).
+    """Merge block structures; return (monomial, sign).
 
-    Components of the union of both partitions collapse to single blocks.
-    A component F built from r constituent blocks gains |F| + 1 - r extra
-    exponent units, each carrying a factor -1.
+    A component of the union of both partitions is a (labels, exponent
+    sum, block count) triple; each block of m2 absorbs the components it
+    meets.  A component F of r blocks collapses to one block that gains
+    |F| + 1 - r exponent units, each carrying a factor -1.
     """
-    d = m1.d
-    owner = {}
-    comps = []
-    for block, exp in zip(m1.blocks, m1.exps):
-        idx = len(comps)
-        comps.append({"elems": set(block), "exp": exp, "count": 1})
-        for x in block:
-            owner[x] = idx
+    comps = [(set(b), e, 1) for b, e in zip(m1.blocks, m1.exps)]
     for block, exp in zip(m2.blocks, m2.exps):
-        ids = sorted({owner[x] for x in block})
-        keep = ids[0]
-        target = comps[keep]
-        for other in ids[1:]:
-            merged = comps[other]
-            target["elems"] |= merged["elems"]
-            target["exp"] += merged["exp"]
-            target["count"] += merged["count"]
-            for x in merged["elems"]:
-                owner[x] = keep
-            merged["elems"] = None
-        target["exp"] += exp
-        target["count"] += 1
-    blocks = []
-    sign = 1
-    for comp in comps:
-        if comp["elems"] is None:
-            continue
-        extra = len(comp["elems"]) + 1 - comp["count"]
-        if extra % 2:
-            sign = -sign
-        blocks.append((tuple(sorted(comp["elems"])), comp["exp"] + extra))
-    blocks.sort(key=lambda be: be[0][0])
-    mono = BlockMonomial._trusted(
-        d, tuple(b for b, _ in blocks), tuple(e for _, e in blocks)
-    )
-    return mono, sign
+        labels, count, rest = set(block), 1, []
+        for comp in comps:  # components are disjoint, so labels may grow
+            if labels.isdisjoint(comp[0]):
+                rest.append(comp)
+            else:
+                labels |= comp[0]
+                exp += comp[1]
+                count += comp[2]
+        comps = rest + [(labels, exp, count)]
+    pairs = sorted((tuple(sorted(labels)), exp + len(labels) + 1 - count)
+                   for labels, exp, count in comps)
+    # the gained units sum to d + #components - #blocks of both factors
+    sign = (-1) ** (m1.d + len(comps) - len(m1.blocks) - len(m2.blocks))
+    return BlockMonomial._trusted(m1.d, tuple(b for b, _ in pairs),
+                                  tuple(e for _, e in pairs)), sign
 
 
 def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
@@ -446,8 +426,8 @@ def epsilon_push(c: PointedClass) -> KLPoly:
         if coeff.cap is not None:  # the push lowers degree by d
             cap = combine_caps(cap, mono.degree - d + coeff.cap)
         scalar = (2 * genus - 2) ** mono.exps.count(1)
-        kappas = Counter((KAPPA, t - 1) for t in mono.exps if t > 1)
-        kappas = tuple(sorted(kappas.items()))
+        kappas = _kappa_monomial(tuple(sorted((t - 1 for t in mono.exps if t > 1),
+                                              reverse=True)))
         for m, q in coeff.coeffs.items():
             accumulate(acc, mono_mul(kappas, m), scalar * q)
     return GradedPoly(genus, acc, cap)

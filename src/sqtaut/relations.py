@@ -101,9 +101,35 @@ from types import MappingProxyType
 from .kappa_lambda import KAPPA, LAMBDA, KLPoly, check_genus, kl_zero
 from .rings import GradedPoly, InputError, series_mul
 
+MAX_WORK = 2_000_000  # estimated steps one relation may take (see _check_work)
+
 
 def rank_F(genus: int, d: int) -> int:
     return genus - d - 1
+
+
+def _check_work(call: str, top: int, parts: int, products: int, series: int) -> None:
+    """Raise InputError, before anything is allocated, when `products` table
+    products over the partitions of 0..top into at most `parts` parts, and
+    `series` products of series of length top + 2, may pass MAX_WORK steps.
+    The partitions are counted only until the estimate passes the limit."""
+    work = series * (top + 2) ** 2
+    # weak compositions of 0..top bound the partitions: most calls stop here
+    if work + products * comb(top + min(parts, top), top) <= MAX_WORK:
+        return
+    work += products  # over the partition ()
+    rows = [[1]]  # rows[r][j]: partitions of r into at most j parts
+    for r in range(1, top + 1):
+        if work > MAX_WORK:
+            break
+        row = [0]
+        for j in range(1, min(parts, r) + 1):
+            row.append(row[j - 1] + rows[r - j][min(j, r - j)])
+        rows.append(row)
+        work += products * row[-1]
+    if work > MAX_WORK:
+        raise InputError(f"{call} needs an estimated {work:,} or more steps; "
+                         f"the limit is {MAX_WORK:,}")
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +219,10 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     N = target - d
     if N < 0:
         return kl_zero(genus)
+    # E_n takes n table products, and g_s takes s - 1 series products; a
+    # term written out of the table costs about eight visits
+    _check_work(f"theorem5_class({genus}, {d}, {k})", N, d, d * (d + 1) // 2 + 8,
+                d * (d - 1) // 2)
     return _dual_hodge_part(genus, _pushed_partition(genus, d, N), N)
 
 
@@ -242,6 +272,10 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     R = select - d
     if R < 0:
         return kl_zero(genus)
+    # as in theorem5_class, with d + 1 more table products for the
+    # relation and about (d a)^2 / 4 series products for Psi_{n,m}
+    _check_work(f"prop8_relation({genus}, {d}, {a}, {b}, {c})", R, d + 1,
+                (d + 1) * (d + 2) // 2 + 8, d * (d - 1) // 2 + (d * min(a, d)) ** 2 // 4)
     top = R + 1  # x^T pushes to kappa_{T-1}, of degree T - 1 <= R
     sign = -1 if c % 2 else 1
     w = [sign * comb(a, j) for j in range(a + 1)]

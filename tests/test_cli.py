@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -447,6 +448,18 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
                                                            argv, text):
     exits_2_with_one_line(capsys, monkeypatch, argv, text)
+
+
+@pytest.mark.parametrize("argv", [
+    "relation --theorem5 -g 100000 -d 2 -k 1 --kappa-only",
+    "relation --prop8 -g 100000000 -d 1 -a 0 -b 1 -c 2",
+    "conifold --max-genus 100000",
+    "relation --theorem5 -g 2 -d 1000 -k 1000",
+], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d"])
+def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv):
+    start = time.perf_counter()
+    exits_2_with_one_line(capsys, monkeypatch, argv.split(), "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_results_longer_than_the_int_str_digit_limit_are_written(capsys, monkeypatch):

@@ -93,3 +93,13 @@ def test_input_validation():
         conifold_N(1, 0, s)
     with pytest.raises(InputError):
         LocalSeries(2, (Fraction(1),), Fraction(1))
+
+
+def test_series_size_is_estimated_before_computing(monkeypatch):
+    from sqtaut import conifold
+
+    monkeypatch.setattr(conifold, "MAX_PRODUCTS", 16)
+    assert conifold_F(3).max_genus == 3
+    with pytest.raises(InputError, match=r"^conifold_F\(4\) needs about 25 coefficient "
+                                         r"products; the limit is 16$"):
+        conifold_F(4)

@@ -302,6 +302,30 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
     assert str(err.value) == message
 
 
+def faulty_cell(monkeypatch, row, col, entry):
+    """Make pairing_entry return `entry` for the one cell (row, col)."""
+    def patched(r, c):
+        return entry if (r, c) == (row, col) else pairing_entry(r, c)
+    monkeypatch.setattr(pairing, "pairing_entry", patched)
+
+
+def test_certificate_rejects_an_uncomputed_diagonal_cell(monkeypatch):
+    specs = enumerate_P(4, 3)
+    faulty_cell(monkeypatch, specs[2], specs[2], PairingEntry(UNEVALUATED))
+    with pytest.raises(CertificateError) as err:
+        rank_certificate(4, 3)
+    assert str(err.value) == "diagonal entry 2 not computed"
+
+
+def test_certificate_rejects_a_computed_zero_below_the_blocks(monkeypatch):
+    specs = enumerate_P(4, 3)
+    i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
+    faulty_cell(monkeypatch, specs[i], specs[1], PairingEntry(COMPUTED, value=Fraction(0)))
+    with pytest.raises(CertificateError) as err:
+        rank_certificate(4, 3)
+    assert str(err.value) == f"entry ({i},1) should be proven zero"
+
+
 def test_component_factor_must_be_an_integer(monkeypatch):
     pairing._component_integral.cache_clear()
     monkeypatch.setattr(pairing, "psi_integral_M0n", lambda a: Fraction(1, 2))

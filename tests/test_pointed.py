@@ -15,6 +15,7 @@ from math import comb
 import pytest
 
 import sqtaut
+from sqtaut import relations
 from sqtaut.kappa_lambda import (
     KAPPA,
     _lambda_table,
@@ -53,6 +54,7 @@ from sqtaut.relations import (
     _kappa_monomial,
     _pushed_partition,
     _with_parts,
+    prop8_relation,
     rank_F,
     theorem5_class,
 )
@@ -480,6 +482,57 @@ def test_merge_monomials_adds_degrees():
         assert mono.degree == m1.degree + m2.degree
 
 
+def literal_merge(m1, m2):
+    """The diagonal collapse written out: union-find joins the labels of
+    every block of both factors, and a component F assembled from r blocks
+    gets the exponent sum plus |F| + 1 - r, each extra unit a factor -1."""
+    parent = {x: x for x in range(1, m1.d + 1)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = [pair for mono in (m1, m2) for pair in zip(mono.blocks, mono.exps)]
+    for block, _ in pairs:
+        for x in block[1:]:
+            parent[find(x)] = find(block[0])
+    members, exps, counts = {}, {}, {}
+    for x in parent:
+        members.setdefault(find(x), []).append(x)
+    for block, exp in pairs:
+        root = find(block[0])
+        exps[root] = exps.get(root, 0) + exp
+        counts[root] = counts.get(root, 0) + 1
+    sign, out = 1, []
+    for root, labels in members.items():
+        extra = len(labels) + 1 - counts[root]
+        sign *= (-1) ** extra
+        out.append((tuple(sorted(labels)), exps[root] + extra))
+    out.sort()
+    return tuple(b for b, _ in out), tuple(e for _, e in out), sign
+
+
+def test_merge_monomials_matches_union_find_oracle():
+    from sqtaut.pairing import enumerate_P
+
+    def check(m1, m2):
+        mono, sign = _merge_monomials(m1, m2)
+        assert (mono.blocks, mono.exps, sign) == literal_merge(m1, m2), (m1, m2)
+
+    pairs = 0
+    for d in range(1, 5):
+        monos = [m for k in range(4) for m in enumerate_P(d, k)]
+        for m1, m2 in itertools.product(monos, repeat=2):
+            check(m1, m2)
+            pairs += 1
+    rng = random.Random(2992)
+    for _ in range(2000):
+        d = rng.randint(1, 6)
+        check(random_monomial(rng, d), random_monomial(rng, d))
+    assert pairs > 5000
+
+
 def test_trusted_monomials_are_canonical():
     # merges and chern_F build monomials without the constructor's check;
     # every one they build must still pass it
@@ -744,6 +797,32 @@ def test_kappa_monomial_is_the_canonical_rings_monomial():
             assert got == tuple(sorted(got)) and all(e >= 1 for _, e in got), p
             count += 1
     assert count == 272  # p(0) + ... + p(12)
+
+
+def test_relation_work_estimate_counts_the_table_partitions(monkeypatch):
+    # theorem5_class(24, 12, 11) builds E_1..E_12 in 78 table products over
+    # at most the partitions of 0..21 into at most 12 parts (as many as the
+    # relation's terms), writes each term out for 8 more steps, and builds
+    # g_1..g_12 in 66 products of series of length 23
+    parts = sum(1 for r in range(22) for p in kappa_partitions(r) if len(p) <= 12)
+    assert parts == len(theorem5_class(24, 12, 11).coeffs) == 3319
+    work = (78 + 8) * parts + 66 * 23 ** 2
+    monkeypatch.setattr(relations, "MAX_WORK", work)
+    assert theorem5_class(24, 12, 11)
+    monkeypatch.setattr(relations, "MAX_WORK", work - 1)
+    with pytest.raises(InputError, match=rf"^theorem5_class\(24, 12, 11\) needs an "
+                                         rf"estimated {work:,} or more steps; "
+                                         rf"the limit is {work - 1:,}$"):
+        theorem5_class(24, 12, 11)
+
+
+def test_recorded_relation_calls_stay_under_the_work_limit():
+    # the scaling calls that the README and the CI log time
+    for args in ((20, 10, 9), (24, 12, 11), (30, 14, 13)):
+        assert theorem5_class(*args).homogeneous_degrees() == [args[0] - 2 * args[1] - 1
+                                                               + 2 * args[2]]
+    for args in ((20, 8, 4, 3, 5), (16, 10, 3, 2, 4)):
+        prop8_relation(*args)
 
 
 def test_pushed_partition_tables_are_read_only():
