@@ -18,7 +18,6 @@ functional also multiplies by psi at the least heavy label r'_i on each
 interior component.  The stratum has dimension l' + k.
 
 Pairing evaluation:
-
   * l < l': zero, proven structurally - the row monomial cannot place a
     diagonal block on every interior component;
   * l = l', P != P': zero - the supports of the diagonals miss the
@@ -34,12 +33,11 @@ lower-triangular with diagonal blocks that are themselves diagonal with
 positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
-The certificate evaluates every cell it checks, so one evaluation has to
-be cheap: the structural entries (too few blocks, support mismatch,
-unevaluated) and the computed zeros are shared immutable constants, and
-the component factors are ints cached on (tau_i, tau'_i).  A computed
-cell is an int product that stops at the first zero factor, so only a
-nonzero computed cell allocates: one Fraction and one PairingEntry.
+Every cell comes from one rule, `_row_cells`, which scores a row against
+a run of columns built once per column group.  A cell's outcome is a
+proven-zero reason, None if unevaluated, or the int product of component
+factors cached on (tau_i, tau'_i); the certificate counts a row's outcomes
+and scans the row only to name its first failing cell.
 """
 
 from __future__ import annotations
@@ -52,15 +50,8 @@ from typing import Iterator
 
 from .genus0 import psi_integral_M0n
 from .pointed import BlockMonomial
-from .rings import (
-    CertificateError,
-    DomainError,
-    Frozen,
-    InputError,
-    iter_weak_compositions,
-    set_partitions,
-    setfield,
-)
+from .rings import (CertificateError, DomainError, Frozen, InputError,
+                    iter_weak_compositions, set_partitions, setfield)
 
 PROVEN_ZERO = "proven-zero"
 COMPUTED = "computed"
@@ -91,10 +82,7 @@ class ChainStratum(Frozen):
 
     @classmethod
     def from_spec(cls, mono: BlockMonomial) -> "ChainStratum":
-        heavy = [(1, 2)]
-        light = [()]
-        psi = []
-        next_label = 3
+        heavy, light, psi, next_label = [(1, 2)], [()], [], 3
         for block, t in zip(mono.blocks, mono.exps):
             labels = tuple(range(next_label, next_label + t + 1))
             next_label += t + 1
@@ -118,8 +106,7 @@ class ChainStratum(Frozen):
 
 
 class PairingEntry(Frozen):
-    """One cell: its status, its value when computed, and the reason for a
-    proven zero."""
+    """One cell: its status, its value if computed, its reason if proven zero."""
 
     _fields = ("status", "value", "reason")
 
@@ -136,21 +123,25 @@ def enumerate_P(d: int, k: int) -> list:
     (blocks, exps)."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
-    out = []
     # l blocks have degree d - l before their exponents
-    for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p)):
-        l = len(blocks)
-        for exps in iter_weak_compositions(k - d + l, l):
-            out.append(BlockMonomial._trusted(d, blocks, exps))
-    return out
+    return [BlockMonomial._trusted(d, blocks, exps)
+            for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
+            for exps in iter_weak_compositions(k - d + len(blocks), len(blocks))]
 
 
-# The structural outcomes and the computed zero carry no cell-specific
-# data; PairingEntry is frozen, so every such cell shares one of these.
+# each outcome with no cell-specific data has one shared (frozen) entry
 _TOO_FEW_BLOCKS = PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
 _SUPPORT_MISMATCH = PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
 _UNEVALUATED = PairingEntry(UNEVALUATED)
 _COMPUTED_ZERO = PairingEntry(COMPUTED, value=Fraction(0))
+_ENTRIES = {REASON_TOO_FEW_BLOCKS: _TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH: _SUPPORT_MISMATCH,
+            None: _UNEVALUATED, 0: _COMPUTED_ZERO}
+_REASONS = (REASON_TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH)
+
+
+def _entry(cell) -> PairingEntry:
+    """The entry of a cell outcome."""
+    return _ENTRIES.get(cell) or PairingEntry(COMPUTED, value=Fraction(cell))
 
 
 @lru_cache(maxsize=256)
@@ -164,24 +155,29 @@ def _component_integral(t: int, tp: int) -> int:
     return value.numerator
 
 
+def _columns(cols) -> tuple:
+    """A run of columns: (d, degree), block count, blocks, exps, as lists."""
+    return ([(c.d, c.degree) for c in cols], [len(c.blocks) for c in cols],
+            [c.blocks for c in cols], [c.exps for c in cols])
+
+
+def _row_cells(row: BlockMonomial, columns: tuple) -> list:
+    """The cell rule: the outcome of pairing the monomial `row` against the
+    chain stratum of each column of the run `columns`, in order."""
+    keys, lengths, blocks, exps = columns
+    if keys.count((row.d, row.degree)) != len(keys):
+        raise InputError("row and column have mismatched (d, k)")
+    l, row_blocks, row_exps = len(row.blocks), row.blocks, row.exps
+    return [REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+            else REASON_SUPPORT_MISMATCH if row_blocks != b
+            else prod(map(_component_integral, row_exps, e))
+            for lp, b, e in zip(lengths, blocks, exps)]
+
+
 def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
     """Evaluate the pairing of the monomial `row` against the chain stratum
     of the monomial `col`."""
-    if row.d != col.d or row.degree != col.degree:
-        raise InputError("row and column have mismatched (d, k)")
-    l, lp = len(row.blocks), len(col.blocks)
-    if l < lp:
-        return _TOO_FEW_BLOCKS
-    if l > lp:
-        return _UNEVALUATED
-    if row.blocks != col.blocks:
-        return _SUPPORT_MISMATCH
-    value = 1
-    for t, tp in zip(row.exps, col.exps):
-        value *= _component_integral(t, tp)
-        if not value:
-            return _COMPUTED_ZERO
-    return PairingEntry(COMPUTED, value=Fraction(value))
+    return _entry(_row_cells(row, _columns((col,)))[0])
 
 
 class DiagonalBlock(Frozen):
@@ -205,8 +201,7 @@ class Certificate(Frozen):
     `unevaluated_pairs` the cells never needed (row longer).
     """
 
-    _fields = ("d", "k", "size", "blocks", "zero_pairs", "unevaluated_pairs",
-               "full_rank")
+    _fields = ("d", "k", "size", "blocks", "zero_pairs", "unevaluated_pairs", "full_rank")
 
     def __init__(self, d: int, k: int, size: int, blocks: tuple, zero_pairs: int,
                  unevaluated_pairs: int, full_rank: bool) -> None:
@@ -221,76 +216,81 @@ class Certificate(Frozen):
 
 class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
-    column j is the chain stratum of `specs[j]`.
-
-    Entries are computed on demand (the full matrix for d = k = 5 has
-    ~600k cells); `entry(i, j)` and `entries()` expose them.  Invariants:
-    every row-shorter-than-column entry is proven zero, every equal-length
-    entry is computed exactly.
+    column j is the chain stratum of `specs[j]`.  Entries are computed on
+    demand, a row at a time: `entry(i, j)` keeps the cells of the last row
+    it computed, so `entries()` costs one rule call per row.  Rows shorter
+    than the column are proven zero, rows of its length computed exactly.
     """
 
     def __init__(self, d: int, k: int):
-        self.d = d
-        self.k = k
+        self.d, self.k = d, k
         self.specs = enumerate_P(d, k)
+        self._columns = _columns(self.specs)
+        self._last = (None, None)  # the last row computed and its cells
 
     @property
     def size(self) -> int:
         return len(self.specs)
 
     def entry(self, i: int, j: int) -> PairingEntry:
-        return pairing_entry(self.specs[i], self.specs[j])
+        last, cells = self._last
+        if last != i:
+            cells = _row_cells(self.specs[i], self._columns)
+            self._last = (i, cells)
+        return _entry(cells[j])
 
     def entries(self) -> Iterator[tuple]:
-        for i in range(self.size):
-            for j in range(self.size):
-                yield i, j, self.entry(i, j)
+        n = self.size
+        return ((i, j, self.entry(i, j)) for i in range(n) for j in range(n))
 
 
-def _diagonal_value(i: int, row: BlockMonomial, e: PairingEntry) -> Fraction:
-    """The value of diagonal cell i, checked computed, positive and equal
-    to the product of t + 1 over the row's exponents t."""
-    if e.status != COMPUTED:
-        raise CertificateError(f"diagonal entry {i} not computed")
-    if e.value <= 0:
-        raise CertificateError(f"diagonal entry {i} is {e.value}, expected positive")
-    expected = prod(t + 1 for t in row.exps)
-    if e.value != expected:
-        raise CertificateError(f"diagonal entry {i} is {e.value}, expected {expected}")
-    return e.value
+def _reject(i: int, lo: int, hi: int, expected: int, cells: list) -> None:
+    """Raise the CertificateError of row i's first failing cell, by column."""
+    for j, cell in enumerate(cells, lo):
+        if i >= hi:
+            if cell not in _REASONS:
+                raise CertificateError(f"entry ({i},{j}) should be proven zero")
+        elif i == j:
+            if cell is None or cell in _REASONS:
+                raise CertificateError(f"diagonal entry {i} not computed")
+            if cell <= 0 or cell != expected:
+                want = "positive" if cell <= 0 else expected
+                raise CertificateError(f"diagonal entry {i} is {cell}, expected {want}")
+        elif cell not in (0, *_REASONS):  # a zero is computed or proven
+            raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
 
 
 def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank.
 
     For each length block of columns, rows lo..hi-1 (the block) must be
-    diagonal and rows hi.. (shorter) proven zero; every such cell is
-    evaluated once.  Raises CertificateError if any diagonal entry
-    vanishes or an equal-length off-diagonal entry is nonzero.
+    diagonal, with the product of t + 1 over the exponents t on the
+    diagonal, and rows hi.. (shorter) proven zero; every such cell is
+    evaluated once and counted, and `_reject` raises CertificateError for
+    the first failing cell of a row whose counts fail.
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
-    specs = PairingMatrix(d, k).specs
+    specs = enumerate_P(d, k)
     n = len(specs)
     blocks, lo = [], 0
     for l, group in groupby(specs, key=lambda s: len(s.blocks)):
-        columns = list(group)
-        hi = lo + len(columns)
-        diag = []
+        columns = _columns(list(group))
+        size = len(columns[0])
+        diag, hi = [], lo + size
         for i in range(lo, n):
-            row = specs[i]
-            for j, col in enumerate(columns, lo):
-                e = pairing_entry(row, col)
-                if i >= hi:
-                    if e.status != PROVEN_ZERO:
-                        raise CertificateError(f"entry ({i},{j}) should be proven zero")
-                elif i == j:
-                    diag.append(_diagonal_value(i, row, e))
-                elif e.value or e.status == UNEVALUATED:  # a zero is computed or proven
-                    raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
-        blocks.append(DiagonalBlock(l, hi - lo, tuple(diag), (hi - lo) * (hi - lo - 1)))
+            cells = _row_cells(specs[i], columns)
+            proven = cells.count(REASON_TOO_FEW_BLOCKS) + cells.count(REASON_SUPPORT_MISMATCH)
+            if i >= hi:
+                if proven != size:
+                    _reject(i, lo, hi, 0, cells)
+                continue
+            expected = prod(t + 1 for t in specs[i].exps)
+            if cells[i - lo] != expected or proven + cells.count(0) != size - 1:
+                _reject(i, lo, hi, expected, cells)
+            diag.append(Fraction(expected))
+        blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))
         lo = hi
-    # cells between different lengths: proven zero below the blocks, as
-    # many unevaluated above
+    # cells between lengths: proven zero below the blocks, unevaluated above
     cross = (n * n - sum(b.size ** 2 for b in blocks)) // 2
     return Certificate(d, k, n, tuple(blocks), cross, cross, True)

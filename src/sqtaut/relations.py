@@ -95,7 +95,7 @@ same values, and the tests use them as the oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, log10
 from types import MappingProxyType
 
 from .kappa_lambda import KAPPA, LAMBDA, KLPoly, check_genus, kl_zero
@@ -108,12 +108,18 @@ def rank_F(genus: int, d: int) -> int:
     return genus - d - 1
 
 
-def _check_work(call: str, top: int, parts: int, products: int, series: int) -> None:
+def _check_work(call: str, d: int, top: int, parts: int, products: int,
+                series: int) -> None:
     """Raise InputError, before anything is allocated, when `products` table
     products over the partitions of 0..top into at most `parts` parts, and
-    `series` products of series of length top + 2, may pass MAX_WORK steps.
-    The partitions are counted only until the estimate passes the limit."""
-    work = series * (top + 2) ** 2
+    `series` coefficient products of series, may pass MAX_WORK steps.  The
+    coefficients grow with g_d, of about D = d log10 d digits, and a step
+    on them is weighed as 1 + floor(D^2 / 600^2) small-int steps.  The
+    partitions are counted only until the estimate passes the limit."""
+    digits = int(d * log10(d))
+    weight = 1 + digits * digits // 360_000
+    products *= weight
+    work = series * weight
     # weak compositions of 0..top bound the partitions: most calls stop here
     if work + products * comb(top + min(parts, top), top) <= MAX_WORK:
         return
@@ -130,6 +136,11 @@ def _check_work(call: str, top: int, parts: int, products: int, series: int) -> 
     if work > MAX_WORK:
         raise InputError(f"{call} needs an estimated {work:,} or more steps; "
                          f"the limit is {MAX_WORK:,}")
+
+
+def _squares(j: int) -> int:
+    """1^2 + 2^2 + ... + j^2."""
+    return j * (j + 1) * (2 * j + 1) // 6
 
 
 @lru_cache(maxsize=None)
@@ -219,10 +230,10 @@ def theorem5_class(genus: int, d: int, k: int) -> KLPoly:
     N = target - d
     if N < 0:
         return kl_zero(genus)
-    # E_n takes n table products, and g_s takes s - 1 series products; a
-    # term written out of the table costs about eight visits
-    _check_work(f"theorem5_class({genus}, {d}, {k})", N, d, d * (d + 1) // 2 + 8,
-                d * (d - 1) // 2)
+    # E_n takes n table products, and g_s takes s - 1 products of series of
+    # length N + 2; a term written out of the table costs about eight visits
+    _check_work(f"theorem5_class({genus}, {d}, {k})", d, N, d, d * (d + 1) // 2 + 8,
+                d * (d - 1) // 2 * (N + 2) ** 2)
     return _dual_hodge_part(genus, _pushed_partition(genus, d, N), N)
 
 
@@ -239,7 +250,7 @@ def _meeting_series(n: int, m: int, maxdeg: int) -> tuple:
     if m == 0:
         return (int(n == 0),) + (0,) * maxdeg
     out = [0] * (maxdeg + 1)
-    for k in range(1, m + 1):
+    for k in range(1, min(m, maxdeg + 1) + 1):  # a larger k adds past x^maxdeg
         for l in range(n - m + 1):
             weight = comb(m - 1, k - 1) * comb(n - m, l)
             block = _block_series(k + l, maxdeg)
@@ -273,9 +284,15 @@ def prop8_relation(genus: int, d: int, a: int, b: int, c: int) -> KLPoly:
     if R < 0:
         return kl_zero(genus)
     # as in theorem5_class, with d + 1 more table products for the
-    # relation and about (d a)^2 / 4 series products for Psi_{n,m}
-    _check_work(f"prop8_relation({genus}, {d}, {a}, {b}, {c})", R, d + 1,
-                (d + 1) * (d + 2) // 2 + 8, d * (d - 1) // 2 + (d * min(a, d)) ** 2 // 4)
+    # relation, one series product per A_n and m, and the products of
+    # Psi_{n,m}, m <= n <= d: n - m + 1 for each k <= min(m, R + 2), of
+    # length R + 2 - k, each with one more step for the call
+    series = (d * (d - 1) // 2 + d * min(a, d)) * (R + 2) ** 2 + sum(
+        (d - m + 1) * (d - m + 2) // 2
+        * (_squares(R + 1) - _squares(max(R + 1 - m, 0)) + min(m, R + 2))
+        for m in range(1, min(a, d) + 1))
+    _check_work(f"prop8_relation({genus}, {d}, {a}, {b}, {c})", d, R, d + 1,
+                (d + 1) * (d + 2) // 2 + 8, series)
     top = R + 1  # x^T pushes to kappa_{T-1}, of degree T - 1 <= R
     sign = -1 if c % 2 else 1
     w = [sign * comb(a, j) for j in range(a + 1)]

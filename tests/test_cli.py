@@ -455,11 +455,20 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     "relation --prop8 -g 100000000 -d 1 -a 0 -b 1 -c 2",
     "conifold --max-genus 100000",
     "relation --theorem5 -g 2 -d 1000 -k 1000",
-], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d"])
+    "relation --theorem5 -g 1200 -d 600 -k 1",
+], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits"])
 def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv):
     start = time.perf_counter()
     exits_2_with_one_line(capsys, monkeypatch, argv.split(), "")
     assert time.perf_counter() - start < 1.0
+
+
+def test_prop8_with_many_meeting_products_of_low_degree_runs(capsys):
+    # R = 5, so only the products of Psi_{n,m} with k <= 7 are nonempty
+    argv = "relation --prop8 -g 46 -d 40 -a 40 -b 0 -c 1".split()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
 
 
 def test_results_longer_than_the_int_str_digit_limit_are_written(capsys, monkeypatch):

@@ -254,33 +254,55 @@ def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
     assert all(type(v) is Fraction for v in diagonal)
 
 
+def column_indices(specs, columns):
+    """The indices in `specs` of the columns of a run: a block monomial is
+    determined by its blocks and exps."""
+    index = {(s.blocks, s.exps): j for j, s in enumerate(specs)}
+    _, _, blocks, exps = columns
+    return [index[key] for key in zip(blocks, exps)]
+
+
 def test_certificate_evaluates_every_checked_cell(monkeypatch):
-    """Every cell with row length <= column length goes through
-    pairing_entry exactly once; no cell is counted without evaluation."""
+    """Every cell with row length <= column length goes through the row
+    rule exactly once; no cell is counted without evaluation."""
+    rule = pairing._row_cells
     for d, k in ((3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
-        matrix = PairingMatrix(d, k)
-        index = {id(x): i for i, x in enumerate(matrix.specs)}
-        assert len(index) == matrix.size
+        specs = enumerate_P(d, k)
+        rows = {id(x): i for i, x in enumerate(specs)}
         seen = []
 
-        def counting(row, col):
-            seen.append((index[id(row)], index[id(col)]))
-            return pairing_entry(row, col)
+        def counting(row, columns):
+            cells = rule(row, columns)
+            assert len(cells) == len(columns[1])
+            seen.extend((rows[id(row)], j) for j in column_indices(specs, columns))
+            return cells
 
-        monkeypatch.setattr(pairing, "PairingMatrix", lambda d, k: matrix)
-        monkeypatch.setattr(pairing, "pairing_entry", counting)
+        monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
+        monkeypatch.setattr(pairing, "_row_cells", counting)
         cert = rank_certificate(d, k)
         monkeypatch.undo()
-        lengths = [len(s.blocks) for s in matrix.specs]
+        lengths = [len(s.blocks) for s in specs]
         expected = {
             (i, j)
-            for i in range(matrix.size)
-            for j in range(matrix.size)
+            for i in range(len(specs))
+            for j in range(len(specs))
             if lengths[i] <= lengths[j]
         }
         assert len(seen) == len(set(seen)) == len(expected)
         assert set(seen) == expected
         assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(seen)
+
+
+def test_matrix_computes_each_row_once(monkeypatch):
+    """A row-by-row walk over the grid calls the row rule once per row."""
+    rule = pairing._row_cells
+    calls = []
+    monkeypatch.setattr(pairing, "_row_cells", lambda row, cols: calls.append(row) or rule(row, cols))
+    matrix = PairingMatrix(4, 2)
+    cells = list(matrix.entries())
+    assert len(cells) == matrix.size ** 2
+    assert calls == matrix.specs
+    assert matrix.entry(0, 1) == pairing_entry(matrix.specs[0], matrix.specs[1])
 
 
 # -- fault injection: a wrong component factor fails the certificate -------
@@ -302,28 +324,71 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
     assert str(err.value) == message
 
 
-def faulty_cell(monkeypatch, row, col, entry):
-    """Make pairing_entry return `entry` for the one cell (row, col)."""
-    def patched(r, c):
-        return entry if (r, c) == (row, col) else pairing_entry(r, c)
-    monkeypatch.setattr(pairing, "pairing_entry", patched)
+def faulty_cells(monkeypatch, specs, faults):
+    """Make the row rule give the outcome faults[(i, j)] for each cell (i, j)
+    of `specs`, and its own outcome elsewhere."""
+    rule = pairing._row_cells
+    rows = {id(x): i for i, x in enumerate(specs)}
+
+    def patched(row, columns):
+        cells = rule(row, columns)
+        i = rows[id(row)]
+        for c, j in enumerate(column_indices(specs, columns)):
+            cells[c] = faults.get((i, j), cells[c])
+        return cells
+
+    monkeypatch.setattr(pairing, "_row_cells", patched)
+
+
+def certificate_with_faults(monkeypatch, d, k, faults):
+    specs = enumerate_P(d, k)
+    monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
+    faulty_cells(monkeypatch, specs, faults)
+    return rank_certificate(d, k)
 
 
 def test_certificate_rejects_an_uncomputed_diagonal_cell(monkeypatch):
-    specs = enumerate_P(4, 3)
-    faulty_cell(monkeypatch, specs[2], specs[2], PairingEntry(UNEVALUATED))
     with pytest.raises(CertificateError) as err:
-        rank_certificate(4, 3)
+        certificate_with_faults(monkeypatch, 4, 3, {(2, 2): None})
     assert str(err.value) == "diagonal entry 2 not computed"
 
 
 def test_certificate_rejects_a_computed_zero_below_the_blocks(monkeypatch):
     specs = enumerate_P(4, 3)
     i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
-    faulty_cell(monkeypatch, specs[i], specs[1], PairingEntry(COMPUTED, value=Fraction(0)))
     with pytest.raises(CertificateError) as err:
-        rank_certificate(4, 3)
+        certificate_with_faults(monkeypatch, 4, 3, {(i, 1): 0})
     assert str(err.value) == f"entry ({i},1) should be proven zero"
+
+
+@pytest.mark.parametrize("reason", [pairing.REASON_TOO_FEW_BLOCKS,
+                                    pairing.REASON_SUPPORT_MISMATCH])
+def test_certificate_accepts_a_proven_zero_inside_a_block(monkeypatch, reason):
+    """An off-diagonal cell of a length block's own rows may be a proven
+    zero instead of a computed one."""
+    clean = rank_certificate(4, 3)
+    assert certificate_with_faults(monkeypatch, 4, 3, {(3, 5): reason, (5, 3): reason}) == clean
+
+
+def test_certificate_rejects_an_unevaluated_cell_inside_a_block(monkeypatch):
+    with pytest.raises(CertificateError) as err:
+        certificate_with_faults(monkeypatch, 4, 3, {(3, 5): None})
+    assert str(err.value) == "off-diagonal entry (3,5) is nonzero"
+
+
+@pytest.mark.parametrize("faults,message", [
+    ({(2, 1): None, (2, 2): None}, "off-diagonal entry (2,1) is nonzero"),
+    ({(2, 2): None, (2, 4): 7}, "diagonal entry 2 not computed"),
+    ({(2, 2): 5, (2, 3): 1}, "diagonal entry 2 is 5, expected 6"),
+    ({(2, 4): -1, (3, 3): 0}, "off-diagonal entry (2,4) is nonzero"),
+    ({(3, 3): 0}, "diagonal entry 3 is 0, expected positive"),
+])
+def test_certificate_names_the_first_failing_cell(monkeypatch, faults, message):
+    """With several faults, the first in row order, then column order, is
+    the one reported."""
+    with pytest.raises(CertificateError) as err:
+        certificate_with_faults(monkeypatch, 4, 3, faults)
+    assert str(err.value) == message
 
 
 def test_component_factor_must_be_an_integer(monkeypatch):
@@ -387,3 +452,20 @@ def test_entries_match_literal_rule(d, k):
                 want.reason,
             ), (row, col)
             assert type(got.value) is type(want.value)
+
+
+@pytest.mark.parametrize("d,k", LITERAL_GRIDS)
+def test_row_rule_matches_literal_rule(d, k):
+    """The row rule's outcome for every cell: the literal entry's reason
+    for a proven zero, None when unevaluated, the int value if computed."""
+    specs = enumerate_P(d, k)
+    columns = pairing._columns(specs)
+    for row in specs:
+        cells = pairing._row_cells(row, columns)
+        assert len(cells) == len(specs)
+        for col, cell in zip(specs, cells):
+            want = literal_pairing_entry(row, col)
+            if want.status == "computed":
+                assert type(cell) is int and cell == want.value, (row, col)
+            else:
+                assert cell == want.reason, (row, col)

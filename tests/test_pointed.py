@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+import math
 from math import comb
 
 import pytest
@@ -814,6 +815,44 @@ def test_relation_work_estimate_counts_the_table_partitions(monkeypatch):
                                          rf"estimated {work:,} or more steps; "
                                          rf"the limit is {work - 1:,}$"):
         theorem5_class(24, 12, 11)
+
+
+def test_prop8_work_estimate_counts_the_nonempty_meeting_products(monkeypatch):
+    # written out product by product: the block series and the A_n take
+    # products of series of length R + 2; Psi_{n,m} (m <= n <= d) takes
+    # n - m + 1 products for each k <= m, of which those with k <= R + 2
+    # are nonempty, of length R + 2 - k, and each counts one more step
+    g, d, a, b, c = 16, 10, 3, 2, 4
+    R = g - 2 * d - 2 + a + b + c
+    meeting = sum((R + 2 - k) ** 2 + 1
+                  for m in range(1, min(a, d) + 1) for n in range(m, d + 1)
+                  for k in range(1, min(m, R + 2) + 1) for _ in range(n - m + 1))
+    series = (d * (d - 1) // 2 + d * min(a, d)) * (R + 2) ** 2 + meeting
+    parts = sum(1 for r in range(R + 1) for p in kappa_partitions(r) if len(p) <= d + 1)
+    work = ((d + 1) * (d + 2) // 2 + 8) * parts + series
+    monkeypatch.setattr(relations, "MAX_WORK", work)
+    assert prop8_relation(g, d, a, b, c).homogeneous_degrees() == [R]
+    monkeypatch.setattr(relations, "MAX_WORK", work - 1)
+    with pytest.raises(InputError, match=rf"^prop8_relation\({g}, {d}, {a}, {b}, {c}\) "
+                                         rf"needs an estimated {work:,} or more steps"):
+        prop8_relation(g, d, a, b, c)
+
+
+def test_relation_work_estimate_weighs_coefficient_digits():
+    # the coefficients of g_s have about s log10 s digits
+    for s in (50, 100, 200):
+        digits = [len(str(abs(x))) for x in _block_series(s, 2)]
+        assert all(1 <= n / (s * math.log10(s)) <= 1.15 for n in digits), (s, digits)
+    # g_600: 1,666 digits, so each step of theorem5_class(1200, 600, 1)
+    # weighs 1 + 1666^2 // 600^2 = 8; the estimate passes the limit with the
+    # series and the table products over the partition ()
+    weight = 1 + 1666 ** 2 // 600 ** 2
+    work = weight * (600 * 599 // 2 * 3 ** 2 + 600 * 601 // 2 + 8)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=rf"^theorem5_class\(1200, 600, 1\) needs an "
+                                         rf"estimated {work:,} or more steps"):
+        theorem5_class(1200, 600, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_recorded_relation_calls_stay_under_the_work_limit():
