@@ -34,17 +34,23 @@ positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
 Every cell comes from one rule, `_row_cells`, which scores a row against
-a run of columns built once per column group.  A cell's outcome is a
+a run of columns laid out once per column group.  A cell's outcome is a
 proven-zero reason, None if unevaluated, or the int product of component
-factors cached on (tau_i, tau'_i); the certificate counts a row's outcomes
-and scans the row only to name its first failing cell.
+factors cached on (tau_i, tau'_i).  The outcome depends only on the
+lengths, except where the column shares the row's set partition, so the
+rule repeats one constant outcome over each stretch of equal-length
+columns and then overwrites, at their positions, the columns of the row's
+partition: component by component it maps the factor over that
+partition's exponents, and multiplies the factor vectors elementwise.
+The certificate counts a row's outcomes and scans the row only to name
+its first failing cell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from math import prod
 from typing import Iterator
 
@@ -120,13 +126,19 @@ class PairingEntry(Frozen):
 def enumerate_P(d: int, k: int) -> list:
     """The block monomials of degree k on d light points, the index of both
     rows and columns: number of blocks descending, then lexicographic in
-    (blocks, exps)."""
+    (blocks, exps).  Each call returns a fresh list over one enumeration
+    per (d, k)."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
+    return list(_enumeration(d, k))
+
+
+@lru_cache(maxsize=64)
+def _enumeration(d: int, k: int) -> tuple:
     # l blocks have degree d - l before their exponents
-    return [BlockMonomial._trusted(d, blocks, exps)
-            for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
-            for exps in iter_weak_compositions(k - d + len(blocks), len(blocks))]
+    return tuple([BlockMonomial._trusted(d, blocks, exps)
+                  for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
+                  for exps in iter_weak_compositions(k - d + len(blocks), len(blocks))])
 
 
 # each outcome with no cell-specific data has one shared (frozen) entry
@@ -139,9 +151,15 @@ _ENTRIES = {REASON_TOO_FEW_BLOCKS: _TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH: _SU
 _REASONS = (REASON_TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH)
 
 
-def _entry(cell) -> PairingEntry:
-    """The entry of a cell outcome."""
-    return _ENTRIES.get(cell) or PairingEntry(COMPUTED, value=Fraction(cell))
+@lru_cache(maxsize=256)
+def _computed(value: int) -> PairingEntry:
+    """The one shared entry of a computed int value."""
+    return PairingEntry(COMPUTED, value=Fraction(value))
+
+
+def _entries(cells: list) -> list:
+    """The entries of a row of cell outcomes."""
+    return [_ENTRIES.get(cell) or _computed(cell) for cell in cells]
 
 
 @lru_cache(maxsize=256)
@@ -156,28 +174,55 @@ def _component_integral(t: int, tp: int) -> int:
 
 
 def _columns(cols) -> tuple:
-    """A run of columns: (d, degree), block count, blocks, exps, as lists."""
-    return ([(c.d, c.degree) for c in cols], [len(c.blocks) for c in cols],
-            [c.blocks for c in cols], [c.exps for c in cols])
+    """A run of columns laid out for `_row_cells`: the monomials `cols` in
+    order; their one (d, degree) key, None unless there is exactly one;
+    the (length, size) of each stretch of consecutive equal-length columns;
+    and for each set partition, its column positions (contiguous or not) and
+    its exponents transposed by component."""
+    keys = {(c.d, c.degree) for c in cols}
+    key = keys.pop() if len(keys) == 1 else None
+    runs = [(l, len(list(g))) for l, g in groupby(len(c.blocks) for c in cols)]
+    parts = {}
+    for j, c in enumerate(cols):
+        parts.setdefault(c.blocks, []).append(j)
+    for blocks, js in parts.items():
+        parts[blocks] = js, tuple(zip(*[cols[j].exps for j in js]))
+    return cols, key, runs, parts
 
 
 def _row_cells(row: BlockMonomial, columns: tuple) -> list:
     """The cell rule: the outcome of pairing the monomial `row` against the
     chain stratum of each column of the run `columns`, in order."""
-    keys, lengths, blocks, exps = columns
-    if keys.count((row.d, row.degree)) != len(keys):
+    _, key, runs, parts = columns
+    if (row.d, row.degree) != key:
         raise InputError("row and column have mismatched (d, k)")
-    l, row_blocks, row_exps = len(row.blocks), row.blocks, row.exps
-    return [REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-            else REASON_SUPPORT_MISMATCH if row_blocks != b
-            else prod(map(_component_integral, row_exps, e))
-            for lp, b, e in zip(lengths, blocks, exps)]
+    l = len(row.blocks)
+    cells = []
+    for lp, size in runs:
+        cells += [REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+                  else REASON_SUPPORT_MISMATCH] * size
+    stretch = parts.get(row.blocks)
+    if stretch is not None:
+        js, exps = stretch
+        # a column of the row's partition has exponents in 0..s, s the
+        # row's exponent sum; over a longer stretch, each component's
+        # factor is tabulated on 0..s once and read off per column
+        span = range(sum(row.exps) + 1)
+        if len(js) > len(span):
+            factors = [map([_component_integral(t, tp) for tp in span].__getitem__, e)
+                       for t, e in zip(row.exps, exps)]
+        else:
+            factors = [map(_component_integral, repeat(t, len(js)), e)
+                       for t, e in zip(row.exps, exps)]
+        for j, value in zip(js, map(prod, zip(*factors))):
+            cells[j] = value
+    return cells
 
 
 def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
     """Evaluate the pairing of the monomial `row` against the chain stratum
     of the monomial `col`."""
-    return _entry(_row_cells(row, _columns((col,)))[0])
+    return _entries(_row_cells(row, _columns((col,))))[0]
 
 
 class DiagonalBlock(Frozen):
@@ -217,27 +262,30 @@ class Certificate(Frozen):
 class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
     column j is the chain stratum of `specs[j]`.  Entries are computed on
-    demand, a row at a time: `entry(i, j)` keeps the cells of the last row
-    it computed, so `entries()` costs one rule call per row.  Rows shorter
-    than the column are proven zero, rows of its length computed exactly.
+    demand, a row at a time: the first `entry` call lays out the columns,
+    and `entry(i, j)` keeps the entries of the last row it computed, so
+    `entries()` costs one rule call per row.  Rows shorter than the column
+    are proven zero, rows of its length computed exactly.
     """
 
     def __init__(self, d: int, k: int):
         self.d, self.k = d, k
         self.specs = enumerate_P(d, k)
-        self._columns = _columns(self.specs)
-        self._last = (None, None)  # the last row computed and its cells
+        self._run = None  # all columns as one run, laid out on the first entry
+        self._last = (None, None)  # the last row computed and its entries
 
     @property
     def size(self) -> int:
         return len(self.specs)
 
     def entry(self, i: int, j: int) -> PairingEntry:
-        last, cells = self._last
+        last, row = self._last
         if last != i:
-            cells = _row_cells(self.specs[i], self._columns)
-            self._last = (i, cells)
-        return _entry(cells[j])
+            if self._run is None:
+                self._run = _columns(self.specs)
+            row = _entries(_row_cells(self.specs[i], self._run))
+            self._last = (i, row)
+        return row[j]
 
     def entries(self) -> Iterator[tuple]:
         n = self.size
@@ -280,13 +328,17 @@ def rank_certificate(d: int, k: int) -> Certificate:
         diag, hi = [], lo + size
         for i in range(lo, n):
             cells = _row_cells(specs[i], columns)
-            proven = cells.count(REASON_TOO_FEW_BLOCKS) + cells.count(REASON_SUPPORT_MISMATCH)
+            # count the row's common outcome first: list.count is quick on
+            # the identical reason strings and slow on the other cells
             if i >= hi:
-                if proven != size:
+                proven = cells.count(REASON_TOO_FEW_BLOCKS)
+                if proven != size and proven + cells.count(REASON_SUPPORT_MISMATCH) != size:
                     _reject(i, lo, hi, 0, cells)
                 continue
             expected = prod(t + 1 for t in specs[i].exps)
-            if cells[i - lo] != expected or proven + cells.count(0) != size - 1:
+            zeros = cells.count(REASON_SUPPORT_MISMATCH) + cells.count(0)
+            if cells[i - lo] != expected or (
+                    zeros != size - 1 and zeros + cells.count(REASON_TOO_FEW_BLOCKS) != size - 1):
                 _reject(i, lo, hi, expected, cells)
             diag.append(Fraction(expected))
         blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))

@@ -255,11 +255,11 @@ def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
 
 
 def column_indices(specs, columns):
-    """The indices in `specs` of the columns of a run: a block monomial is
-    determined by its blocks and exps."""
+    """The indices in `specs` of the columns of a run, whose monomials it
+    keeps first, in order: a block monomial is determined by its blocks
+    and exps."""
     index = {(s.blocks, s.exps): j for j, s in enumerate(specs)}
-    _, _, blocks, exps = columns
-    return [index[key] for key in zip(blocks, exps)]
+    return [index[c.blocks, c.exps] for c in columns[0]]
 
 
 def test_certificate_evaluates_every_checked_cell(monkeypatch):
@@ -273,7 +273,7 @@ def test_certificate_evaluates_every_checked_cell(monkeypatch):
 
         def counting(row, columns):
             cells = rule(row, columns)
-            assert len(cells) == len(columns[1])
+            assert len(cells) == len(columns[0])
             seen.extend((rows[id(row)], j) for j in column_indices(specs, columns))
             return cells
 
@@ -469,3 +469,90 @@ def test_row_rule_matches_literal_rule(d, k):
                 assert type(cell) is int and cell == want.value, (row, col)
             else:
                 assert cell == want.reason, (row, col)
+
+
+def assert_run_matches_literal_rule(specs, run):
+    """Every row of `specs` against the column run `run`, cell by cell."""
+    columns = pairing._columns(run)
+    for row in specs:
+        cells = pairing._row_cells(row, columns)
+        assert len(cells) == len(run)
+        for col, cell in zip(run, cells):
+            want = literal_pairing_entry(row, col)
+            if want.status == "computed":
+                assert type(cell) is int and cell == want.value, (row, col)
+            else:
+                assert cell == want.reason, (row, col)
+
+
+def split_run():
+    """The specs of d = 3, k = 2 and a run in which the columns of the
+    partition {1}{2}{3} are split apart by other columns."""
+    specs = enumerate_P(3, 2)
+    own = [s for s in specs if s.blocks == ((1,), (2,), (3,))]
+    other = [s for s in specs if s.blocks != ((1,), (2,), (3,))]
+    return specs, [own[0], other[0], own[1], other[-1], own[2]]
+
+
+def test_row_rule_on_a_partition_split_apart():
+    """The columns of one set partition need not be contiguous in a run:
+    its computed stretch is written at their positions only."""
+    specs, run = split_run()
+    positions, _ = pairing._columns(run)[3][((1,), (2,), (3,))]
+    assert positions == [0, 2, 4]
+    assert_run_matches_literal_rule(specs, run)
+    assert_run_matches_literal_rule(specs, run[::-1])
+
+
+def test_row_rule_matches_literal_rule_on_shuffled_runs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @st.composite
+    def runs(draw):
+        d, k = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+        specs = enumerate_P(d, k)
+        order = draw(st.permutations(range(len(specs))))
+        keep = draw(st.integers(1, len(specs)))
+        return specs, [specs[j] for j in order[:keep]]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(runs())
+    @example(split_run())
+    def check(drawn):
+        assert_run_matches_literal_rule(*drawn)
+
+    check()
+
+
+def test_row_rule_rejects_a_run_of_mixed_keys():
+    run = enumerate_P(3, 2)[:2] + enumerate_P(3, 1)[:1]
+    columns = pairing._columns(run)
+    for row in run:
+        with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
+            pairing._row_cells(row, columns)
+
+
+def test_enumerations_are_fresh_lists_with_equal_contents():
+    a, b = enumerate_P(4, 3), enumerate_P(4, 3)
+    assert type(a) is list and a is not b and a == b
+    a.clear()
+    assert enumerate_P(4, 3) == b
+
+
+def test_matrix_lays_out_columns_on_first_entry():
+    matrix = PairingMatrix(3, 2)
+    assert matrix.size == len(matrix.specs) == 13
+    assert matrix._run is None
+    first = matrix.entry(0, 0)
+    assert matrix._run is not None
+    assert first == pairing_entry(matrix.specs[0], matrix.specs[0])
+
+
+def test_computed_values_share_one_entry():
+    matrix = PairingMatrix(3, 2)
+    cells = [e for _, _, e in matrix.entries() if e.status == COMPUTED]
+    by_value = {}
+    for e in cells:
+        assert by_value.setdefault(e.value, e) is e
+    assert by_value[0] is pairing._COMPUTED_ZERO and len(by_value) > 2
