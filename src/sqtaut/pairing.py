@@ -40,8 +40,9 @@ factors cached on (tau_i, tau'_i).  The outcome depends only on the
 lengths, except where the column shares the row's set partition, so the
 rule repeats one constant outcome over each stretch of equal-length
 columns and then overwrites, at their positions, the columns of the row's
-partition: component by component it maps the factor over that
-partition's exponents, and multiplies the factor vectors elementwise.
+partition: component by component it tabulates the factor on 0..s, s the
+row's exponent sum and so the bound on those columns' exponents, reads
+it off at each column, and multiplies the factor vectors elementwise.
 The certificate counts a row's outcomes and scans the row only to name
 its first failing cell.
 """
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import groupby
 from math import prod
 from typing import Iterator
 
@@ -126,14 +127,17 @@ class PairingEntry(Frozen):
 def enumerate_P(d: int, k: int) -> list:
     """The block monomials of degree k on d light points, the index of both
     rows and columns: number of blocks descending, then lexicographic in
-    (blocks, exps).  Each call returns a fresh list over one enumeration
-    per (d, k)."""
+    (blocks, exps).  Each call returns a fresh list; for d, k <= MAX_DK,
+    the range of `rank_certificate`, it copies one enumeration kept per
+    (d, k) for the life of the process."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
-    return list(_enumeration(d, k))
+    if d <= MAX_DK and k <= MAX_DK:
+        return list(_enumeration(d, k))
+    return list(_enumeration.__wrapped__(d, k))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MAX_DK * (MAX_DK + 1))  # every key enumerate_P passes
 def _enumeration(d: int, k: int) -> tuple:
     # l blocks have degree d - l before their exponents
     return tuple([BlockMonomial._trusted(d, blocks, exps)
@@ -205,15 +209,11 @@ def _row_cells(row: BlockMonomial, columns: tuple) -> list:
     if stretch is not None:
         js, exps = stretch
         # a column of the row's partition has exponents in 0..s, s the
-        # row's exponent sum; over a longer stretch, each component's
-        # factor is tabulated on 0..s once and read off per column
+        # row's exponent sum: each component's factor is tabulated on 0..s
+        # once and read off per column
         span = range(sum(row.exps) + 1)
-        if len(js) > len(span):
-            factors = [map([_component_integral(t, tp) for tp in span].__getitem__, e)
-                       for t, e in zip(row.exps, exps)]
-        else:
-            factors = [map(_component_integral, repeat(t, len(js)), e)
-                       for t, e in zip(row.exps, exps)]
+        factors = [map([_component_integral(t, tp) for tp in span].__getitem__, e)
+                   for t, e in zip(row.exps, exps)]
         for j, value in zip(js, map(prod, zip(*factors))):
             cells[j] = value
     return cells
@@ -328,17 +328,15 @@ def rank_certificate(d: int, k: int) -> Certificate:
         diag, hi = [], lo + size
         for i in range(lo, n):
             cells = _row_cells(specs[i], columns)
-            # count the row's common outcome first: list.count is quick on
-            # the identical reason strings and slow on the other cells
+            # the counts pass a row whose cells all hold the outcome the rule
+            # gives a correct row; `_reject` judges any other row cell by cell
             if i >= hi:
-                proven = cells.count(REASON_TOO_FEW_BLOCKS)
-                if proven != size and proven + cells.count(REASON_SUPPORT_MISMATCH) != size:
+                if cells.count(REASON_TOO_FEW_BLOCKS) != size:
                     _reject(i, lo, hi, 0, cells)
                 continue
             expected = prod(t + 1 for t in specs[i].exps)
-            zeros = cells.count(REASON_SUPPORT_MISMATCH) + cells.count(0)
             if cells[i - lo] != expected or (
-                    zeros != size - 1 and zeros + cells.count(REASON_TOO_FEW_BLOCKS) != size - 1):
+                    cells.count(REASON_SUPPORT_MISMATCH) + cells.count(0) != size - 1):
                 _reject(i, lo, hi, expected, cells)
             diag.append(Fraction(expected))
         blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))

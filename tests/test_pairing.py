@@ -540,6 +540,14 @@ def test_enumerations_are_fresh_lists_with_equal_contents():
     assert enumerate_P(4, 3) == b
 
 
+def test_enumerations_beyond_the_certificate_range_are_not_kept():
+    d = pairing.MAX_DK + 1
+    calls = pairing._enumeration.cache_info()
+    a, b = enumerate_P(d, 1), enumerate_P(d, 1)
+    assert a == b and len(a) == count_by_formula(d, 1)
+    assert pairing._enumeration.cache_info() == calls
+
+
 def test_matrix_lays_out_columns_on_first_entry():
     matrix = PairingMatrix(3, 2)
     assert matrix.size == len(matrix.specs) == 13
