@@ -33,26 +33,33 @@ lower-triangular with diagonal blocks that are themselves diagonal with
 positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
-Every cell comes from one rule, `_row_cells`, which scores a row against
-a run of columns laid out once per column group.  A cell's outcome is a
-proven-zero reason, None if unevaluated, or the int product of component
-factors cached on (tau_i, tau'_i).  The outcome depends only on the
-lengths, except where the column shares the row's set partition, so the
-rule repeats one constant outcome over each stretch of equal-length
-columns and then overwrites, at their positions, the columns of the row's
-partition: component by component it tabulates the factor on 0..s, s the
-row's exponent sum and so the bound on those columns' exponents, reads
-it off at each column, and multiplies the factor vectors elementwise.
-The certificate counts a row's outcomes and scans the row only to name
-its first failing cell.
+Every cell comes from one rule, `_row_runs`, which scores a row against
+a run of columns laid out once per column group and returns the row
+compressed.  A cell's outcome is a proven-zero reason, None if
+unevaluated, or the int product of component factors cached on
+(tau_i, tau'_i).  The outcome depends only on the lengths, except where
+the column shares the row's set partition, so the rule gives one
+outcome per stretch of equal-length columns and, apart, the positions
+of the row's partition.  Of those columns only the live ones, where
+every component factor is nonzero, get a product: the layout holds, per
+partition and component, a bitmask of the columns holding each
+exponent, and the rule tabulates each component's factor on 0..s (s the
+row's exponent sum, the bound on those columns' exponents) and ANDs,
+over the components, the masks of the exponents where it is nonzero.
+Every other column of the partition is a computed 0.  The certificate
+judges a row from its stretches and live values, in O(stretches + live
+columns), and expands only a failing row, cell by cell, to name its
+first failing cell; `PairingMatrix.entry` and `pairing_entry` expand
+the rows they read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby, repeat
 from math import prod
+from operator import getitem
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
@@ -150,20 +157,22 @@ _TOO_FEW_BLOCKS = PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
 _SUPPORT_MISMATCH = PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
 _UNEVALUATED = PairingEntry(UNEVALUATED)
 _COMPUTED_ZERO = PairingEntry(COMPUTED, value=Fraction(0))
-_ENTRIES = {REASON_TOO_FEW_BLOCKS: _TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH: _SUPPORT_MISMATCH,
-            None: _UNEVALUATED, 0: _COMPUTED_ZERO}
 _REASONS = (REASON_TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH)
 
 
-@lru_cache(maxsize=256)
-def _computed(value: int) -> PairingEntry:
-    """The one shared entry of a computed int value."""
-    return PairingEntry(COMPUTED, value=Fraction(value))
+class _Entries(dict):
+    """`_ENTRIES[outcome]` is the entry of a cell outcome: the shared ones
+    above, and one per computed int value while fewer than 256 are kept."""
+
+    def __missing__(self, value: int) -> PairingEntry:
+        entry = PairingEntry(COMPUTED, value=Fraction(value))
+        if len(self) < 256:
+            self[value] = entry
+        return entry
 
 
-def _entries(cells: list) -> list:
-    """The entries of a row of cell outcomes."""
-    return [_ENTRIES.get(cell) or _computed(cell) for cell in cells]
+_ENTRIES = _Entries({REASON_TOO_FEW_BLOCKS: _TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH: _SUPPORT_MISMATCH,
+                     None: _UNEVALUATED, 0: _COMPUTED_ZERO})
 
 
 @lru_cache(maxsize=256)
@@ -178,51 +187,85 @@ def _component_integral(t: int, tp: int) -> int:
 
 
 def _columns(cols) -> tuple:
-    """A run of columns laid out for `_row_cells`: the monomials `cols` in
+    """A run of columns laid out for `_row_runs`: the monomials `cols` in
     order; their one (d, degree) key, None unless there is exactly one;
     the (length, size) of each stretch of consecutive equal-length columns;
-    and for each set partition, its column positions (contiguous or not) and
-    its exponents transposed by component."""
+    and, if the key is one, per set partition its column positions
+    (contiguous or not) and per component the bitmask, for each exponent
+    t <= degree, of those columns (bit b for the b-th) with exponent t."""
     keys = {(c.d, c.degree) for c in cols}
     key = keys.pop() if len(keys) == 1 else None
     runs = [(l, len(list(g))) for l, g in groupby(len(c.blocks) for c in cols)]
     parts = {}
-    for j, c in enumerate(cols):
-        parts.setdefault(c.blocks, []).append(j)
-    for blocks, js in parts.items():
-        parts[blocks] = js, tuple(zip(*[cols[j].exps for j in js]))
+    if key is not None:
+        span = key[1] + 1  # an exponent is at most the degree
+        for j, c in enumerate(cols):
+            part = parts.get(c.blocks)
+            if part is None:
+                part = parts[c.blocks] = [], [[0] * span for _ in c.blocks]
+            js, masks = part
+            bit = 1 << len(js)
+            js.append(j)
+            for support, t in zip(masks, c.exps):
+                support[t] |= bit
     return cols, key, runs, parts
 
 
-def _row_cells(row: BlockMonomial, columns: tuple) -> list:
-    """The cell rule: the outcome of pairing the monomial `row` against the
-    chain stratum of each column of the run `columns`, in order."""
-    _, key, runs, parts = columns
+def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
+    """The cell rule: the outcomes of pairing the monomial `row` against
+    the chain stratum of each column of the run `columns`, as (outcomes,
+    own, live): one (outcome, size) per stretch of equal-length columns,
+    in order; the positions of the row's set partition, computed 0 except
+    the (position, product) pairs of `live`, in order, where every
+    component factor is nonzero."""
+    cols, key, runs, parts = columns
     if (row.d, row.degree) != key:
         raise InputError("row and column have mismatched (d, k)")
     l = len(row.blocks)
-    cells = []
+    outcomes = []
     for lp, size in runs:
-        cells += [REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-                  else REASON_SUPPORT_MISMATCH] * size
+        outcomes.append((REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+                         else REASON_SUPPORT_MISMATCH, size))
     stretch = parts.get(row.blocks)
-    if stretch is not None:
-        js, exps = stretch
-        # a column of the row's partition has exponents in 0..s, s the
-        # row's exponent sum: each component's factor is tabulated on 0..s
-        # once and read off per column
-        span = range(sum(row.exps) + 1)
-        factors = [map([_component_integral(t, tp) for tp in span].__getitem__, e)
-                   for t, e in zip(row.exps, exps)]
-        for j, value in zip(js, map(prod, zip(*factors))):
-            cells[j] = value
+    if stretch is None:
+        return outcomes, (), []
+    js, masks = stretch
+    # the partition's columns have exponents in 0..s, s the row's exponent
+    # sum; a live column is in every component's nonzero support
+    span = range(sum(row.exps) + 1)
+    tables = [list(map(_component_integral, repeat(t), span)) for t in row.exps]
+    alive = -1
+    for support, table in zip(masks, tables):
+        alive &= sum(compress(support, table))
+    live = []
+    while alive:
+        b = (alive & -alive).bit_length() - 1
+        alive &= alive - 1
+        j = js[b]
+        live.append((j, prod(map(getitem, tables, cols[j].exps))))
+    return outcomes, js, live
+
+
+def _expand(out: tuple, cell=lambda outcome: outcome) -> list:
+    """The row `out` of `_row_runs` in full, one item per column: `cell`
+    of its outcome, the outcome itself by default."""
+    outcomes, own, live = out
+    cells = []
+    for outcome, size in outcomes:
+        cells += [cell(outcome)] * size
+    if len(own) > len(live):  # some columns of the row's partition are 0
+        zero = cell(0)
+        for j in own:
+            cells[j] = zero
+    for j, value in live:
+        cells[j] = cell(value)
     return cells
 
 
 def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
     """Evaluate the pairing of the monomial `row` against the chain stratum
     of the monomial `col`."""
-    return _entries(_row_cells(row, _columns((col,))))[0]
+    return _expand(_row_runs(row, _columns((col,))), _ENTRIES.__getitem__)[0]
 
 
 class DiagonalBlock(Frozen):
@@ -272,20 +315,19 @@ class PairingMatrix:
         self.d, self.k = d, k
         self.specs = enumerate_P(d, k)
         self._run = None  # all columns as one run, laid out on the first entry
-        self._last = (None, None)  # the last row computed and its entries
+        self._i, self._row = None, None  # the last row computed and its entries
 
     @property
     def size(self) -> int:
         return len(self.specs)
 
     def entry(self, i: int, j: int) -> PairingEntry:
-        last, row = self._last
-        if last != i:
+        if i != self._i:
             if self._run is None:
                 self._run = _columns(self.specs)
-            row = _entries(_row_cells(self.specs[i], self._run))
-            self._last = (i, row)
-        return row[j]
+            self._row = _expand(_row_runs(self.specs[i], self._run), _ENTRIES.__getitem__)
+            self._i = i
+        return self._row[j]
 
     def entries(self) -> Iterator[tuple]:
         n = self.size
@@ -314,33 +356,35 @@ def rank_certificate(d: int, k: int) -> Certificate:
     For each length block of columns, rows lo..hi-1 (the block) must be
     diagonal, with the product of t + 1 over the exponents t on the
     diagonal, and rows hi.. (shorter) proven zero; every such cell is
-    evaluated once and counted, and `_reject` raises CertificateError for
-    the first failing cell of a row whose counts fail.
+    evaluated once, and `_reject` raises CertificateError for the first
+    failing cell of a row whose stretches or live cells differ from a
+    correct row's.
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
     specs = enumerate_P(d, k)
     n = len(specs)
-    blocks, lo = [], 0
+    blocks, lo, within = [], 0, 0
     for l, group in groupby(specs, key=lambda s: len(s.blocks)):
         columns = _columns(list(group))
         size = len(columns[0])
         diag, hi = [], lo + size
+        below, inside = [(REASON_TOO_FEW_BLOCKS, size)], [(REASON_SUPPORT_MISMATCH, size)]
         for i in range(lo, n):
-            cells = _row_cells(specs[i], columns)
-            # the counts pass a row whose cells all hold the outcome the rule
-            # gives a correct row; `_reject` judges any other row cell by cell
+            out = _row_runs(specs[i], columns)
+            outcomes, own, live = out
+            # a correct row below the block has too few blocks throughout, one
+            # in it only its diagonal live; `_reject` judges any other row
             if i >= hi:
-                if cells.count(REASON_TOO_FEW_BLOCKS) != size:
-                    _reject(i, lo, hi, 0, cells)
+                if outcomes != below or own:
+                    _reject(i, lo, hi, 0, _expand(out))
                 continue
-            expected = prod(t + 1 for t in specs[i].exps)
-            if cells[i - lo] != expected or (
-                    cells.count(REASON_SUPPORT_MISMATCH) + cells.count(0) != size - 1):
-                _reject(i, lo, hi, expected, cells)
-            diag.append(Fraction(expected))
+            expected = prod(map((1).__add__, specs[i].exps))  # prod (t + 1)
+            if outcomes != inside or live != [(i - lo, expected)]:
+                _reject(i, lo, hi, expected, _expand(out))
+            diag.append(_ENTRIES[expected].value)
         blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))
-        lo = hi
+        lo, within = hi, within + size * size
     # cells between lengths: proven zero below the blocks, unevaluated above
-    cross = (n * n - sum(b.size ** 2 for b in blocks)) // 2
+    cross = (n * n - within) // 2
     return Certificate(d, k, n, tuple(blocks), cross, cross, True)

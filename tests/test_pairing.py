@@ -2,6 +2,7 @@
 block-triangular rank certificate."""
 
 from fractions import Fraction
+from itertools import groupby
 from math import prod
 
 import pytest
@@ -262,23 +263,34 @@ def column_indices(specs, columns):
     return [index[c.blocks, c.exps] for c in columns[0]]
 
 
+def covered_positions(out, size):
+    """The run positions a compressed row of `_row_runs` covers, each as
+    often as it covers it: every column once through the stretches, the
+    own-partition columns distinct, and the live ones among them."""
+    outcomes, own, live = out
+    assert sum(n for _, n in outcomes) == size
+    assert len(set(own)) == len(own) and all(0 <= j < size for j in own)
+    assert [j for j, _ in live] == sorted({j for j, _ in live} & set(own))
+    return list(range(size))
+
+
 def test_certificate_evaluates_every_checked_cell(monkeypatch):
     """Every cell with row length <= column length goes through the row
     rule exactly once; no cell is counted without evaluation."""
-    rule = pairing._row_cells
+    rule = pairing._row_runs
     for d, k in ((3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
         specs = enumerate_P(d, k)
         rows = {id(x): i for i, x in enumerate(specs)}
         seen = []
 
         def counting(row, columns):
-            cells = rule(row, columns)
-            assert len(cells) == len(columns[0])
-            seen.extend((rows[id(row)], j) for j in column_indices(specs, columns))
-            return cells
+            out = rule(row, columns)
+            js = column_indices(specs, columns)
+            seen.extend((rows[id(row)], js[c]) for c in covered_positions(out, len(js)))
+            return out
 
         monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
-        monkeypatch.setattr(pairing, "_row_cells", counting)
+        monkeypatch.setattr(pairing, "_row_runs", counting)
         cert = rank_certificate(d, k)
         monkeypatch.undo()
         lengths = [len(s.blocks) for s in specs]
@@ -293,11 +305,22 @@ def test_certificate_evaluates_every_checked_cell(monkeypatch):
         assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(seen)
 
 
+def test_certificate_expands_no_row_it_accepts(monkeypatch):
+    """A correct row is judged from its stretches and live values; only a
+    failing row is expanded cell by cell."""
+    expand = pairing._expand
+    calls = []
+    monkeypatch.setattr(pairing, "_expand", lambda *a: calls.append(a) or expand(*a))
+    for d, k in ((3, 2), (4, 3), (5, 3)):
+        assert rank_certificate(d, k).full_rank
+    assert calls == []
+
+
 def test_matrix_computes_each_row_once(monkeypatch):
     """A row-by-row walk over the grid calls the row rule once per row."""
-    rule = pairing._row_cells
+    rule = pairing._row_runs
     calls = []
-    monkeypatch.setattr(pairing, "_row_cells", lambda row, cols: calls.append(row) or rule(row, cols))
+    monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: calls.append(row) or rule(row, cols))
     matrix = PairingMatrix(4, 2)
     cells = list(matrix.entries())
     assert len(cells) == matrix.size ** 2
@@ -326,18 +349,22 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
 
 def faulty_cells(monkeypatch, specs, faults):
     """Make the row rule give the outcome faults[(i, j)] for each cell (i, j)
-    of `specs`, and its own outcome elsewhere."""
-    rule = pairing._row_cells
+    of `specs`, and its own outcome elsewhere: a row with a fault comes back
+    as the stretches of equal outcomes of its expanded cells."""
+    rule = pairing._row_runs
     rows = {id(x): i for i, x in enumerate(specs)}
 
     def patched(row, columns):
-        cells = rule(row, columns)
+        out = rule(row, columns)
         i = rows[id(row)]
+        cells = pairing._expand(out)
         for c, j in enumerate(column_indices(specs, columns)):
             cells[c] = faults.get((i, j), cells[c])
-        return cells
+        if cells == pairing._expand(out):
+            return out
+        return [(cell, len(list(g))) for cell, g in groupby(cells)], (), []
 
-    monkeypatch.setattr(pairing, "_row_cells", patched)
+    monkeypatch.setattr(pairing, "_row_runs", patched)
 
 
 def certificate_with_faults(monkeypatch, d, k, faults):
@@ -409,10 +436,14 @@ def literal_degree(mono):
     return sum(mono.exps) + sum(len(b) - 1 for b in mono.blocks)
 
 
-def literal_pairing_entry(row, col):
+def literal_factor(t, tp):
+    """The component integral taken straight from psi_integral_M0n."""
+    return psi_integral_M0n([1, t] + [0] * (tp + 2))
+
+
+def literal_pairing_entry(row, col, factor=literal_factor):
     """The entry rule written out directly: a new PairingEntry per cell and
-    the product of the component integrals taken straight from
-    psi_integral_M0n."""
+    the product of the component integrals `factor(tau_i, tau'_i)`."""
     if (row.d, literal_degree(row)) != (col.d, literal_degree(col)):
         raise InputError("row and column have mismatched (d, k)")
     l, lp = len(row.blocks), len(col.blocks)
@@ -428,7 +459,7 @@ def literal_pairing_entry(row, col):
         )
     value = Fraction(1)
     for i in range(l):
-        value *= psi_integral_M0n([1, row.exps[i]] + [0] * (col.exps[i] + 2))
+        value *= factor(row.exps[i], col.exps[i])
         if value == 0:
             break
     return PairingEntry("computed", value=value)
@@ -454,35 +485,172 @@ def test_entries_match_literal_rule(d, k):
             assert type(got.value) is type(want.value)
 
 
+def assert_row_matches_literal_rule(row, run, out, factor=literal_factor):
+    """A compressed row of `_row_runs` against the literal entries of `row`
+    and the columns `run`: expanded, each cell is the literal entry's reason
+    for a proven zero, None when unevaluated, the int value if computed;
+    `own` holds exactly the columns of the row's partition, and `live`
+    exactly those of them with a nonzero value."""
+    cells = pairing._expand(out)
+    assert len(cells) == len(run)
+    for col, cell in zip(run, cells):
+        want = literal_pairing_entry(row, col, factor)
+        if want.status == "computed":
+            assert type(cell) is int and cell == want.value, (row, col)
+        else:
+            assert cell == want.reason, (row, col)
+    _, own, live = out
+    assert list(own) == [j for j, col in enumerate(run) if col.blocks == row.blocks]
+    assert [j for j, _ in live] == [j for j in own if cells[j] != 0]
+
+
 @pytest.mark.parametrize("d,k", LITERAL_GRIDS)
 def test_row_rule_matches_literal_rule(d, k):
-    """The row rule's outcome for every cell: the literal entry's reason
-    for a proven zero, None when unevaluated, the int value if computed."""
+    """The row rule's outcome for every cell, compressed and expanded."""
     specs = enumerate_P(d, k)
     columns = pairing._columns(specs)
     for row in specs:
-        cells = pairing._row_cells(row, columns)
-        assert len(cells) == len(specs)
-        for col, cell in zip(specs, cells):
-            want = literal_pairing_entry(row, col)
-            if want.status == "computed":
-                assert type(cell) is int and cell == want.value, (row, col)
-            else:
-                assert cell == want.reason, (row, col)
+        assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns))
 
 
 def assert_run_matches_literal_rule(specs, run):
     """Every row of `specs` against the column run `run`, cell by cell."""
     columns = pairing._columns(run)
     for row in specs:
-        cells = pairing._row_cells(row, columns)
-        assert len(cells) == len(run)
-        for col, cell in zip(run, cells):
-            want = literal_pairing_entry(row, col)
-            if want.status == "computed":
-                assert type(cell) is int and cell == want.value, (row, col)
-            else:
-                assert cell == want.reason, (row, col)
+        assert_row_matches_literal_rule(row, run, pairing._row_runs(row, columns))
+
+
+def literal_certificate(d, k, factor=literal_factor):
+    """The certificate rebuilt cell by cell from `literal_pairing_entry`:
+    per length block, in row order and then column order, each row of the
+    block must hold prod(t + 1) on the diagonal and a computed or proven
+    zero elsewhere, and each shorter row below it a proven zero; the first
+    cell that fails raises the certificate's message.  Returns the fields
+    the certificate reports, the cross-length counts read off the cells."""
+    specs = enumerate_P(d, k)
+    n = len(specs)
+    cells = [[literal_pairing_entry(row, col, factor) for col in specs] for row in specs]
+    lengths = [len(s.blocks) for s in specs]
+    blocks = []
+    for l in sorted(set(lengths), reverse=True):
+        js = [j for j in range(n) if lengths[j] == l]
+        lo, hi = js[0], js[-1] + 1
+        diagonal = []
+        for i in range(lo, n):
+            for j in js:
+                e = cells[i][j]
+                if i >= hi:
+                    if e.status != PROVEN_ZERO:
+                        raise CertificateError(f"entry ({i},{j}) should be proven zero")
+                elif i == j:
+                    want = prod(t + 1 for t in specs[i].exps)
+                    if e.status != COMPUTED:
+                        raise CertificateError(f"diagonal entry {i} not computed")
+                    if e.value <= 0 or e.value != want:
+                        got = "positive" if e.value <= 0 else want
+                        raise CertificateError(f"diagonal entry {i} is {e.value}, expected {got}")
+                    diagonal.append(e.value)
+                elif e.status == UNEVALUATED or e.value:
+                    raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
+        blocks.append((l, len(js), tuple(diagonal)))
+    cross = [(lengths[i] < lengths[j], e.status) for i, row in enumerate(cells)
+             for j, e in enumerate(row) if lengths[i] != lengths[j]]
+    return {
+        "size": n,
+        "blocks": blocks,
+        "zero_pairs": cross.count((True, PROVEN_ZERO)),
+        "unevaluated_pairs": cross.count((False, UNEVALUATED)),
+        "cross_pairs": len(cross),
+    }
+
+
+def certificate_fields(cert):
+    return {
+        "size": cert.size,
+        "blocks": [(b.length, b.size, b.diagonal) for b in cert.blocks],
+        "zero_pairs": cert.zero_pairs,
+        "unevaluated_pairs": cert.unevaluated_pairs,
+        "cross_pairs": cert.zero_pairs + cert.unevaluated_pairs,
+    }
+
+
+CERTIFIED_LITERALLY = [(d, k) for d in range(1, 6) for k in range(0, 6)
+                       if len(enumerate_P(d, k)) <= 225]
+
+
+@pytest.mark.parametrize("d,k", CERTIFIED_LITERALLY)
+def test_certificate_matches_literal_certificate(d, k):
+    """The certificate equals the one rebuilt cell by cell: block lengths,
+    sizes and diagonals, and the proven-zero and unevaluated counts."""
+    cert = rank_certificate(d, k)
+    assert cert.full_rank and (cert.d, cert.k) == (d, k)
+    assert certificate_fields(cert) == literal_certificate(d, k)
+
+
+def verdict(build):
+    """A certificate's fields, or the message of the CertificateError it raises."""
+    try:
+        out = build()
+    except CertificateError as err:
+        return str(err)
+    return out if type(out) is dict else certificate_fields(out)
+
+
+PARTIAL_SUPPORTS = [
+    # nonzero at t = tp and at tp = 0: a component with t > 0 widens its
+    # support to two exponents, the intersection still only holds the
+    # diagonal, and a zero exponent doubles the diagonal
+    (lambda t, tp: _FACTOR(t, tp) + (tp == 0), True),
+    # the same supports with the diagonal kept: nothing fails
+    (lambda t, tp: _FACTOR(t, tp) if t == tp else int(tp == 0), False),
+    # nonzero within one of t > 0: the intersection holds off-diagonal
+    # columns in the rows with two positive exponents
+    (lambda t, tp: tp + 1 if t == tp or (t and abs(t - tp) == 1) else 0, True),
+]
+
+
+@pytest.mark.parametrize("factor", [f for f, _ in PARTIAL_SUPPORTS],
+                         ids=["zero-exponent", "zero-exponent-diagonal-kept", "neighbours"])
+def test_row_rule_matches_literal_rule_on_partial_supports(monkeypatch, factor):
+    """Live columns off the diagonal get the product of their own factors."""
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    for d, k in ((3, 3), (4, 3)):
+        specs = enumerate_P(d, k)
+        columns = pairing._columns(specs)
+        for row in specs:
+            assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns), factor)
+
+
+def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch):
+    """A row below a block whose rule output claims a column of its own
+    partition there, computed 0, fails at that column."""
+    rule = pairing._row_runs
+    specs = enumerate_P(4, 3)
+    i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
+
+    def patched(row, columns):
+        outcomes, own, live = rule(row, columns)
+        return (outcomes, [1], []) if row is specs[i] and not own else (outcomes, own, live)
+
+    monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
+    monkeypatch.setattr(pairing, "_row_runs", patched)
+    with pytest.raises(CertificateError) as err:
+        rank_certificate(4, 3)
+    assert str(err.value) == f"entry ({i},1) should be proven zero"
+
+
+@pytest.mark.parametrize("factor,rejects", PARTIAL_SUPPORTS,
+                         ids=["zero-exponent", "zero-exponent-diagonal-kept", "neighbours"])
+@pytest.mark.parametrize("d,k", [(3, 3), (4, 3), (4, 5), (5, 3)])
+def test_partial_supports_fail_at_the_first_failing_cell(monkeypatch, d, k, factor, rejects):
+    """With a component factor nonzero on part of 0..s, the certificate
+    rejects at the cell a cell-by-cell scan names first, or accepts as the
+    scan does."""
+    want = verdict(lambda: literal_certificate(d, k, factor))
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    got = verdict(lambda: rank_certificate(d, k))
+    assert got == want
+    assert isinstance(got, str) == rejects
 
 
 def split_run():
@@ -530,7 +698,7 @@ def test_row_rule_rejects_a_run_of_mixed_keys():
     columns = pairing._columns(run)
     for row in run:
         with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
-            pairing._row_cells(row, columns)
+            pairing._row_runs(row, columns)
 
 
 def test_enumerations_are_fresh_lists_with_equal_contents():
