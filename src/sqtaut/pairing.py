@@ -34,23 +34,26 @@ positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
 Every cell comes from one rule, `_row_runs`, which scores a row against
-a run of columns laid out once per column group and returns the row
-compressed.  A cell's outcome is a proven-zero reason, None if
-unevaluated, or the int product of component factors cached on
-(tau_i, tau'_i).  The outcome depends only on the lengths, except where
-the column shares the row's set partition, so the rule gives one
-outcome per stretch of equal-length columns and, apart, the positions
-of the row's partition.  Of those columns only the live ones, where
-every component factor is nonzero, get a product: the layout holds, per
-partition and component, a bitmask of the columns holding each
-exponent, and the rule tabulates each component's factor on 0..s (s the
-row's exponent sum, the bound on those columns' exponents) and ANDs,
-over the components, the masks of the exponents where it is nonzero.
-Every other column of the partition is a computed 0.  The certificate
-judges a row from its stretches and live values, in O(stretches + live
-columns), and expands only a failing row, cell by cell, to name its
-first failing cell; `PairingMatrix.entry` and `pairing_entry` expand
-the rows they read.
+a run of columns laid out by `_columns` and returns the row compressed.
+A cell's outcome is a proven-zero reason, None if unevaluated, or the
+int product of the component factors of (tau_i, tau'_i).  The outcome
+depends only on the lengths, except where the column shares the row's
+set partition, so the rule gives one outcome per stretch of
+equal-length columns and, apart, the positions of the row's partition.
+Of those columns only the live ones, where every component factor is
+nonzero, get a product: the layout holds, per partition and component,
+a bitmask of the columns holding each exponent, and a factor table,
+filled on demand, of `_component_integral(t, 0..k)` per row exponent t;
+the rule ANDs, over the components, the masks of the exponents where
+the factor is nonzero.  Every other column of the partition is a
+computed 0.  A layout, and so its table, serves one certificate, one
+`PairingMatrix` or one `pairing_entry`; no factor read for one is
+reused by another.  The certificate lays out every column once and
+scores each row once, against the columns of the longer blocks and its
+own; it judges a row from its stretches, own positions and live values,
+in O(stretches + live columns), and expands only a failing row, cell by
+cell, to name the first failing cell in row order, then column order.
+`PairingMatrix.entry` and `pairing_entry` expand the rows they read.
 """
 
 from __future__ import annotations
@@ -146,10 +149,14 @@ def enumerate_P(d: int, k: int) -> list:
 
 @lru_cache(maxsize=MAX_DK * (MAX_DK + 1))  # every key enumerate_P passes
 def _enumeration(d: int, k: int) -> tuple:
-    # l blocks have degree d - l before their exponents
-    return tuple([BlockMonomial._trusted(d, blocks, exps)
-                  for blocks in sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
-                  for exps in iter_weak_compositions(k - d + len(blocks), len(blocks))])
+    specs = []
+    parts = sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
+    for l, group in groupby(parts, len):
+        # l blocks have degree d - l before their exponents, which the
+        # partitions of length l share
+        exps = tuple(iter_weak_compositions(k - d + l, l))
+        specs += [BlockMonomial._trusted(d, blocks, t) for blocks in group for t in exps]
+    return tuple(specs)
 
 
 # each outcome with no cell-specific data has one shared (frozen) entry
@@ -186,19 +193,33 @@ def _component_integral(t: int, tp: int) -> int:
     return value.numerator
 
 
+class _Factors(dict):
+    """`factors[t]` is the list of `_component_integral(t, tp)` for tp in
+    `span`, read through the module's `_component_integral` on first use."""
+
+    def __init__(self, span: range) -> None:
+        self.span = span
+
+    def __missing__(self, t: int) -> list:
+        table = self[t] = list(map(_component_integral, repeat(t), self.span))
+        return table
+
+
 def _columns(cols) -> tuple:
     """A run of columns laid out for `_row_runs`: the monomials `cols` in
     order; their one (d, degree) key, None unless there is exactly one;
     the (length, size) of each stretch of consecutive equal-length columns;
     and, if the key is one, per set partition its column positions
     (contiguous or not) and per component the bitmask, for each exponent
-    t <= degree, of those columns (bit b for the b-th) with exponent t."""
+    t <= degree, of those columns (bit b for the b-th) with exponent t,
+    and the factor table of the run, over the exponents 0..degree."""
     keys = {(c.d, c.degree) for c in cols}
     key = keys.pop() if len(keys) == 1 else None
     runs = [(l, len(list(g))) for l, g in groupby(len(c.blocks) for c in cols)]
-    parts = {}
+    parts, factors = {}, None
     if key is not None:
         span = key[1] + 1  # an exponent is at most the degree
+        factors = _Factors(range(span))
         for j, c in enumerate(cols):
             part = parts.get(c.blocks)
             if part is None:
@@ -208,7 +229,7 @@ def _columns(cols) -> tuple:
             js.append(j)
             for support, t in zip(masks, c.exps):
                 support[t] |= bit
-    return cols, key, runs, parts
+    return cols, key, runs, parts, factors
 
 
 def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
@@ -218,22 +239,18 @@ def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
     in order; the positions of the row's set partition, computed 0 except
     the (position, product) pairs of `live`, in order, where every
     component factor is nonzero."""
-    cols, key, runs, parts = columns
+    cols, key, runs, parts, factors = columns
     if (row.d, row.degree) != key:
         raise InputError("row and column have mismatched (d, k)")
     l = len(row.blocks)
-    outcomes = []
-    for lp, size in runs:
-        outcomes.append((REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-                         else REASON_SUPPORT_MISMATCH, size))
+    outcomes = [(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+                 else REASON_SUPPORT_MISMATCH, size) for lp, size in runs]
     stretch = parts.get(row.blocks)
     if stretch is None:
         return outcomes, (), []
     js, masks = stretch
-    # the partition's columns have exponents in 0..s, s the row's exponent
-    # sum; a live column is in every component's nonzero support
-    span = range(sum(row.exps) + 1)
-    tables = [list(map(_component_integral, repeat(t), span)) for t in row.exps]
+    # a live column is in every component's nonzero support
+    tables = list(map(factors.__getitem__, row.exps))
     alive = -1
     for support, table in zip(masks, tables):
         alive &= sum(compress(support, table))
@@ -306,9 +323,10 @@ class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
     column j is the chain stratum of `specs[j]`.  Entries are computed on
     demand, a row at a time: the first `entry` call lays out the columns,
-    and `entry(i, j)` keeps the entries of the last row it computed, so
-    `entries()` costs one rule call per row.  Rows shorter than the column
-    are proven zero, rows of its length computed exactly.
+    with the factor table the rows share, and `entry(i, j)` keeps the
+    entries of the last row it computed, so `entries()` costs one rule
+    call per row.  Rows shorter than the column are proven zero, rows of
+    its length computed exactly.
     """
 
     def __init__(self, d: int, k: int):
@@ -334,10 +352,11 @@ class PairingMatrix:
         return ((i, j, self.entry(i, j)) for i in range(n) for j in range(n))
 
 
-def _reject(i: int, lo: int, hi: int, expected: int, cells: list) -> None:
-    """Raise the CertificateError of row i's first failing cell, by column."""
-    for j, cell in enumerate(cells, lo):
-        if i >= hi:
+def _reject(i: int, lo: int, expected: int, cells: list) -> None:
+    """Raise the CertificateError of row i's first failing cell, by column;
+    the columns before `lo` lie in longer blocks than the row's."""
+    for j, cell in enumerate(cells):
+        if j < lo:
             if cell not in _REASONS:
                 raise CertificateError(f"entry ({i},{j}) should be proven zero")
         elif i == j:
@@ -353,38 +372,42 @@ def _reject(i: int, lo: int, hi: int, expected: int, cells: list) -> None:
 def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank.
 
-    For each length block of columns, rows lo..hi-1 (the block) must be
-    diagonal, with the product of t + 1 over the exponents t on the
-    diagonal, and rows hi.. (shorter) proven zero; every such cell is
-    evaluated once, and `_reject` raises CertificateError for the first
-    failing cell of a row whose stretches or live cells differ from a
-    correct row's.
+    The columns are laid out once.  Each row, in order, is scored once
+    against the columns of the longer length blocks, which must prove it
+    zero, and of its own block, which must be diagonal with the product of
+    t + 1 over its exponents t on the diagonal; so every cell with row
+    length <= column length is evaluated once.  A row passes when its
+    stretches are those of a correct row, its own-partition columns lie in
+    its block and its diagonal is its one live cell; `_reject` raises
+    CertificateError for the first failing cell of any other row.
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
     specs = enumerate_P(d, k)
     n = len(specs)
-    blocks, lo, within = [], 0, 0
-    for l, group in groupby(specs, key=lambda s: len(s.blocks)):
-        columns = _columns(list(group))
-        size = len(columns[0])
-        diag, hi = [], lo + size
-        below, inside = [(REASON_TOO_FEW_BLOCKS, size)], [(REASON_SUPPORT_MISMATCH, size)]
-        for i in range(lo, n):
-            out = _row_runs(specs[i], columns)
+    cols, key, runs, parts, factors = _columns(specs)
+    blocks, lo, within, zeros = [], 0, 0, []
+    for b, (l, size) in enumerate(runs):
+        hi = lo + size
+        # the columns through this block, and a correct row's stretches there
+        prefix = cols[:hi], key, runs[:b + 1], parts, factors
+        correct = zeros + [(REASON_SUPPORT_MISMATCH, size)]
+        # `inside`: the own positions last found in the block; a partition's
+        # rows share them
+        diag, inside = [], ()
+        for i in range(lo, hi):
+            row = specs[i]
+            out = _row_runs(row, prefix)
             outcomes, own, live = out
-            # a correct row below the block has too few blocks throughout, one
-            # in it only its diagonal live; `_reject` judges any other row
-            if i >= hi:
-                if outcomes != below or own:
-                    _reject(i, lo, hi, 0, _expand(out))
-                continue
-            expected = prod(map((1).__add__, specs[i].exps))  # prod (t + 1)
-            if outcomes != inside or live != [(i - lo, expected)]:
-                _reject(i, lo, hi, expected, _expand(out))
+            expected = prod(map((1).__add__, row.exps))  # prod (t + 1)
+            if (outcomes != correct or live != [(i, expected)]
+                    or own is not inside and min(own, default=lo) < lo):
+                _reject(i, lo, expected, _expand(out))
+            inside = own
             diag.append(_ENTRIES[expected].value)
         blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))
         lo, within = hi, within + size * size
+        zeros.append((REASON_TOO_FEW_BLOCKS, size))
     # cells between lengths: proven zero below the blocks, unevaluated above
     cross = (n * n - within) // 2
     return Certificate(d, k, n, tuple(blocks), cross, cross, True)

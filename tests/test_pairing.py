@@ -316,6 +316,47 @@ def test_certificate_expands_no_row_it_accepts(monkeypatch):
     assert calls == []
 
 
+def test_certificate_calls_the_rule_once_per_row(monkeypatch):
+    """The certificate lays out its columns once and scores each row once,
+    in order."""
+    rule, layout = pairing._row_runs, pairing._columns
+    for d, k in ((1, 0), (3, 2), (4, 3), (5, 5)):
+        rows, layouts = [], []
+        monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: rows.append(row) or rule(row, cols))
+        monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(cols) or layout(cols))
+        assert rank_certificate(d, k).full_rank
+        monkeypatch.undo()
+        specs = enumerate_P(d, k)
+        assert rows == specs and layouts == [specs]
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(0, 6)])
+def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
+    """One certificate reads each factor (t, tp), t, tp <= k, at most once."""
+    calls = []
+    monkeypatch.setattr(pairing, "_component_integral",
+                        lambda t, tp: calls.append((t, tp)) or _FACTOR(t, tp))
+    assert rank_certificate(d, k).full_rank
+    assert len(calls) == len(set(calls)) <= (k + 1) ** 2
+    assert all(0 <= t <= k and 0 <= tp <= k for t, tp in calls)
+
+
+def test_a_patched_factor_reaches_the_next_certificate(monkeypatch):
+    """A factor patched between two certificates, or two matrices, is the
+    one the second reads: no factor is kept from one to the next."""
+    first = rank_certificate(4, 3)
+    matrix = PairingMatrix(3, 2)
+    assert matrix.entry(0, 0).value == 3
+    monkeypatch.setattr(pairing, "_component_integral", lambda t, tp: 3 * _FACTOR(t, tp))
+    with pytest.raises(CertificateError) as err:
+        rank_certificate(4, 3)
+    assert str(err.value) == "diagonal entry 0 is 324, expected 4"
+    assert PairingMatrix(3, 2).entry(0, 0).value == 81
+    assert pairing_entry(matrix.specs[0], matrix.specs[0]).value == 81
+    monkeypatch.undo()
+    assert rank_certificate(4, 3) == first
+
+
 def test_matrix_computes_each_row_once(monkeypatch):
     """A row-by-row walk over the grid calls the row rule once per row."""
     rule = pairing._row_runs
@@ -409,6 +450,8 @@ def test_certificate_rejects_an_unevaluated_cell_inside_a_block(monkeypatch):
     ({(2, 2): 5, (2, 3): 1}, "diagonal entry 2 is 5, expected 6"),
     ({(2, 4): -1, (3, 3): 0}, "off-diagonal entry (2,4) is nonzero"),
     ({(3, 3): 0}, "diagonal entry 3 is 0, expected positive"),
+    # rows 0-19 have four blocks, 20 and 21 three: row 20 fails first
+    ({(20, 20): 0, (21, 1): 0}, "diagonal entry 20 is 0, expected positive"),
 ])
 def test_certificate_names_the_first_failing_cell(monkeypatch, faults, message):
     """With several faults, the first in row order, then column order, is
@@ -522,37 +565,34 @@ def assert_run_matches_literal_rule(specs, run):
 
 def literal_certificate(d, k, factor=literal_factor):
     """The certificate rebuilt cell by cell from `literal_pairing_entry`:
-    per length block, in row order and then column order, each row of the
-    block must hold prod(t + 1) on the diagonal and a computed or proven
-    zero elsewhere, and each shorter row below it a proven zero; the first
-    cell that fails raises the certificate's message.  Returns the fields
-    the certificate reports, the cross-length counts read off the cells."""
+    in row order, then column order, each cell of a longer column must be a
+    proven zero, and of a column of the row's length prod(t + 1) on the
+    diagonal and a computed or proven zero elsewhere; the first cell that
+    fails raises the certificate's message.  Returns the fields the
+    certificate reports, the cross-length counts read off the cells."""
     specs = enumerate_P(d, k)
     n = len(specs)
     cells = [[literal_pairing_entry(row, col, factor) for col in specs] for row in specs]
     lengths = [len(s.blocks) for s in specs]
-    blocks = []
-    for l in sorted(set(lengths), reverse=True):
-        js = [j for j in range(n) if lengths[j] == l]
-        lo, hi = js[0], js[-1] + 1
-        diagonal = []
-        for i in range(lo, n):
-            for j in js:
-                e = cells[i][j]
-                if i >= hi:
-                    if e.status != PROVEN_ZERO:
-                        raise CertificateError(f"entry ({i},{j}) should be proven zero")
-                elif i == j:
-                    want = prod(t + 1 for t in specs[i].exps)
-                    if e.status != COMPUTED:
-                        raise CertificateError(f"diagonal entry {i} not computed")
-                    if e.value <= 0 or e.value != want:
-                        got = "positive" if e.value <= 0 else want
-                        raise CertificateError(f"diagonal entry {i} is {e.value}, expected {got}")
-                    diagonal.append(e.value)
-                elif e.status == UNEVALUATED or e.value:
-                    raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
-        blocks.append((l, len(js), tuple(diagonal)))
+    for i in range(n):
+        for j in range(n):
+            e = cells[i][j]
+            if lengths[i] < lengths[j]:
+                if e.status != PROVEN_ZERO:
+                    raise CertificateError(f"entry ({i},{j}) should be proven zero")
+            elif lengths[i] > lengths[j]:
+                continue
+            elif i == j:
+                want = prod(t + 1 for t in specs[i].exps)
+                if e.status != COMPUTED:
+                    raise CertificateError(f"diagonal entry {i} not computed")
+                if e.value <= 0 or e.value != want:
+                    got = "positive" if e.value <= 0 else want
+                    raise CertificateError(f"diagonal entry {i} is {e.value}, expected {got}")
+            elif e.status == UNEVALUATED or e.value:
+                raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
+    blocks = [(l, lengths.count(l), tuple(cells[i][i].value for i in range(n) if lengths[i] == l))
+              for l in sorted(set(lengths), reverse=True)]
     cross = [(lengths[i] < lengths[j], e.status) for i, row in enumerate(cells)
              for j, e in enumerate(row) if lengths[i] != lengths[j]]
     return {
@@ -622,21 +662,27 @@ def test_row_rule_matches_literal_rule_on_partial_supports(monkeypatch, factor):
 
 
 def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch):
-    """A row below a block whose rule output claims a column of its own
-    partition there, computed 0, fails at that column."""
+    """A row below a longer block whose rule output claims a column of that
+    block among its own partition's, computed 0, fails at that column."""
     rule = pairing._row_runs
     specs = enumerate_P(4, 3)
     i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
+    assert len(specs[1].blocks) == len(specs[0].blocks)
+    patched_rows = []
 
     def patched(row, columns):
         outcomes, own, live = rule(row, columns)
-        return (outcomes, [1], []) if row is specs[i] and not own else (outcomes, own, live)
+        if row is specs[i]:
+            patched_rows.append(row)
+            own = [1, *own]
+        return outcomes, own, live
 
     monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
     monkeypatch.setattr(pairing, "_row_runs", patched)
     with pytest.raises(CertificateError) as err:
         rank_certificate(4, 3)
     assert str(err.value) == f"entry ({i},1) should be proven zero"
+    assert patched_rows == [specs[i]]
 
 
 @pytest.mark.parametrize("factor,rejects", PARTIAL_SUPPORTS,
