@@ -20,7 +20,9 @@ An image is stored over one denominator: (D, read-only table of int
 numerators), D the least common denominator of its coefficients, so that
 images multiply through `rings.int_mul`.  `lambda_to_kappa` scales every
 term to one common denominator, sums ints and builds one Fraction per
-output term; nothing is rounded.
+output term; nothing is rounded.  The images a call needs that are
+missing from the cache are first weighed together by `_image_work`, from
+partition counts, and refused with InputError past MAX_IMAGE_WORK.
 """
 
 from __future__ import annotations
@@ -31,9 +33,14 @@ from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .rings import GradedPoly, InputError, bernoulli, int_mul, mono_mul
+from .rings import GradedPoly, InputError, _factor_texts, bernoulli, int_mul, mono_mul
 
 KAPPA, LAMBDA = 0, 1
+
+# estimated term products that building the lambda images one call needs
+# may take (see _image_work): lambda_60 (about 2 s) and lambda_3^600 (0.8 s)
+# pass, lambda_69 and lambda_3^1000 (5.6 s) do not
+MAX_IMAGE_WORK = 500_000
 
 # A KLPoly is a GradedPoly; the genus travels with the value, so ordinary
 # polynomial arithmetic enforces genus equality.
@@ -111,39 +118,129 @@ def _reduced(den: int, table: dict) -> tuple:
     return den // g, MappingProxyType({m: c // g for m, c in table.items()})
 
 
-@lru_cache(maxsize=None)
-def _lambda_image(part: tuple) -> tuple:
-    """The kappa image of a lambda part (a monomial of ((LAMBDA, i), e)
-    factors) as (denominator, read-only table of int numerators), the same
-    at every genus.  lambda_n alone: n e_n = sum_{k odd} B_{k+1}/(k+1)
-    kappa_k e_{n-k}, from exp(f)' = f' exp(f) for the exponent f of the
-    module docstring.  A product is its last factor times the rest;
-    lambda_n^e splits in halves, so the recursion depth grows with log e."""
-    if not part:
-        return 1, MappingProxyType({(): 1})
+def _odd_partitions(total: int, top: int) -> int:
+    """The partitions of total into odd parts <= top."""
+    counts = [1] + [0] * total
+    for part in range(1, min(top, total) + 1, 2):
+        for x in range(part, total + 1):
+            counts[x] += counts[x - part]
+    return counts[total]
+
+
+def _halves(part: tuple) -> tuple:
+    """The two lambda parts whose images multiply to the image of `part`,
+    a product or a power: its last factor and the rest, or the halves of
+    lambda_n^e, so that the recursion depth grows with log e."""
     (_, n), e = part[-1]
-    if len(part) == 1 and e == 1:
-        terms = []
-        for k in range(1, n + 1, 2):
-            q = bernoulli(k + 1) / ((k + 1) * n)
-            den, image = _lambda_image((((LAMBDA, n - k), 1),) if n > k else ())
-            terms.append(((((KAPPA, k), 1),), q.numerator, q.denominator * den, image))
-        return _reduced(*_common_sum(terms))
     if len(part) > 1:
-        first, second = part[:-1], part[-1:]
-    else:
-        first, second = (((LAMBDA, n), e // 2),), (((LAMBDA, n), e - e // 2),)
-    (d1, t1), (d2, t2) = _lambda_image(first), _lambda_image(second)
-    return _reduced(d1 * d2, int_mul(t1, t2, None))
+        return part[:-1], part[-1:]
+    return (((LAMBDA, n), e // 2),), (((LAMBDA, n), e - e // 2),)
+
+
+def _image_work(parts: list) -> int:
+    """An upper bound on the term products that building the images of the
+    lambda parts `parts` takes from an empty cache, counted only until it
+    passes MAX_IMAGE_WORK.  An image of degree D whose largest lambda
+    index is m has at most as many terms as D has partitions into odd
+    parts <= m (its kappa indices are odd and <= m), and a product of two
+    images at most as many as the product of theirs.  lambda_j alone sums
+    the terms of lambda_{j-1}, lambda_{j-3}, ..., and needs every lambda_i,
+    i < j.  A product multiplies every pair of terms; its coefficients
+    have about 1.5 D digits, so a pair is weighed as
+    1 + floor(D^2 / 1000^2) steps."""
+    top = max(part[-1][0][1] for part in parts)
+    # below[x][i]: the partitions of x into odd parts <= 2i - 1, the last
+    # entry into any odd parts
+    below, work = [[1]], 0
+    for j in range(1, top + 1):
+        work += sum(below[x][-1] for x in range(j - 1, -1, -2))
+        if work > MAX_IMAGE_WORK:
+            return work
+        row = [0]
+        for i in range(1, (j + 1) // 2 + 1):
+            rest = below[j - 2 * i + 1]
+            row.append(row[-1] + rest[min(i, len(rest) - 1)])
+        below.append(row)
+    terms = {}
+
+    def count(part: tuple) -> int:
+        # the terms of the image of part, adding the products that build
+        # it; past the limit, nothing more is counted
+        nonlocal work
+        if work > MAX_IMAGE_WORK:
+            return 0
+        if part not in terms:
+            (_, n), e = part[-1]
+            if len(part) == 1 and e == 1:
+                terms[part] = below[n][-1]
+            else:
+                first, second = _halves(part)
+                pairs = count(first) * count(second)
+                degree = sum(i * x for (_, i), x in part)
+                work += pairs * (1 + degree * degree // 1_000_000)
+                # partitions are counted while that costs less than the limit
+                if work <= MAX_IMAGE_WORK and degree * (n + 1) // 2 <= MAX_IMAGE_WORK:
+                    pairs = min(pairs, _odd_partitions(degree, n))
+                terms[part] = pairs
+        return terms[part]
+
+    for part in parts:
+        count(part)
+    return work
+
+
+class _Images(dict):
+    """`_IMAGES[part]` is the kappa image of a lambda part (a monomial of
+    ((LAMBDA, i), e) factors) as (denominator, read-only table of int
+    numerators), the same at every genus, built on first use.  lambda_n
+    alone: n e_n = sum_{k odd} B_{k+1}/(k+1) kappa_k e_{n-k}, from
+    exp(f)' = f' exp(f) for the exponent f of the module docstring; any
+    other part is the product of the images of its `_halves`."""
+
+    def __missing__(self, part: tuple) -> tuple:
+        (_, n), e = part[-1]
+        if len(part) == 1 and e == 1:
+            terms = []
+            for k in range(1, n + 1, 2):
+                q = bernoulli(k + 1) / ((k + 1) * n)
+                den, image = self[(((LAMBDA, n - k), 1),) if n > k else ()]
+                terms.append(((((KAPPA, k), 1),), q.numerator, q.denominator * den, image))
+            image = _reduced(*_common_sum(terms))
+        else:
+            (d1, t1), (d2, t2) = map(self.__getitem__, _halves(part))
+            image = _reduced(d1 * d2, int_mul(t1, t2, None))
+        self[part] = image
+        return image
+
+
+_IMAGES = _Images({(): (1, MappingProxyType({(): 1}))})
+
+
+def _fill_images(parts) -> None:
+    """Build the images of the lambda parts `parts` that are missing from
+    the cache, after weighing them together by `_image_work`: past
+    MAX_IMAGE_WORK, raise InputError before building any."""
+    missing = list({part for part in parts if part not in _IMAGES})
+    if missing:
+        work = _image_work(missing)
+        if work > MAX_IMAGE_WORK:
+            what = "*".join(_factor_texts(max(missing, key=lambda part: part[-1][0][1])))
+            if len(missing) > 1:
+                what += f" and {len(missing) - 1} other lambda monomials"
+            raise InputError(f"eliminating {what} needs an estimated {work:,} or more term "
+                             f"products; the limit is {MAX_IMAGE_WORK:,}")
+        for part in missing:
+            _IMAGES[part]  # built on first use
 
 
 @lru_cache(maxsize=None)
 def _lambda_table(genus: int) -> tuple:
     """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
     check_genus(genus)
-    images = (_lambda_image((((LAMBDA, n), 1),)) for n in range(1, genus + 1))
+    parts = [(((LAMBDA, n), 1),) for n in range(1, genus + 1)]
+    _fill_images(parts)
     return tuple(GradedPoly(genus, {m: Fraction(c, den) for m, c in image.items()})
-                 for den, image in images)
+                 for den, image in map(_IMAGES.__getitem__, parts))
 
 
 def lambda_to_kappa(p: KLPoly) -> KLPoly:
@@ -152,15 +249,20 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
     A ring homomorphism: kappa generators are fixed, and the lambda part of
     each monomial maps to its cached, genus-free kappa image.  Every term is
     scaled to one common denominator, so the sums run on ints and each
-    output coefficient is one Fraction.
+    output coefficient is one Fraction.  At the first image missing from
+    the cache, every image p needs is weighed and built (`_fill_images`).
     """
     genus = genus_of(p)
     terms = []
     for mono, coeff in p.coeffs.items():
         # factors are sorted by (kind, index): the kappas come first
         cut = bisect_left(mono, ((LAMBDA, 0),))
-        den, image = _lambda_image(mono[cut:])
-        terms.append((mono[:cut], coeff.numerator, coeff.denominator * den, image))
+        image = _IMAGES.get(mono[cut:])
+        if image is None:
+            _fill_images([m[bisect_left(m, ((LAMBDA, 0),)):] for m in p.coeffs])
+            image = _IMAGES[mono[cut:]]
+        den, table = image
+        terms.append((mono[:cut], coeff.numerator, coeff.denominator * den, table))
     common, acc = _common_sum(terms)
     return GradedPoly(genus, {m: Fraction(c, common) for m, c in acc.items() if c})
 

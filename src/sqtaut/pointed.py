@@ -106,11 +106,9 @@ class BlockMonomial(Frozen):
         return mono
 
     def _set(self, d: int, blocks: tuple, exps: tuple) -> None:
-        setfield(self, "d", d)
-        setfield(self, "blocks", blocks)
-        setfield(self, "exps", exps)
-        # the blocks cover d labels, and a block of size s adds s - 1
-        setfield(self, "degree", sum(exps) + d - len(blocks))
+        # the four fields in one write; the blocks cover d labels, and a
+        # block of size s adds s - 1
+        self.__dict__.update(d=d, blocks=blocks, exps=exps, degree=sum(exps) + d - len(blocks))
 
     # written out, not Frozen's generic pair: monomials key every class
     # table, and these run at the speed of a frozen dataclass's

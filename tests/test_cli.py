@@ -450,16 +450,20 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     exits_2_with_one_line(capsys, monkeypatch, argv, text)
 
 
-@pytest.mark.parametrize("argv", [
-    "relation --theorem5 -g 100000 -d 2 -k 1 --kappa-only",
-    "relation --prop8 -g 100000000 -d 1 -a 0 -b 1 -c 2",
-    "conifold --max-genus 100000",
-    "relation --theorem5 -g 2 -d 1000 -k 1000",
-    "relation --theorem5 -g 1200 -d 600 -k 1",
-], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits"])
-def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv,text", [
+    ("relation --theorem5 -g 100000 -d 2 -k 1 --kappa-only", ""),
+    ("relation --prop8 -g 100000000 -d 1 -a 0 -b 1 -c 2", ""),
+    ("conifold --max-genus 100000", ""),
+    ("relation --theorem5 -g 2 -d 1000 -k 1000", ""),
+    ("relation --theorem5 -g 1200 -d 600 -k 1", ""),
+    ("lambda-to-kappa -", json.dumps(_kl_payload(genus=4, **{"lambda": {"3": 10000}}))),
+    ("lambda-to-kappa -", json.dumps(_kl_payload(genus=200, **{"lambda": {"200": 1}}))),
+    ("relation --theorem5 -g 200 -d 1 -k 1 --kappa-only", ""),
+], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits",
+        "lambda-power", "lambda-index", "theorem5-kappa-only"])
+def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv, text):
     start = time.perf_counter()
-    exits_2_with_one_line(capsys, monkeypatch, argv.split(), "")
+    exits_2_with_one_line(capsys, monkeypatch, argv.split(), text)
     assert time.perf_counter() - start < 1.0
 
 

@@ -78,6 +78,20 @@ def test_stored_monomial_degree_cannot_be_set():
     assert mono.degree == 2
 
 
+@pytest.mark.parametrize("build", [BlockMonomial, BlockMonomial._trusted],
+                         ids=["validated", "trusted"])
+def test_monomial_fields_written_at_once_cannot_be_set_or_deleted(build):
+    mono = build(3, ((1, 2), (3,)), (0, 1))
+    fields = {"d": 3, "blocks": ((1, 2), (3,)), "exps": (0, 1), "degree": 2}
+    assert vars(mono) == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(mono, name, None)
+        with pytest.raises(AttributeError):
+            delattr(mono, name)
+    assert vars(mono) == fields
+
+
 def test_shared_pairing_cells_stay_as_built():
     assert pairing._COMPUTED_ZERO == PairingEntry(COMPUTED, value=Fraction(0))
     assert pairing._TOO_FEW_BLOCKS == PairingEntry(

@@ -380,3 +380,86 @@ def kl_term(genus, coeff, factors):
     for kind, index, exp in factors:
         out = out * (kappa_class if kind == KAPPA else lambda_class)(genus, index, exp)
     return out
+
+
+# -- the work bound of lambda elimination ------------------------------------
+
+from sqtaut import kappa_lambda  # noqa: E402
+
+
+def fresh_images(monkeypatch):
+    """An empty image cache, as in a new process."""
+    images = kappa_lambda._Images({(): (1, kappa_lambda._IMAGES[()][1])})
+    monkeypatch.setattr(kappa_lambda, "_IMAGES", images)
+    return images
+
+
+BOUNDED_PARTS = [
+    [(((LAMBDA, 7), 1),)],
+    [(((LAMBDA, 3), 40),)],
+    [(((LAMBDA, 5), 13),)],
+    [(((LAMBDA, 2), 3), ((LAMBDA, 5), 2))],
+    [(((LAMBDA, 1), 50), ((LAMBDA, 3), 1), ((LAMBDA, 4), 2))],
+    [(((LAMBDA, n), 1),) for n in range(1, 16)],
+    [(((LAMBDA, 3), 4),), (((LAMBDA, 3), 5),), (((LAMBDA, 1), 2), ((LAMBDA, 6), 1))],
+]
+
+
+@pytest.mark.parametrize("parts", BOUNDED_PARTS)
+def test_image_work_bounds_the_term_products_built(monkeypatch, parts):
+    """`_image_work` is at least the number of term products the images
+    take to build from an empty cache: pairs multiplied, and terms summed
+    into a single lambda_n."""
+    images = fresh_images(monkeypatch)
+    products = []
+    int_mul, common_sum = kappa_lambda.int_mul, kappa_lambda._common_sum
+    monkeypatch.setattr(kappa_lambda, "int_mul",
+                        lambda a, b, cap: products.append(len(a) * len(b)) or int_mul(a, b, cap))
+    monkeypatch.setattr(kappa_lambda, "_common_sum",
+                        lambda terms: products.append(sum(len(t[3]) for t in terms))
+                        or common_sum(terms))
+    estimate = kappa_lambda._image_work(parts)
+    kappa_lambda._fill_images(parts)
+    assert set(parts) <= set(images)
+    assert sum(products) <= estimate <= kappa_lambda.MAX_IMAGE_WORK
+
+
+@pytest.mark.parametrize("part,passes", [
+    ((((LAMBDA, 60), 1),), True),
+    ((((LAMBDA, 3), 600),), True),
+    ((((LAMBDA, 69), 1),), False),
+    # 336,772 term pairs, but of coefficients with thousands of digits
+    ((((LAMBDA, 3), 1000),), False),
+], ids=["lambda_60", "lambda_3^600", "lambda_69", "lambda_3^1000"])
+def test_image_work_limit_lies_between_the_documented_images(part, passes):
+    assert (kappa_lambda._image_work([part]) <= kappa_lambda.MAX_IMAGE_WORK) == passes
+
+
+def test_lambda_elimination_is_weighed_only_on_a_cache_miss(monkeypatch):
+    fresh_images(monkeypatch)
+    weighed = []
+    work = kappa_lambda._image_work
+    monkeypatch.setattr(kappa_lambda, "_image_work", lambda parts: weighed.append(parts) or work(parts))
+    p = lambda_class(6, 2) * lambda_class(6, 3) + lambda_class(6, 5) + kappa_class(6, 1)
+    first = lambda_to_kappa(p)
+    assert len(weighed) == 1
+    assert sorted(weighed[0]) == sorted([(((LAMBDA, 2), 1), ((LAMBDA, 3), 1)), (((LAMBDA, 5), 1),)])
+    assert lambda_to_kappa(p) == first and lambda_to_kappa(lambda_class(6, 5)) is not None
+    assert len(weighed) == 1
+
+
+def test_lambda_elimination_past_the_limit_builds_nothing(monkeypatch):
+    """Every missing image of a call is weighed before any is built, and the
+    call is refused with one line once their sum passes the limit."""
+    images = fresh_images(monkeypatch)
+    p = lambda_class(20, 3) ** 300 + lambda_class(20, 2)
+    assert kappa_lambda._image_work([(((LAMBDA, 3), 300),)]) < kappa_lambda.MAX_IMAGE_WORK
+    monkeypatch.setattr(kappa_lambda, "MAX_IMAGE_WORK", 100)
+    with pytest.raises(InputError, match=r"^eliminating lambda_3\^300 and 1 other lambda "
+                                         r"monomials needs an estimated [\d,]+ or more term "
+                                         r"products; the limit is 100$"):
+        lambda_to_kappa(p)
+    assert list(images) == [()]
+    with pytest.raises(InputError, match=r"^eliminating lambda_20 and 19 other lambda monomials"):
+        kappa_lambda._lambda_table.__wrapped__(20)
+    assert lambda_to_kappa(lambda_class(20, 2)) == Fraction(1, 288) * kappa_class(20, 1) ** 2

@@ -341,6 +341,89 @@ def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
     assert all(0 <= t <= k and 0 <= tp <= k for t, tp in calls)
 
 
+def test_certificate_shares_mask_sets_and_live_tables(monkeypatch):
+    """At d = k = 5 the partitions of one length carry one exponent list:
+    772 rows, one layout, 5 mask sets for 52 partitions, one live-table
+    fill per distinct (exponent list, row exponents) and at most 36
+    factor reads."""
+    rule, layout, fill = pairing._row_runs, pairing._columns, pairing._Live.__missing__
+    rows, layouts, fills, reads = [], [], [], []
+    monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: rows.append(row) or rule(row, cols))
+    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(layout(cols)) or layouts[-1])
+    monkeypatch.setattr(pairing._Live, "__missing__",
+                        lambda live, exps: fills.append((id(live), exps)) or fill(live, exps))
+    monkeypatch.setattr(pairing, "_component_integral",
+                        lambda t, tp: reads.append((t, tp)) or _FACTOR(t, tp))
+    assert rank_certificate(5, 5).full_rank
+    assert len(rows) == 772 and len(layouts) == 1
+    parts = layouts[0][3]
+    assert len(parts) == 52 and len({id(live) for _, live in parts.values()}) == 5
+    assert len(fills) == len(set(fills)) == 175
+    assert len(reads) <= 36
+
+
+def test_shared_row_values_are_immutable():
+    """The stretch outcomes, own positions and live values that rows share
+    are tuples, and so is every row's output: no caller can change what a
+    later row reads."""
+    specs = enumerate_P(4, 3)
+    columns = pairing._columns(specs)
+    outs = [pairing._row_runs(row, columns) for row in specs]
+    for row, out in zip(specs, outs):
+        outcomes, own, live = out
+        assert type(out) is tuple
+        assert all(type(x) is tuple for x in (outcomes, own, live, *outcomes, *live))
+        assert outcomes is outs[0][0] or len(row.blocks) != len(specs[0].blocks)
+        with pytest.raises(TypeError):
+            outcomes[0] = (None, 1)
+        with pytest.raises(TypeError):
+            own[0] = 0
+    first = outs[0]
+    assert pairing._row_runs(specs[0], columns) == first
+    for _, live in columns[3].values():
+        assert type(live.masks) is tuple and all(type(m) is tuple for m in live.masks)
+        assert all(type(pairs) is tuple and all(type(p) is tuple for p in pairs)
+                   for pairs in live.values())
+    assert all(type(table) is tuple
+               for _, live in columns[3].values() for table in live.factors.values())
+
+
+def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
+    """A factor patched for cells that several partitions share fails at
+    the first such row in row order, with the message of a cell-by-cell
+    scan.  With every diagonal factor negated, rows of even length stay
+    correct, so (4,3) passes its 4-block and fails the first row of its
+    3-block, whose six partitions share one live table."""
+    factor = lambda t, tp: -_FACTOR(t, tp)  # noqa: E731
+    want = verdict(lambda: literal_certificate(4, 3, factor))
+    assert want == "diagonal entry 20 is -3, expected positive"
+    layouts = []
+    layout = pairing._columns
+    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(layout(cols)) or layouts[-1])
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    assert verdict(lambda: rank_certificate(4, 3)) == want
+    specs = enumerate_P(4, 3)
+    _, live = layouts[0][3][specs[20].blocks]
+    sharing = [b for b, (_, other) in layouts[0][3].items() if other is live]
+    assert len(sharing) == 6 and specs[20].blocks == sharing[0]
+
+
+def test_masks_are_not_shared_across_exponent_orders():
+    """Two partitions whose columns carry the same exponents in different
+    orders get their own masks; a third in the first one's order shares
+    them, and every cell still matches the literal rule."""
+    specs = enumerate_P(3, 2)
+    col = {(s.blocks, s.exps): s for s in specs}
+    a, b, c = ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3))
+    run = [col[a, (0, 1)], col[a, (1, 0)], col[b, (1, 0)], col[b, (0, 1)],
+           col[c, (0, 1)], col[c, (1, 0)]]
+    parts = pairing._columns(run)[3]
+    assert parts[a][1] is not parts[b][1] and parts[a][1] is parts[c][1]
+    assert parts[a][1].exps == ((0, 1), (1, 0)) and parts[b][1].exps == ((1, 0), (0, 1))
+    assert_run_matches_literal_rule(specs, run)
+    assert_run_matches_literal_rule(specs, run[::-1])
+
+
 def test_a_patched_factor_reaches_the_next_certificate(monkeypatch):
     """A factor patched between two certificates, or two matrices, is the
     one the second reads: no factor is kept from one to the next."""
@@ -713,7 +796,7 @@ def test_row_rule_on_a_partition_split_apart():
     its computed stretch is written at their positions only."""
     specs, run = split_run()
     positions, _ = pairing._columns(run)[3][((1,), (2,), (3,))]
-    assert positions == [0, 2, 4]
+    assert positions == (0, 2, 4)
     assert_run_matches_literal_rule(specs, run)
     assert_run_matches_literal_rule(specs, run[::-1])
 
