@@ -118,13 +118,13 @@ def _reduced(den: int, table: dict) -> tuple:
     return den // g, MappingProxyType({m: c // g for m, c in table.items()})
 
 
-def _odd_partitions(total: int, top: int) -> int:
-    """The partitions of total into odd parts <= top."""
+def _odd_partitions(total: int, top: int) -> list:
+    """counts[x], for x <= total: the partitions of x into odd parts <= top."""
     counts = [1] + [0] * total
     for part in range(1, min(top, total) + 1, 2):
         for x in range(part, total + 1):
             counts[x] += counts[x - part]
-    return counts[total]
+    return counts
 
 
 def _halves(part: tuple) -> tuple:
@@ -149,18 +149,15 @@ def _image_work(parts: list) -> int:
     have about 1.5 D digits, so a pair is weighed as
     1 + floor(D^2 / 1000^2) steps."""
     top = max(part[-1][0][1] for part in parts)
-    # below[x][i]: the partitions of x into odd parts <= 2i - 1, the last
-    # entry into any odd parts
-    below, work = [[1]], 0
+    # lambda_j alone sums at least (j + 1) // 2 terms, so lambda_1..lambda_top
+    # take at least top^2 / 4 products
+    if top * top // 4 > MAX_IMAGE_WORK:
+        return top * top // 4
+    odd, work = _odd_partitions(top, top), 0  # for x <= top, into any odd parts
     for j in range(1, top + 1):
-        work += sum(below[x][-1] for x in range(j - 1, -1, -2))
+        work += sum(odd[j - 1::-2])
         if work > MAX_IMAGE_WORK:
             return work
-        row = [0]
-        for i in range(1, (j + 1) // 2 + 1):
-            rest = below[j - 2 * i + 1]
-            row.append(row[-1] + rest[min(i, len(rest) - 1)])
-        below.append(row)
     terms = {}
 
     def count(part: tuple) -> int:
@@ -172,7 +169,7 @@ def _image_work(parts: list) -> int:
         if part not in terms:
             (_, n), e = part[-1]
             if len(part) == 1 and e == 1:
-                terms[part] = below[n][-1]
+                terms[part] = odd[n]
             else:
                 first, second = _halves(part)
                 pairs = count(first) * count(second)
@@ -180,7 +177,7 @@ def _image_work(parts: list) -> int:
                 work += pairs * (1 + degree * degree // 1_000_000)
                 # partitions are counted while that costs less than the limit
                 if work <= MAX_IMAGE_WORK and degree * (n + 1) // 2 <= MAX_IMAGE_WORK:
-                    pairs = min(pairs, _odd_partitions(degree, n))
+                    pairs = min(pairs, _odd_partitions(degree, n)[degree])
                 terms[part] = pairs
         return terms[part]
 

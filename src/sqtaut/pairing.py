@@ -39,11 +39,11 @@ A cell's outcome is a proven-zero reason, None if unevaluated, or the
 int product of the component factors of (tau_i, tau'_i).  The outcome
 depends only on the lengths, except where the column shares the row's
 set partition, so the rule gives one outcome per stretch of
-equal-length columns, one tuple per row length shared by the rows of
-that length, and, apart, the positions of the row's partition.  Of
-those columns only the live ones, where every component factor is
-nonzero, get a product; every other column of the partition is a
-computed 0.  The layout groups the columns by set partition and, once
+equal-length columns, read from the layout's tuple for the row's length,
+and, apart, the positions of the row's partition.  Of those columns
+only the live ones, where every component factor is nonzero, get a
+product; every other column of the partition is a computed 0.  The
+layout groups the columns by set partition and, once
 per distinct exponent list (the exponent tuples of a partition's
 columns, in column order), holds per component a bitmask of the columns
 holding each exponent, and a live table filled on demand: for row
@@ -240,8 +240,7 @@ class _Live(dict):
 
     def __missing__(self, row_exps: tuple) -> tuple:
         # a live column is in every component's nonzero support, the OR of
-        # the masks of the exponents where the factor is nonzero, built once
-        # per (component, exponent)
+        # the masks of the exponents where the factor is nonzero
         tables = list(map(self.factors.__getitem__, row_exps))
         alive, supports = -1, self.supports
         for i, t in enumerate(row_exps):
@@ -268,14 +267,16 @@ def _columns(cols) -> tuple:
     columns; if the key is one, per set partition its column positions
     (contiguous or not) and the `_Live` of its exponent list, one per
     distinct list, sharing the run's factor table over the exponents
-    0..degree; and a table, filled by the rule, of the stretch outcomes
-    of each row length."""
+    0..degree, and per row length 0..d the outcome of each stretch."""
     keys = set(map(_KEY, cols))
     key = keys.pop() if len(keys) == 1 else None
     blocks = list(map(_BLOCKS, cols))
     runs = tuple((l, len(list(g))) for l, g in groupby(map(len, blocks)))
-    parts = {}
+    parts, stretches = {}, ()
     if key is not None:
+        stretches = tuple(tuple([(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+                                  else REASON_SUPPORT_MISMATCH, size) for lp, size in runs])
+                          for l in range(key[0] + 1))
         for j, part in enumerate(blocks):
             parts.setdefault(part, []).append(j)
         factors, shared = _Factors(range(key[1] + 1)), {}
@@ -285,7 +286,7 @@ def _columns(cols) -> tuple:
             if live is None:
                 live = shared[listed] = _Live(listed, factors)
             parts[part] = tuple(js), live
-    return cols, key, runs, parts, {}
+    return cols, key, runs, parts, stretches
 
 
 def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
@@ -298,20 +299,12 @@ def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
     cols, key, runs, parts, stretches = columns
     if (row.d, row.degree) != key:
         raise InputError("row and column have mismatched (d, k)")
-    l = len(row.blocks)
-    outcomes = stretches.get(l)
-    if outcomes is None:  # the first row of its length
-        outcomes = stretches[l] = tuple([(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-                                          else REASON_SUPPORT_MISMATCH, size) for lp, size in runs])
+    outcomes = stretches[len(row.blocks)]
     part = parts.get(row.blocks)
     if part is None:
         return outcomes, (), ()
     js, live = part
-    pairs = live[row.exps]
-    if len(pairs) == 1:  # a correct row's one live column, its diagonal
-        (b, value), = pairs
-        return outcomes, js, ((js[b], value),)
-    return outcomes, js, tuple([(js[b], value) for b, value in pairs])
+    return outcomes, js, tuple([(js[b], value) for b, value in live[row.exps]])
 
 
 def _expand(out: tuple, cell=lambda outcome: outcome) -> list:
@@ -434,37 +427,33 @@ def rank_certificate(d: int, k: int) -> Certificate:
     rows whose partitions carry one exponent list read one live table,
     so the row that fills an entry is the first in row order to need it.
     For d = k = 5: 772 rule calls, 5 mask sets, 175 live-table fills and
-    36 factor reads, in 3.9 ms for a process's first call, enumeration
-    included, and 2.3 ms for its second (medians of 15 processes pinned
+    36 factor reads, in 5.9 ms for a process's first call, enumeration
+    included, and 3.8 ms for its second (medians of 20 processes pinned
     to one core of a shared 2-vCPU Intel Xeon, Python 3.11.7).
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
     specs = enumerate_P(d, k)
     n = len(specs)
-    cols, key, runs, parts, _ = _columns(specs)
+    cols, key, runs, parts, stretches = _columns(specs)
     blocks, lo, within, zeros = [], 0, 0, ()
     for b, (l, size) in enumerate(runs):
         hi = lo + size
         # the columns through this block, and a correct row's stretches there
-        prefix = cols[:hi], key, runs[:b + 1], parts, {}
+        prefix = cols[:hi], key, runs[:b + 1], parts, tuple(o[:b + 1] for o in stretches)
         correct = zeros + ((REASON_SUPPORT_MISMATCH, size),)
         # `inside`: the own positions last found in the block; a partition's
         # rows share them
-        diag, inside, wants = [], (), {}
+        diag, inside = [], ()
         for i, row in enumerate(specs[lo:hi], lo):
             out = _row_runs(row, prefix)
             outcomes, own, live = out
-            want = wants.get(row.exps)
-            if want is None:  # prod (t + 1), and its entry's value
-                expected = prod(map((1).__add__, row.exps))
-                want = wants[row.exps] = expected, _ENTRIES[expected].value
-            expected, value = want
+            expected = prod(map((1).__add__, row.exps))  # prod (t + 1)
             if (outcomes != correct or live != ((i, expected),)
                     or own is not inside and min(own, default=lo) < lo):
                 _reject(i, lo, expected, _expand(out))
             inside = own
-            diag.append(value)
+            diag.append(_ENTRIES[expected].value)
         blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))
         lo, within = hi, within + size * size
         zeros += (REASON_TOO_FEW_BLOCKS, size),

@@ -105,10 +105,12 @@ class Frozen:
     """Base of the immutable value types.
 
     A subclass names its fields, in order, in `_fields` and sets each one
-    once, in its own `__init__`, with `setfield`.  After that, assigning or
-    deleting an attribute raises AttributeError.  Values of the same class
-    compare equal and hash alike when their fields do, and print as
-    `Name(field=value, ...)`.
+    once, in its own `__init__`, with `setfield`, or all at once with
+    `__dict__.update` (`BlockMonomial`, which is built most often; on
+    CPython 3.11 its attribute reads, hashes and comparisons time the same
+    either way).  After that, assigning or deleting an attribute raises
+    AttributeError.  Values of the same class compare equal and hash alike
+    when their fields do, and print as `Name(field=value, ...)`.
     """
 
     _fields: tuple = ()

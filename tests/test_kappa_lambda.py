@@ -424,6 +424,23 @@ def test_image_work_bounds_the_term_products_built(monkeypatch, parts):
     assert sum(products) <= estimate <= kappa_lambda.MAX_IMAGE_WORK
 
 
+@pytest.mark.parametrize("n", [1, 7, 24])
+def test_image_work_of_one_lambda_is_the_terms_it_sums(monkeypatch, n):
+    """For lambda_n alone the estimate is exact: every partition of x into
+    odd parts is a term of the image of lambda_x, and lambda_1..lambda_n
+    sum exactly those terms."""
+    fresh_images(monkeypatch)
+    summed = []
+    common_sum = kappa_lambda._common_sum
+    monkeypatch.setattr(kappa_lambda, "_common_sum",
+                        lambda terms: summed.append(sum(len(t[3]) for t in terms))
+                        or common_sum(terms))
+    parts = [(((LAMBDA, n), 1),)]
+    estimate = kappa_lambda._image_work(parts)
+    kappa_lambda._fill_images(parts)
+    assert sum(summed) == estimate
+
+
 @pytest.mark.parametrize("part,passes", [
     ((((LAMBDA, 60), 1),), True),
     ((((LAMBDA, 3), 600),), True),

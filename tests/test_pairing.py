@@ -373,13 +373,14 @@ def test_shared_row_values_are_immutable():
         outcomes, own, live = out
         assert type(out) is tuple
         assert all(type(x) is tuple for x in (outcomes, own, live, *outcomes, *live))
-        assert outcomes is outs[0][0] or len(row.blocks) != len(specs[0].blocks)
+        assert outcomes is columns[4][len(row.blocks)] and own is columns[3][row.blocks][0]
         with pytest.raises(TypeError):
             outcomes[0] = (None, 1)
         with pytest.raises(TypeError):
             own[0] = 0
     first = outs[0]
     assert pairing._row_runs(specs[0], columns) == first
+    assert type(columns[4]) is tuple
     for _, live in columns[3].values():
         assert type(live.masks) is tuple and all(type(m) is tuple for m in live.masks)
         assert all(type(pairs) is tuple and all(type(p) is tuple for p in pairs)
