@@ -43,34 +43,28 @@ equal-length columns, read from the layout's tuple for the row's length,
 and, apart, the positions of the row's partition.  Of those columns
 only the live ones, where every component factor is nonzero, get a
 product; every other column of the partition is a computed 0.  The
-layout groups the columns by set partition and, once
-per distinct exponent list (the exponent tuples of a partition's
-columns, in column order), holds per component a bitmask of the columns
-holding each exponent, and a live table filled on demand: for row
-exponents tau, the (bit, product) pairs of the live columns, from the
-AND over the components of the masks of the exponents where the factor
-is nonzero and the products of the layout's factor table, filled on
-demand, of `_component_integral(t, 0..k)` per row exponent t.  The
-partitions that carry one list share its masks and live table, and the
-rule maps each bit to the row's own column through its partition's
-positions; in `enumerate_P` order every partition of one length carries
-the same list, so d = k = 5 has 5 mask sets and 175 live-table fills for
-52 partitions and 772 rows.  Every value that rows share is a tuple.  A
-layout, and so its tables, serves one certificate, one `PairingMatrix`
-or one `pairing_entry`; no factor read for one is reused by another.
-The certificate lays out every column once and scores each row once,
-against the columns of the longer blocks and its own; it judges a row
-from its stretches, own positions and live values, in O(stretches +
-live columns), and expands only a failing row, cell by cell, to name
-the first failing cell in row order, then column order.
-`PairingMatrix.entry` and `pairing_entry` expand the rows they read.
+layout groups the columns by set partition and keeps one live table per
+distinct exponent list (the exponent tuples of a partition's columns, in
+column order): for row exponents tau, the (rank, product) pairs of the
+live columns, found by looking up in the list each tuple of exponents
+where the factors of tau are nonzero.  The partitions that carry one
+list share its table, and the rule maps each rank to the row's own
+column through its partition's positions; in `enumerate_P` order every
+partition of one length carries the same list, so d = k = 5 has 5 live
+tables and 175 fills for 52 partitions and 772 rows.  Every value that
+rows share is a tuple.  A layout, and so its tables, serves one
+certificate, one `PairingMatrix` or one `pairing_entry`; no factor read
+for one is reused by another.  The certificate scores each row once and
+expands only a failing row, cell by cell, to name the first failing
+cell in row order, then column order; `PairingMatrix.entry` and
+`pairing_entry` expand the rows they read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, repeat
+from itertools import compress, groupby, product, repeat
 from math import prod
 from operator import attrgetter, getitem
 from typing import Iterator
@@ -204,8 +198,10 @@ def _component_integral(t: int, tp: int) -> int:
 
 
 class _Factors(dict):
-    """`factors[t]` is the tuple of `_component_integral(t, tp)` for tp in
-    `span`, read through the module's `_component_integral` on first use."""
+    """`factors[t]` is the pair (table, support): the tuple of
+    `_component_integral(t, tp)` for tp in `span`, read through the
+    module's `_component_integral` on first use, and the tp where it is
+    nonzero."""
 
     __slots__ = ("span",)
 
@@ -213,47 +209,30 @@ class _Factors(dict):
         self.span = span
 
     def __missing__(self, t: int) -> tuple:
-        table = self[t] = tuple(map(_component_integral, repeat(t), self.span))
-        return table
+        table = tuple(map(_component_integral, repeat(t), self.span))
+        entry = self[t] = table, tuple(compress(self.span, table))
+        return entry
 
 
 class _Live(dict):
-    """The columns of the partitions that carry one exponent list `exps`,
-    one exponent tuple per column (bit b for the b-th): per component, the
-    bitmask, for each exponent t < len(factors.span), of the columns with
-    exponent t; `supports[i, t]`, the columns where the factor of row
-    exponent t in component i is nonzero; and `live[row_exps]`, the tuple
-    of (bit, product) of the columns where every component factor of
-    `factors` is nonzero.  The last two are built on first use and shared
-    by the rows that need them."""
+    """The columns of the partitions that carry one exponent list:
+    `index` maps each column's exponent tuple to its rank in the list, and
+    `live[row_exps]` is the tuple of (rank, product) of the columns where
+    every component factor of `factors` is nonzero, in rank order, filled
+    on first use and shared by the rows that need it."""
 
-    __slots__ = ("masks", "exps", "factors", "supports")
+    __slots__ = ("index", "factors")
 
     def __init__(self, exps: tuple, factors: _Factors) -> None:
-        masks = [[0] * len(factors.span) for _ in exps[0]]
-        for b, col in enumerate(exps):
-            bit = 1 << b
-            for support, t in zip(masks, col):
-                support[t] |= bit
-        self.masks, self.exps, self.factors = tuple(map(tuple, masks)), exps, factors
-        self.supports = {}
+        self.index = {col: b for b, col in enumerate(exps)}
+        self.factors = factors
 
     def __missing__(self, row_exps: tuple) -> tuple:
-        # a live column is in every component's nonzero support, the OR of
-        # the masks of the exponents where the factor is nonzero
-        tables = list(map(self.factors.__getitem__, row_exps))
-        alive, supports = -1, self.supports
-        for i, t in enumerate(row_exps):
-            support = supports.get((i, t))
-            if support is None:
-                support = supports[i, t] = sum(compress(self.masks[i], tables[i]))
-            alive &= support
-        live = []
-        while alive:
-            b = (alive & -alive).bit_length() - 1
-            alive &= alive - 1
-            live.append((b, prod(map(getitem, tables, self.exps[b]))))
-        live = self[row_exps] = tuple(live)
+        # a live column's exponents lie in every component's support
+        tables, supports = zip(*map(self.factors.__getitem__, row_exps))
+        index = self.index
+        live = self[row_exps] = tuple(sorted([(index[col], prod(map(getitem, tables, col)))
+                                              for col in product(*supports) if col in index]))
         return live
 
 
@@ -261,12 +240,12 @@ _KEY, _BLOCKS = attrgetter("d", "degree"), attrgetter("blocks")
 
 
 def _columns(cols) -> tuple:
-    """A run of columns laid out for `_row_runs`: the monomials `cols` in
-    order; their one (d, degree) key, None unless there is exactly one;
-    the (length, size) of each stretch of consecutive equal-length
-    columns; if the key is one, per set partition its column positions
-    (contiguous or not) and the `_Live` of its exponent list, one per
-    distinct list, sharing the run's factor table over the exponents
+    """A run of distinct columns laid out for `_row_runs`: the monomials
+    `cols` in order; their one (d, degree) key, None unless there is
+    exactly one; the (length, size) of each stretch of consecutive
+    equal-length columns; if the key is one, per set partition its column
+    positions (contiguous or not) and the `_Live` of its exponent list, one
+    per distinct list, sharing the run's factor table over the exponents
     0..degree, and per row length 0..d the outcome of each stretch."""
     keys = set(map(_KEY, cols))
     key = keys.pop() if len(keys) == 1 else None
@@ -367,7 +346,7 @@ class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
     column j is the chain stratum of `specs[j]`.  Entries are computed on
     demand, a row at a time: the first `entry` call lays out the columns,
-    with the mask sets and tables the rows share, and `entry(i, j)` keeps
+    with the live tables the rows share, and `entry(i, j)` keeps
     the entries of the last row it computed, so `entries()` costs one rule
     call per row.  Rows shorter than the column are proven zero, rows of
     its length computed exactly.
@@ -426,10 +405,11 @@ def rank_certificate(d: int, k: int) -> Certificate:
     CertificateError for the first failing cell of any other row.  The
     rows whose partitions carry one exponent list read one live table,
     so the row that fills an entry is the first in row order to need it.
-    For d = k = 5: 772 rule calls, 5 mask sets, 175 live-table fills and
-    36 factor reads, in 5.9 ms for a process's first call, enumeration
-    included, and 3.8 ms for its second (medians of 20 processes pinned
-    to one core of a shared 2-vCPU Intel Xeon, Python 3.11.7).
+    For d = k = 5: 772 rule calls, 5 live tables, 175 fills and 36
+    factor reads, in 3.2-5.5 ms for a process's first call, enumeration
+    included, and 1.9-3.4 ms for its second (medians of three sets of
+    20-30 processes pinned to one core of a shared 2-vCPU Intel Xeon,
+    Python 3.11.7).
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")

@@ -341,9 +341,9 @@ def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
     assert all(0 <= t <= k and 0 <= tp <= k for t, tp in calls)
 
 
-def test_certificate_shares_mask_sets_and_live_tables(monkeypatch):
+def test_certificate_shares_live_tables(monkeypatch):
     """At d = k = 5 the partitions of one length carry one exponent list:
-    772 rows, one layout, 5 mask sets for 52 partitions, one live-table
+    772 rows, one layout, 5 live tables for 52 partitions, one live-table
     fill per distinct (exponent list, row exponents) and at most 36
     factor reads."""
     rule, layout, fill = pairing._row_runs, pairing._columns, pairing._Live.__missing__
@@ -382,11 +382,12 @@ def test_shared_row_values_are_immutable():
     assert pairing._row_runs(specs[0], columns) == first
     assert type(columns[4]) is tuple
     for _, live in columns[3].values():
-        assert type(live.masks) is tuple and all(type(m) is tuple for m in live.masks)
+        assert all(type(col) is tuple for col in live.index)
         assert all(type(pairs) is tuple and all(type(p) is tuple for p in pairs)
                    for pairs in live.values())
-    assert all(type(table) is tuple
-               for _, live in columns[3].values() for table in live.factors.values())
+    entries = [entry for _, live in columns[3].values() for entry in live.factors.values()]
+    assert entries and all(type(entry) is tuple and len(entry) == 2
+                           and all(type(x) is tuple for x in entry) for entry in entries)
 
 
 def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
@@ -409,10 +410,12 @@ def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
     assert len(sharing) == 6 and specs[20].blocks == sharing[0]
 
 
-def test_masks_are_not_shared_across_exponent_orders():
+def test_live_tables_are_not_shared_across_exponent_orders(monkeypatch):
     """Two partitions whose columns carry the same exponents in different
-    orders get their own masks; a third in the first one's order shares
-    them, and every cell still matches the literal rule."""
+    orders get their own live tables, each indexing the exponents in its
+    own order; a third in the first one's order shares the first's, and
+    every cell still matches the literal rule.  With every factor nonzero,
+    a row's live columns come in column order in either run order."""
     specs = enumerate_P(3, 2)
     col = {(s.blocks, s.exps): s for s in specs}
     a, b, c = ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3))
@@ -420,9 +423,15 @@ def test_masks_are_not_shared_across_exponent_orders():
            col[c, (0, 1)], col[c, (1, 0)]]
     parts = pairing._columns(run)[3]
     assert parts[a][1] is not parts[b][1] and parts[a][1] is parts[c][1]
-    assert parts[a][1].exps == ((0, 1), (1, 0)) and parts[b][1].exps == ((1, 0), (0, 1))
+    assert parts[a][1].index == {(0, 1): 0, (1, 0): 1}
+    assert parts[b][1].index == {(1, 0): 0, (0, 1): 1}
     assert_run_matches_literal_rule(specs, run)
     assert_run_matches_literal_rule(specs, run[::-1])
+    monkeypatch.setattr(pairing, "_component_integral", lambda t, tp: tp + 1)
+    for cols in (run, run[::-1]):
+        columns = pairing._columns(cols)
+        lives = [[j for j, _ in pairing._row_runs(row, columns)[2]] for row in specs]
+        assert max(map(len, lives)) == 2 and all(js == sorted(js) for js in lives)
 
 
 def test_a_patched_factor_reaches_the_next_certificate(monkeypatch):
@@ -730,11 +739,15 @@ PARTIAL_SUPPORTS = [
     # nonzero within one of t > 0: the intersection holds off-diagonal
     # columns in the rows with two positive exponents
     (lambda t, tp: tp + 1 if t == tp or (t and abs(t - tp) == 1) else 0, True),
+    # nonzero everywhere: every column of the row's partition is live, so a
+    # live-table fill walks every composition of the supports
+    (lambda t, tp: tp + 1, True),
 ]
+PARTIAL_SUPPORT_IDS = ["zero-exponent", "zero-exponent-diagonal-kept", "neighbours", "everywhere"]
 
 
 @pytest.mark.parametrize("factor", [f for f, _ in PARTIAL_SUPPORTS],
-                         ids=["zero-exponent", "zero-exponent-diagonal-kept", "neighbours"])
+                         ids=PARTIAL_SUPPORT_IDS)
 def test_row_rule_matches_literal_rule_on_partial_supports(monkeypatch, factor):
     """Live columns off the diagonal get the product of their own factors."""
     monkeypatch.setattr(pairing, "_component_integral", factor)
@@ -770,7 +783,7 @@ def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch)
 
 
 @pytest.mark.parametrize("factor,rejects", PARTIAL_SUPPORTS,
-                         ids=["zero-exponent", "zero-exponent-diagonal-kept", "neighbours"])
+                         ids=PARTIAL_SUPPORT_IDS)
 @pytest.mark.parametrize("d,k", [(3, 3), (4, 3), (4, 5), (5, 3)])
 def test_partial_supports_fail_at_the_first_failing_cell(monkeypatch, d, k, factor, rejects):
     """With a component factor nonzero on part of 0..s, the certificate
