@@ -153,8 +153,13 @@ def _image_work(parts: list) -> int:
     # take at least top^2 / 4 products
     if top * top // 4 > MAX_IMAGE_WORK:
         return top * top // 4
-    odd, work = _odd_partitions(top, top), 0  # for x <= top, into any odd parts
+    # odd[x], for x < len(odd): the partitions of x into odd parts, grown
+    # only as far as the sum needs them; for a large top it passes the
+    # limit at j = 62, inside the first table
+    odd, work = _odd_partitions(min(top, 64), top), 0
     for j in range(1, top + 1):
+        if j == len(odd):
+            odd = _odd_partitions(min(2 * j, top), top)
         work += sum(odd[j - 1::-2])
         if work > MAX_IMAGE_WORK:
             return work

@@ -43,21 +43,31 @@ equal-length columns, read from the layout's tuple for the row's length,
 and, apart, the positions of the row's partition.  Of those columns
 only the live ones, where every component factor is nonzero, get a
 product; every other column of the partition is a computed 0.  The
-layout groups the columns by set partition and keeps one live table per
-distinct exponent list (the exponent tuples of a partition's columns, in
-column order): for row exponents tau, the (rank, product) pairs of the
-live columns, found by looking up in the list each tuple of exponents
-where the factors of tau are nonzero.  The partitions that carry one
-list share its table, and the rule maps each rank to the row's own
-column through its partition's positions; in `enumerate_P` order every
-partition of one length carries the same list, so d = k = 5 has 5 live
-tables and 175 fills for 52 partitions and 772 rows.  Every value that
-rows share is a tuple.  A layout, and so its tables, serves one
-certificate, one `PairingMatrix` or one `pairing_entry`; no factor read
-for one is reused by another.  The certificate scores each row once and
-expands only a failing row, cell by cell, to name the first failing
-cell in row order, then column order; `PairingMatrix.entry` and
-`pairing_entry` expand the rows they read.
+enumeration is kept as its groups, per length the set partitions and
+the one exponent list they share, and the layout is built from
+(set partition, exponent list) groups in column order.  It keeps per
+set partition its positions, and one live table per distinct exponent
+list (the exponent tuples of a partition's columns, in column order):
+for row exponents tau, the (rank, product) pairs of the live columns,
+found by looking up in the list each tuple of exponents where the
+factors of tau are nonzero.  The partitions that carry one list share
+its table, and the rule maps each rank to the row's own column through
+its partition's positions.  Every value that rows share is a tuple or a
+range.  A layout, and so its tables, serves one certificate, one
+`PairingMatrix` or one `pairing_entry`; no factor read for one is reused
+by another.
+
+The certificate calls no rule on a correct matrix.  A row's verdict is
+a function of the tables its group of rows shares, so it reads each
+once: per length block the stretch tuple, per partition its positions,
+per live table and row exponents the one entry.  In `enumerate_P` order
+every partition of one length carries the same list, so for its 772
+rows d = k = 5 reads 5 stretch tuples, 52 positions and 175 entries of
+5 live tables, and builds no block monomial.  On any mismatch, `_walk`
+scores the rows one at a time through the rule and expands only a
+failing row, cell by cell, to name the first failing cell in row order,
+then column order; `PairingMatrix.entry` and `pairing_entry` expand the
+rows they read.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, groupby, product, repeat
 from math import prod
-from operator import attrgetter, getitem
+from operator import getitem
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
@@ -141,26 +151,37 @@ class PairingEntry(Frozen):
 def enumerate_P(d: int, k: int) -> list:
     """The block monomials of degree k on d light points, the index of both
     rows and columns: number of blocks descending, then lexicographic in
-    (blocks, exps).  Each call returns a fresh list; for d, k <= MAX_DK,
-    the range of `rank_certificate`, it copies one enumeration kept per
-    (d, k) for the life of the process."""
+    (blocks, exps).  Each call returns a fresh list, built from the
+    enumeration's groups; for d, k <= MAX_DK, the range of
+    `rank_certificate`, the groups are kept per (d, k) for the life of the
+    process."""
+    return [BlockMonomial._trusted(d, blocks, t)
+            for _, parts, exps in _groups(d, k) for blocks in parts for t in exps]
+
+
+def _groups(d: int, k: int) -> tuple:
+    """The enumeration of (d, k) as its groups, kept when d, k <= MAX_DK."""
     if d < 1 or k < 0:
         raise InputError("need d >= 1 and k >= 0")
     if d <= MAX_DK and k <= MAX_DK:
-        return list(_enumeration(d, k))
-    return list(_enumeration.__wrapped__(d, k))
+        return _enumeration(d, k)
+    return _enumeration.__wrapped__(d, k)
 
 
-@lru_cache(maxsize=MAX_DK * (MAX_DK + 1))  # every key enumerate_P passes
+@lru_cache(maxsize=MAX_DK * (MAX_DK + 1))  # every key _groups passes
 def _enumeration(d: int, k: int) -> tuple:
-    specs = []
+    """Per length l, descending, the triple (l, the set partitions of length
+    l in order, their exponent list): l blocks have degree d - l before
+    their exponents, so the partitions of one length share one list."""
     parts = sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
-    for l, group in groupby(parts, len):
-        # l blocks have degree d - l before their exponents, which the
-        # partitions of length l share
-        exps = tuple(iter_weak_compositions(k - d + l, l))
-        specs += [BlockMonomial._trusted(d, blocks, t) for blocks in group for t in exps]
-    return tuple(specs)
+    return tuple((l, tuple(group), tuple(iter_weak_compositions(k - d + l, l)))
+                 for l, group in groupby(parts, len))
+
+
+def _by_partition(groups) -> Iterator[tuple]:
+    """The (set partition, exponent list) column groups of an enumeration's
+    groups, in column order."""
+    return ((part, exps) for _, parts, exps in groups for part in parts)
 
 
 # each outcome with no cell-specific data has one shared (frozen) entry
@@ -236,46 +257,57 @@ class _Live(dict):
         return live
 
 
-_KEY, _BLOCKS = attrgetter("d", "degree"), attrgetter("blocks")
-
-
-def _columns(cols) -> tuple:
-    """A run of distinct columns laid out for `_row_runs`: the monomials
-    `cols` in order; their one (d, degree) key, None unless there is
-    exactly one; the (length, size) of each stretch of consecutive
-    equal-length columns; if the key is one, per set partition its column
-    positions (contiguous or not) and the `_Live` of its exponent list, one
-    per distinct list, sharing the run's factor table over the exponents
-    0..degree, and per row length 0..d the outcome of each stretch."""
-    keys = set(map(_KEY, cols))
+def _columns(groups) -> tuple:
+    """A run of distinct columns laid out for `_row_runs`, from its
+    (set partition, exponent list) groups in column order, as (key, runs,
+    parts, stretches): the one (d, degree) of the columns, None unless
+    there is exactly one; the (length, size) of each stretch of
+    consecutive equal-length columns; if the key is one, per set
+    partition its column positions (a range, or a tuple if its groups lie
+    apart) and the `_Live` of its exponent list, one per distinct list,
+    sharing the run's factor table over the exponents 0..degree, and per
+    row length 0..d the outcome of each stretch."""
+    parts, runs, keys, j, listed, sums = {}, [], set(), 0, None, ()
+    for part, exps in groups:
+        l, n = len(part), len(exps)
+        if exps is not listed:
+            listed, sums = exps, set(map(sum, exps))
+        d = sum(map(len, part))  # the labels; a block of size s adds s - 1
+        keys.update(zip(repeat(d), map((d - l).__add__, sums)))
+        if runs and runs[-1][0] == l:
+            runs[-1][1] += n
+        else:
+            runs.append([l, n])
+        span, j = range(j, j + n), j + n
+        if part in parts:  # the partition's columns are split apart
+            js, before = parts[part]
+            span, exps = (*js, *span), before + exps
+        parts[part] = span, exps
+    runs = tuple(map(tuple, runs))
     key = keys.pop() if len(keys) == 1 else None
-    blocks = list(map(_BLOCKS, cols))
-    runs = tuple((l, len(list(g))) for l, g in groupby(map(len, blocks)))
-    parts, stretches = {}, ()
-    if key is not None:
-        stretches = tuple(tuple([(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-                                  else REASON_SUPPORT_MISMATCH, size) for lp, size in runs])
-                          for l in range(key[0] + 1))
-        for j, part in enumerate(blocks):
-            parts.setdefault(part, []).append(j)
-        factors, shared = _Factors(range(key[1] + 1)), {}
-        for part, js in parts.items():
-            listed = tuple([cols[j].exps for j in js])
-            live = shared.get(listed)
+    if key is None:
+        return key, runs, {}, ()
+    stretches = tuple(tuple([(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
+                              else REASON_SUPPORT_MISMATCH, size) for lp, size in runs])
+                      for l in range(key[0] + 1))
+    factors, shared, listed = _Factors(range(key[1] + 1)), {}, None
+    for part, (js, exps) in parts.items():
+        if exps is not listed:
+            listed, live = exps, shared.get(exps)
             if live is None:
-                live = shared[listed] = _Live(listed, factors)
-            parts[part] = tuple(js), live
-    return cols, key, runs, parts, stretches
+                live = shared[exps] = _Live(exps, factors)
+        parts[part] = js, live
+    return key, runs, parts, stretches
 
 
 def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
     """The cell rule: the outcomes of pairing the monomial `row` against
     the chain stratum of each column of the run `columns`, as (outcomes,
-    own, live), all tuples: one (outcome, size) per stretch of equal-length
-    columns, in order; the positions of the row's set partition, computed
-    0 except the (position, product) pairs of `live`, in order, where
-    every component factor is nonzero."""
-    cols, key, runs, parts, stretches = columns
+    own, live): one (outcome, size) per stretch of equal-length columns,
+    in order; the positions of the row's set partition, computed 0 except
+    the (position, product) pairs of `live`, in order, where every
+    component factor is nonzero."""
+    key, _, parts, stretches = columns
     if (row.d, row.degree) != key:
         raise InputError("row and column have mismatched (d, k)")
     outcomes = stretches[len(row.blocks)]
@@ -305,7 +337,8 @@ def _expand(out: tuple, cell=lambda outcome: outcome) -> list:
 def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
     """Evaluate the pairing of the monomial `row` against the chain stratum
     of the monomial `col`."""
-    return _expand(_row_runs(row, _columns((col,))), _ENTRIES.__getitem__)[0]
+    columns = _columns(((col.blocks, (col.exps,)),))
+    return _expand(_row_runs(row, columns), _ENTRIES.__getitem__)[0]
 
 
 class DiagonalBlock(Frozen):
@@ -365,7 +398,7 @@ class PairingMatrix:
     def entry(self, i: int, j: int) -> PairingEntry:
         if i != self._i:
             if self._run is None:
-                self._run = _columns(self.specs)
+                self._run = _columns(_by_partition(_groups(self.d, self.k)))
             self._row = _expand(_row_runs(self.specs[i], self._run), _ENTRIES.__getitem__)
             self._i = i
         return self._row[j]
@@ -392,39 +425,24 @@ def _reject(i: int, lo: int, expected: int, cells: list) -> None:
             raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
 
 
-def rank_certificate(d: int, k: int) -> Certificate:
-    """Verify block triangularity and positive diagonal; certify full rank.
-
-    The columns are laid out once.  Each row, in order, is scored once
-    against the columns of the longer length blocks, which must prove it
-    zero, and of its own block, which must be diagonal with the product of
-    t + 1 over its exponents t on the diagonal; so every cell with row
-    length <= column length is evaluated once.  A row passes when its
-    stretches are those of a correct row, its own-partition columns lie in
-    its block and its diagonal is its one live cell; `_reject` raises
-    CertificateError for the first failing cell of any other row.  The
-    rows whose partitions carry one exponent list read one live table,
-    so the row that fills an entry is the first in row order to need it.
-    For d = k = 5: 772 rule calls, 5 live tables, 175 fills and 36
-    factor reads, in 3.2-5.5 ms for a process's first call, enumeration
-    included, and 1.9-3.4 ms for its second (medians of three sets of
-    20-30 processes pinned to one core of a shared 2-vCPU Intel Xeon,
-    Python 3.11.7).
-    """
-    if d > MAX_DK or k > MAX_DK:
-        raise InputError(f"d and k must be <= {MAX_DK}")
-    specs = enumerate_P(d, k)
-    n = len(specs)
-    cols, key, runs, parts, stretches = _columns(specs)
-    blocks, lo, within, zeros = [], 0, 0, ()
+def _walk(specs: list, columns: tuple) -> None:
+    """Score the monomials `specs`, in order, against their own layout
+    `columns`, one rule call per row: a row passes when its stretches are
+    too-few-blocks for each longer block, then support-mismatch for its
+    own, its own-partition columns lie in its block and its diagonal is
+    its one live cell, prod (t + 1) over its exponents t.  `_reject` raises
+    CertificateError for the first failing cell of any other row, in row
+    order, then column order; a row whose cells all pass is accepted."""
+    key, runs, parts, stretches = columns
+    lo, zeros = 0, ()
     for b, (l, size) in enumerate(runs):
         hi = lo + size
         # the columns through this block, and a correct row's stretches there
-        prefix = cols[:hi], key, runs[:b + 1], parts, tuple(o[:b + 1] for o in stretches)
+        prefix = key, runs[:b + 1], parts, tuple(o[:b + 1] for o in stretches)
         correct = zeros + ((REASON_SUPPORT_MISMATCH, size),)
         # `inside`: the own positions last found in the block; a partition's
         # rows share them
-        diag, inside = [], ()
+        inside = ()
         for i, row in enumerate(specs[lo:hi], lo):
             out = _row_runs(row, prefix)
             outcomes, own, live = out
@@ -433,10 +451,64 @@ def rank_certificate(d: int, k: int) -> Certificate:
                     or own is not inside and min(own, default=lo) < lo):
                 _reject(i, lo, expected, _expand(out))
             inside = own
-            diag.append(_ENTRIES[expected].value)
-        blocks.append(DiagonalBlock(l, size, tuple(diag), size * (size - 1)))
-        lo, within = hi, within + size * size
+        lo, zeros = hi, zeros + ((REASON_TOO_FEW_BLOCKS, size),)
+
+
+def rank_certificate(d: int, k: int) -> Certificate:
+    """Verify block triangularity and positive diagonal; certify full rank.
+
+    The columns are laid out once, from the enumeration's groups.  A row's
+    verdict depends only on tables its group of rows shares, so each is
+    read once: per length block, its rows' stretch tuple, which must prove
+    the longer blocks zero and give the support mismatch in its own; per
+    set partition, its positions, which must be its own rows' indices; per
+    live table and row exponents tau at rank r, the entry, which must be
+    ((r, prod (t + 1)),) over the t of tau: the diagonal is the one live
+    cell.  Every cell with row length <= column length is covered by
+    exactly one of these entries, and a block's diagonal is its per-tau
+    values once per partition.  On any mismatch, `_walk` scores the rows
+    one at a time to name the first failing cell, or to accept; a passing
+    certificate calls no rule and builds no block monomial.  For d = k = 5:
+    one layout, 5 stretch tuples, 52 positions, 175 fills of 5 live tables
+    and 36 factor reads, in 1.20-1.22 ms for a process's first call,
+    enumeration included, and 0.70 ms for its second (medians of three
+    sets of 20 processes pinned to one core of a shared 2-vCPU Intel Xeon,
+    Python 3.11.7; 2.92-2.94 and 1.81-1.83 ms with one rule call per row).
+    """
+    if d > MAX_DK or k > MAX_DK:
+        raise InputError(f"d and k must be <= {MAX_DK}")
+    groups = _groups(d, k)
+    columns = _columns(_by_partition(groups))
+    key, _, parts, stretches = columns
+    holds = key == (d, k)
+    blocks, lo, within, zeros = [], 0, 0, ()
+    for b, (l, ps, exps) in enumerate(groups):
+        n = len(exps)
+        size = len(ps) * n
+        expected = [prod(map((1).__add__, t)) for t in exps]  # prod (t + 1)
+        # the block's stretch tuple, then per partition its positions and,
+        # once per live table, the entry of each row exponents; in plain
+        # loops, since a comprehension costs a process's first call a frame
+        correct = zeros + ((REASON_SUPPORT_MISMATCH, size),)
+        holds = holds and stretches[l][:b + 1] == correct
+        checked, start = None, lo  # the live table last checked; the partition's first row
+        for part in ps:
+            if not holds:
+                break
+            js, live = parts.get(part, ((), None))
+            holds, start = js == range(start, start + n), start + n
+            if holds and live is not checked:
+                checked = live
+                for r, t in enumerate(exps):
+                    if live[t] != ((r, expected[r]),):
+                        holds = False
+                        break
+        values = [_ENTRIES[v].value for v in expected]
+        blocks.append(DiagonalBlock(l, size, tuple(values * len(ps)), size * (size - 1)))
+        lo, within = lo + size, within + size * size
         zeros += (REASON_TOO_FEW_BLOCKS, size),
+    if not holds:
+        _walk(enumerate_P(d, k), columns)
     # cells between lengths: proven zero below the blocks, unevaluated above
-    cross = (n * n - within) // 2
-    return Certificate(d, k, n, tuple(blocks), cross, cross, True)
+    cross = (lo * lo - within) // 2
+    return Certificate(d, k, lo, tuple(blocks), cross, cross, True)

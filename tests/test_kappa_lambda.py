@@ -452,6 +452,38 @@ def test_image_work_limit_lies_between_the_documented_images(part, passes):
     assert (kappa_lambda._image_work([part]) <= kappa_lambda.MAX_IMAGE_WORK) == passes
 
 
+def test_image_work_counts_only_as_far_as_the_sum_reaches(monkeypatch):
+    """lambda_1414 is refused once the running sum over lambda_1, lambda_2,
+    ... passes the limit, at index 62: the odd-partition counts it asks
+    for reach at most twice that index, not 1414, and the estimate, and
+    so the refusal, is the one the full table gives.  Under a limit 100
+    times larger the sum runs past the first table, which grows as the
+    sum needs it, to the same estimate as the full table."""
+    full = kappa_lambda._odd_partitions(1414, 1414)
+    asked, stops = [], []
+    odd_partitions = kappa_lambda._odd_partitions
+    monkeypatch.setattr(kappa_lambda, "_odd_partitions",
+                        lambda total, top: asked.append(total) or odd_partitions(total, top))
+    for limit in (kappa_lambda.MAX_IMAGE_WORK, 100 * kappa_lambda.MAX_IMAGE_WORK):
+        work = 0
+        for stop in range(1, 1415):
+            work += sum(full[stop - 1::-2])
+            if work > limit:
+                break
+        monkeypatch.setattr(kappa_lambda, "MAX_IMAGE_WORK", limit)
+        asked.clear()
+        assert kappa_lambda._image_work([(((LAMBDA, 1414), 1),)]) == work
+        assert 64 <= max(asked) <= 2 * stop < 1414
+        stops.append(stop)
+    assert stops == [62, 107] and len(asked) > 1
+    monkeypatch.undo()
+    assert kappa_lambda._image_work([(((LAMBDA, 1414), 1),)]) == 534_762
+    fresh_images(monkeypatch)
+    with pytest.raises(InputError, match=r"^eliminating lambda_1414 needs an estimated "
+                                         r"534,762 or more term products; the limit is 500,000$"):
+        lambda_to_kappa(lambda_class(1414, 1414))
+
+
 def test_lambda_elimination_is_weighed_only_on_a_cache_miss(monkeypatch):
     fresh_images(monkeypatch)
     weighed = []

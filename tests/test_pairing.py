@@ -255,59 +255,91 @@ def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
     assert all(type(v) is Fraction for v in diagonal)
 
 
-def column_indices(specs, columns):
-    """The indices in `specs` of the columns of a run, whose monomials it
-    keeps first, in order: a block monomial is determined by its blocks
-    and exps."""
-    index = {(s.blocks, s.exps): j for j, s in enumerate(specs)}
-    return [index[c.blocks, c.exps] for c in columns[0]]
+def layout(run):
+    """`pairing._columns` of a run of monomials, given as its groups of
+    consecutive columns that share a set partition."""
+    return pairing._columns([(blocks, tuple(c.exps for c in cols))
+                             for blocks, cols in groupby(run, lambda c: c.blocks)])
 
 
-def covered_positions(out, size):
-    """The run positions a compressed row of `_row_runs` covers, each as
-    often as it covers it: every column once through the stretches, the
-    own-partition columns distinct, and the live ones among them."""
-    outcomes, own, live = out
-    assert sum(n for _, n in outcomes) == size
-    assert len(set(own)) == len(own) and all(0 <= j < size for j in own)
-    assert [j for j, _ in live] == sorted({j for j, _ in live} & set(own))
-    return list(range(size))
+def certificate_layout(d, k):
+    """The layout `rank_certificate` builds, from the enumeration's groups."""
+    return pairing._columns(pairing._by_partition(pairing._groups(d, k)))
 
 
-def test_certificate_evaluates_every_checked_cell(monkeypatch):
-    """Every cell with row length <= column length goes through the row
-    rule exactly once; no cell is counted without evaluation."""
-    rule = pairing._row_runs
-    for d, k in ((3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
+def recording_layout(monkeypatch, reads):
+    """Make the certificate's layout record in `reads` every stretch
+    tuple it reads, as (row length, entries read), every partition it
+    looks up, as (set partition, positions, live table), and every live
+    entry, as (live table, row exponents)."""
+    build = pairing._columns
+
+    class Stretch(tuple):
+        def __getitem__(self, key):
+            reads.append(("stretch", self.length, len(tuple.__getitem__(self, key))))
+            return tuple.__getitem__(self, key)
+
+    class Parts(dict):
+        def get(self, part, default=None):
+            js, live = dict.get(self, part, default)
+            reads.append(("part", part, js, live))
+            return js, live
+
+    def recorded(groups):
+        key, runs, parts, stretches = build(groups)
+        rows = []
+        for length, outcomes in enumerate(stretches):
+            rows.append(Stretch(outcomes))
+            rows[-1].length = length
+        return key, runs, Parts(parts), tuple(rows)
+
+    monkeypatch.setattr(pairing, "_columns", recorded)
+    monkeypatch.setattr(pairing._Live, "__getitem__", lambda live, exps: (
+        reads.append(("live", live, exps)) or dict.__getitem__(live, exps)))
+
+
+def test_certificate_covers_every_checked_cell_once(monkeypatch):
+    """Every cell with row length <= column length is covered by exactly
+    one table entry the certificate reads, and no other cell is: a stretch
+    entry covers the rows of its length against the stretch's columns
+    outside each row's own partition, and a live entry (table, tau) the
+    row (P, tau) against the positions of P, for each partition P read
+    with that table."""
+    for d, k in ((1, 0), (3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
         specs = enumerate_P(d, k)
-        rows = {id(x): i for i, x in enumerate(specs)}
-        seen = []
-
-        def counting(row, columns):
-            out = rule(row, columns)
-            js = column_indices(specs, columns)
-            seen.extend((rows[id(row)], js[c]) for c in covered_positions(out, len(js)))
-            return out
-
-        monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
-        monkeypatch.setattr(pairing, "_row_runs", counting)
+        reads = []
+        recording_layout(monkeypatch, reads)
         cert = rank_certificate(d, k)
         monkeypatch.undo()
+        index = {(s.blocks, s.exps): i for i, s in enumerate(specs)}
         lengths = [len(s.blocks) for s in specs]
-        expected = {
-            (i, j)
-            for i in range(len(specs))
-            for j in range(len(specs))
-            if lengths[i] <= lengths[j]
-        }
-        assert len(seen) == len(set(seen)) == len(expected)
-        assert set(seen) == expected
-        assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(seen)
+        starts = [j for j in range(len(specs)) if j == 0 or lengths[j] != lengths[j - 1]]
+        read_with = {}  # the partitions read with each live table
+        for kind, *read in reads:
+            if kind == "part":
+                part, js, live = read
+                read_with.setdefault(id(live), []).append((part, js))
+        covered = []
+        for kind, *read in reads:
+            if kind == "stretch":
+                l, entries = read
+                cols = [j for b in range(entries) for j in range(len(specs))
+                        if lengths[j] == lengths[starts[b]]]
+                covered += [(i, j) for i, s in enumerate(specs) if lengths[i] == l
+                            for j in cols if specs[j].blocks != s.blocks]
+            elif kind == "live":
+                live, exps = read
+                covered += [(index[part, exps], j) for part, js in read_with[id(live)] for j in js]
+        expected = {(i, j) for i in range(len(specs)) for j in range(len(specs))
+                    if lengths[i] <= lengths[j]}
+        assert len(covered) == len(set(covered)) == len(expected)
+        assert set(covered) == expected
+        assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(covered)
 
 
 def test_certificate_expands_no_row_it_accepts(monkeypatch):
-    """A correct row is judged from its stretches and live values; only a
-    failing row is expanded cell by cell."""
+    """A correct certificate is judged from the tables its rows share;
+    no row is expanded cell by cell."""
     expand = pairing._expand
     calls = []
     monkeypatch.setattr(pairing, "_expand", lambda *a: calls.append(a) or expand(*a))
@@ -316,18 +348,25 @@ def test_certificate_expands_no_row_it_accepts(monkeypatch):
     assert calls == []
 
 
-def test_certificate_calls_the_rule_once_per_row(monkeypatch):
-    """The certificate lays out its columns once and scores each row once,
-    in order."""
-    rule, layout = pairing._row_runs, pairing._columns
+def test_certificate_lays_out_once_and_calls_no_rule(monkeypatch):
+    """A passing certificate lays out the enumeration's groups once, makes
+    no rule call and builds no block monomial."""
+    rule, build = pairing._row_runs, pairing._columns
+    trusted, init = BlockMonomial._trusted, BlockMonomial.__init__
     for d, k in ((1, 0), (3, 2), (4, 3), (5, 5)):
-        rows, layouts = [], []
+        groups = pairing._groups(d, k)
+        rows, layouts, monomials = [], [], []
         monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: rows.append(row) or rule(row, cols))
-        monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(cols) or layout(cols))
+        monkeypatch.setattr(pairing, "_columns",
+                            lambda cols: build(layouts.append(list(cols)) or layouts[-1]))
+        monkeypatch.setattr(BlockMonomial, "_trusted",
+                            classmethod(lambda cls, *a: monomials.append(a) or trusted(*a)))
+        monkeypatch.setattr(BlockMonomial, "__init__",
+                            lambda self, *a: monomials.append(a) or init(self, *a))
         assert rank_certificate(d, k).full_rank
         monkeypatch.undo()
-        specs = enumerate_P(d, k)
-        assert rows == specs and layouts == [specs]
+        assert rows == [] and monomials == []
+        assert layouts == [list(pairing._by_partition(groups))]
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(0, 6)])
@@ -343,49 +382,48 @@ def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
 
 def test_certificate_shares_live_tables(monkeypatch):
     """At d = k = 5 the partitions of one length carry one exponent list:
-    772 rows, one layout, 5 live tables for 52 partitions, one live-table
-    fill per distinct (exponent list, row exponents) and at most 36
-    factor reads."""
-    rule, layout, fill = pairing._row_runs, pairing._columns, pairing._Live.__missing__
-    rows, layouts, fills, reads = [], [], [], []
-    monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: rows.append(row) or rule(row, cols))
-    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(layout(cols)) or layouts[-1])
+    one layout, 5 live tables for 52 partitions, one live-table fill per
+    distinct (exponent list, row exponents) and at most 36 factor reads."""
+    build, fill = pairing._columns, pairing._Live.__missing__
+    layouts, fills, reads = [], [], []
+    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(build(cols)) or layouts[-1])
     monkeypatch.setattr(pairing._Live, "__missing__",
                         lambda live, exps: fills.append((id(live), exps)) or fill(live, exps))
     monkeypatch.setattr(pairing, "_component_integral",
                         lambda t, tp: reads.append((t, tp)) or _FACTOR(t, tp))
-    assert rank_certificate(5, 5).full_rank
-    assert len(rows) == 772 and len(layouts) == 1
-    parts = layouts[0][3]
+    assert rank_certificate(5, 5).size == 772
+    assert len(layouts) == 1
+    parts = layouts[0][2]
     assert len(parts) == 52 and len({id(live) for _, live in parts.values()}) == 5
     assert len(fills) == len(set(fills)) == 175
     assert len(reads) <= 36
 
 
 def test_shared_row_values_are_immutable():
-    """The stretch outcomes, own positions and live values that rows share
-    are tuples, and so is every row's output: no caller can change what a
-    later row reads."""
+    """The stretch outcomes and live values that rows share are tuples,
+    the own positions a range, and every row's output is a tuple: no
+    caller can change what a later row reads."""
     specs = enumerate_P(4, 3)
-    columns = pairing._columns(specs)
+    columns = certificate_layout(4, 3)
     outs = [pairing._row_runs(row, columns) for row in specs]
     for row, out in zip(specs, outs):
         outcomes, own, live = out
         assert type(out) is tuple
-        assert all(type(x) is tuple for x in (outcomes, own, live, *outcomes, *live))
-        assert outcomes is columns[4][len(row.blocks)] and own is columns[3][row.blocks][0]
+        assert all(type(x) is tuple for x in (outcomes, live, *outcomes, *live))
+        assert type(own) is range
+        assert outcomes is columns[3][len(row.blocks)] and own is columns[2][row.blocks][0]
         with pytest.raises(TypeError):
             outcomes[0] = (None, 1)
         with pytest.raises(TypeError):
             own[0] = 0
     first = outs[0]
     assert pairing._row_runs(specs[0], columns) == first
-    assert type(columns[4]) is tuple
-    for _, live in columns[3].values():
+    assert type(columns[3]) is tuple
+    for _, live in columns[2].values():
         assert all(type(col) is tuple for col in live.index)
         assert all(type(pairs) is tuple and all(type(p) is tuple for p in pairs)
                    for pairs in live.values())
-    entries = [entry for _, live in columns[3].values() for entry in live.factors.values()]
+    entries = [entry for _, live in columns[2].values() for entry in live.factors.values()]
     assert entries and all(type(entry) is tuple and len(entry) == 2
                            and all(type(x) is tuple for x in entry) for entry in entries)
 
@@ -400,13 +438,13 @@ def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
     want = verdict(lambda: literal_certificate(4, 3, factor))
     assert want == "diagonal entry 20 is -3, expected positive"
     layouts = []
-    layout = pairing._columns
-    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(layout(cols)) or layouts[-1])
+    build = pairing._columns
+    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(build(cols)) or layouts[-1])
     monkeypatch.setattr(pairing, "_component_integral", factor)
     assert verdict(lambda: rank_certificate(4, 3)) == want
     specs = enumerate_P(4, 3)
-    _, live = layouts[0][3][specs[20].blocks]
-    sharing = [b for b, (_, other) in layouts[0][3].items() if other is live]
+    _, live = layouts[0][2][specs[20].blocks]
+    sharing = [b for b, (_, other) in layouts[0][2].items() if other is live]
     assert len(sharing) == 6 and specs[20].blocks == sharing[0]
 
 
@@ -421,7 +459,7 @@ def test_live_tables_are_not_shared_across_exponent_orders(monkeypatch):
     a, b, c = ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3))
     run = [col[a, (0, 1)], col[a, (1, 0)], col[b, (1, 0)], col[b, (0, 1)],
            col[c, (0, 1)], col[c, (1, 0)]]
-    parts = pairing._columns(run)[3]
+    parts = layout(run)[2]
     assert parts[a][1] is not parts[b][1] and parts[a][1] is parts[c][1]
     assert parts[a][1].index == {(0, 1): 0, (1, 0): 1}
     assert parts[b][1].index == {(1, 0): 0, (0, 1): 1}
@@ -429,7 +467,7 @@ def test_live_tables_are_not_shared_across_exponent_orders(monkeypatch):
     assert_run_matches_literal_rule(specs, run[::-1])
     monkeypatch.setattr(pairing, "_component_integral", lambda t, tp: tp + 1)
     for cols in (run, run[::-1]):
-        columns = pairing._columns(cols)
+        columns = layout(cols)
         lives = [[j for j, _ in pairing._row_runs(row, columns)[2]] for row in specs]
         assert max(map(len, lives)) == 2 and all(js == sorted(js) for js in lives)
 
@@ -481,10 +519,18 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
     assert str(err.value) == message
 
 
+# Two seams for cell faults: a fault injected cell by cell into the rows the
+# naming walk scores, `pairing._walk`, driven directly; and the same kind of
+# fault injected into a table that rows of the certificate read (a stretch
+# tuple, a live entry or a partition's positions), where the certificate must
+# give the message `literal_certificate` gives for the cells that table fault
+# produces.
+
 def faulty_cells(monkeypatch, specs, faults):
     """Make the row rule give the outcome faults[(i, j)] for each cell (i, j)
-    of `specs`, and its own outcome elsewhere: a row with a fault comes back
-    as the stretches of equal outcomes of its expanded cells."""
+    of `specs`, and its own outcome elsewhere, on runs that are a prefix of
+    `specs`: a row with a fault comes back as the stretches of equal
+    outcomes of its expanded cells."""
     rule = pairing._row_runs
     rows = {id(x): i for i, x in enumerate(specs)}
 
@@ -492,34 +538,130 @@ def faulty_cells(monkeypatch, specs, faults):
         out = rule(row, columns)
         i = rows[id(row)]
         cells = pairing._expand(out)
-        for c, j in enumerate(column_indices(specs, columns)):
-            cells[c] = faults.get((i, j), cells[c])
-        if cells == pairing._expand(out):
+        faulted = [faults.get((i, j), cell) for j, cell in enumerate(cells)]
+        if faulted == cells:
             return out
-        return [(cell, len(list(g))) for cell, g in groupby(cells)], (), []
+        return [(cell, len(list(g))) for cell, g in groupby(faulted)], (), []
 
     monkeypatch.setattr(pairing, "_row_runs", patched)
 
 
-def certificate_with_faults(monkeypatch, d, k, faults):
+def walk_with_faults(monkeypatch, d, k, faults):
+    """Drive the certificate's naming walk over the rows of (d, k), each
+    cell (i, j) of `faults` given that outcome."""
     specs = enumerate_P(d, k)
-    monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
     faulty_cells(monkeypatch, specs, faults)
-    return rank_certificate(d, k)
+    pairing._walk(specs, certificate_layout(d, k))
+
+
+SPECS_4_3 = enumerate_P(4, 3)
+
+
+def diagonal(i, specs=SPECS_4_3):
+    """The diagonal value prod (t + 1) of row i."""
+    return prod(t + 1 for t in specs[i].exps)
+
+
+def table_fault(specs, fault):
+    """A fault in a table rows of the certificate of `specs` read, as a
+    function of the layout, with the cells it gives them:
+      ("live", i, pairs): the live entry row i reads holds the (rank,
+        outcome) `pairs`; every partition of row i's length shares its
+        table, so each of their rows with row i's exponents gets these
+        outcomes at its own columns of those ranks and computed 0 at the
+        others;
+      ("positions", i, c): row i's partition also claims column c, computed
+        0 in each of its rows;
+      ("stretch", l, b, outcome): the stretch tuple of the rows of length l
+        gives block b `outcome`, in every cell outside the row's own
+        partition."""
+    kind, *args = fault
+    lengths = [len(s.blocks) for s in specs]
+    if kind == "live":
+        i, pairs = args
+        row = specs[i]
+
+        def change(columns):
+            columns[2][row.blocks][1][row.exps] = pairs
+            return columns
+        cells = {}
+        for part in {s.blocks for s in specs if len(s.blocks) == len(row.blocks)}:
+            own = [j for j, s in enumerate(specs) if s.blocks == part]
+            r = next(j for j in own if specs[j].exps == row.exps)
+            cells.update({(r, j): 0 for j in own})
+            cells.update({(r, own[b]): outcome for b, outcome in pairs})
+    elif kind == "positions":
+        i, c = args
+        part = specs[i].blocks
+
+        def change(columns):
+            js, live = columns[2][part]
+            columns[2][part] = (*js, c), live
+            return columns
+        cells = {(r, c): 0 for r, s in enumerate(specs) if s.blocks == part}
+    else:
+        l, b, outcome = args
+
+        def change(columns):
+            key, runs, parts, stretches = columns
+            faulted = list(stretches[l])
+            faulted[b] = outcome, faulted[b][1]
+            return key, runs, parts, stretches[:l] + (tuple(faulted),) + stretches[l + 1:]
+        block = sorted(set(lengths), reverse=True)[b]
+        cells = {(i, j): outcome for i in range(len(specs)) if lengths[i] == l
+                 for j in range(len(specs)) if lengths[j] == block
+                 and specs[j].blocks != specs[i].blocks}
+    return change, cells
+
+
+def certificate_with_table_faults(monkeypatch, d, k, faults):
+    """The verdict of the certificate of (d, k) with the table faults
+    `faults` injected into its layout, checked against the verdict of
+    `literal_certificate` on the cells they give."""
+    specs = enumerate_P(d, k)
+    changes, cells = [], {}
+    for fault in faults:
+        change, faulted = table_fault(specs, fault)
+        changes.append(change)
+        cells.update(faulted)
+    want = verdict(lambda: literal_certificate(d, k, faults=cells))
+    build = pairing._columns
+
+    def faulty_layout(groups):
+        columns = build(groups)
+        for change in changes:
+            columns = change(columns)
+        return columns
+
+    monkeypatch.setattr(pairing, "_columns", faulty_layout)
+    got = verdict(lambda: rank_certificate(d, k))
+    assert got == want
+    return got
 
 
 def test_certificate_rejects_an_uncomputed_diagonal_cell(monkeypatch):
     with pytest.raises(CertificateError) as err:
-        certificate_with_faults(monkeypatch, 4, 3, {(2, 2): None})
+        walk_with_faults(monkeypatch, 4, 3, {(2, 2): None})
     assert str(err.value) == "diagonal entry 2 not computed"
 
 
+def test_certificate_rejects_an_uncomputed_diagonal_live_entry(monkeypatch):
+    got = certificate_with_table_faults(monkeypatch, 4, 3, [("live", 2, ((2, None),))])
+    assert got == "diagonal entry 2 not computed"
+
+
 def test_certificate_rejects_a_computed_zero_below_the_blocks(monkeypatch):
-    specs = enumerate_P(4, 3)
-    i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
+    i = next(i for i, s in enumerate(SPECS_4_3) if len(s.blocks) < len(SPECS_4_3[0].blocks))
     with pytest.raises(CertificateError) as err:
-        certificate_with_faults(monkeypatch, 4, 3, {(i, 1): 0})
+        walk_with_faults(monkeypatch, 4, 3, {(i, 1): 0})
     assert str(err.value) == f"entry ({i},1) should be proven zero"
+
+
+def test_certificate_rejects_a_computed_zero_stretch_below_the_blocks(monkeypatch):
+    """Rows 20-55 have three blocks; their stretch over the four-block
+    columns 0-19 computed 0 fails at row 20's first column."""
+    got = certificate_with_table_faults(monkeypatch, 4, 3, [("stretch", 3, 0, 0)])
+    assert got == "entry (20,0) should be proven zero"
 
 
 @pytest.mark.parametrize("reason", [pairing.REASON_TOO_FEW_BLOCKS,
@@ -527,14 +669,30 @@ def test_certificate_rejects_a_computed_zero_below_the_blocks(monkeypatch):
 def test_certificate_accepts_a_proven_zero_inside_a_block(monkeypatch, reason):
     """An off-diagonal cell of a length block's own rows may be a proven
     zero instead of a computed one."""
-    clean = rank_certificate(4, 3)
-    assert certificate_with_faults(monkeypatch, 4, 3, {(3, 5): reason, (5, 3): reason}) == clean
+    walk_with_faults(monkeypatch, 4, 3, {(3, 5): reason, (5, 3): reason})
+
+
+@pytest.mark.parametrize("reason", [pairing.REASON_TOO_FEW_BLOCKS,
+                                    pairing.REASON_SUPPORT_MISMATCH])
+def test_certificate_accepts_proven_zero_tables_inside_a_block(monkeypatch, reason):
+    """Live entries with a proven zero off the diagonal, and a block's own
+    stretch with either reason, leave the certificate as it is."""
+    clean = certificate_fields(rank_certificate(4, 3))
+    faults = [("live", 3, ((3, diagonal(3)), (5, reason))),
+              ("live", 5, ((3, reason), (5, diagonal(5)))), ("stretch", 3, 1, reason)]
+    assert certificate_with_table_faults(monkeypatch, 4, 3, faults) == clean
 
 
 def test_certificate_rejects_an_unevaluated_cell_inside_a_block(monkeypatch):
     with pytest.raises(CertificateError) as err:
-        certificate_with_faults(monkeypatch, 4, 3, {(3, 5): None})
+        walk_with_faults(monkeypatch, 4, 3, {(3, 5): None})
     assert str(err.value) == "off-diagonal entry (3,5) is nonzero"
+
+
+def test_certificate_rejects_an_unevaluated_live_entry_inside_a_block(monkeypatch):
+    fault = ("live", 3, ((3, diagonal(3)), (5, None)))
+    got = certificate_with_table_faults(monkeypatch, 4, 3, [fault])
+    assert got == "off-diagonal entry (3,5) is nonzero"
 
 
 @pytest.mark.parametrize("faults,message", [
@@ -550,8 +708,27 @@ def test_certificate_names_the_first_failing_cell(monkeypatch, faults, message):
     """With several faults, the first in row order, then column order, is
     the one reported."""
     with pytest.raises(CertificateError) as err:
-        certificate_with_faults(monkeypatch, 4, 3, faults)
+        walk_with_faults(monkeypatch, 4, 3, faults)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("faults,message", [
+    ([("live", 2, ((1, None), (2, None)))], "off-diagonal entry (2,1) is nonzero"),
+    ([("live", 2, ((2, None), (4, 7)))], "diagonal entry 2 not computed"),
+    ([("live", 2, ((2, 5), (3, 1)))], "diagonal entry 2 is 5, expected 6"),
+    ([("live", 2, ((2, diagonal(2)), (4, -1))), ("live", 3, ())],
+     "off-diagonal entry (2,4) is nonzero"),
+    ([("live", 3, ())], "diagonal entry 3 is 0, expected positive"),
+    # the six partitions of three blocks (rows 20-55) share row 20's live
+    # entry, and the second of them (rows 26-31) claims column 1: row 20
+    # fails first
+    ([("live", 20, ()), ("positions", 26, 1)], "diagonal entry 20 is 0, expected positive"),
+    ([("positions", 26, 1), ("stretch", 2, 1, None)], "entry (26,1) should be proven zero"),
+])
+def test_certificate_tables_name_the_first_failing_cell(monkeypatch, faults, message):
+    """With several table faults, the certificate names the first failing
+    cell of the cells they give, in row order, then column order."""
+    assert certificate_with_table_faults(monkeypatch, 4, 3, faults) == message
 
 
 def test_component_factor_must_be_an_integer(monkeypatch):
@@ -644,28 +821,41 @@ def assert_row_matches_literal_rule(row, run, out, factor=literal_factor):
 def test_row_rule_matches_literal_rule(d, k):
     """The row rule's outcome for every cell, compressed and expanded."""
     specs = enumerate_P(d, k)
-    columns = pairing._columns(specs)
+    columns = layout(specs)
     for row in specs:
         assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns))
 
 
 def assert_run_matches_literal_rule(specs, run):
     """Every row of `specs` against the column run `run`, cell by cell."""
-    columns = pairing._columns(run)
+    columns = layout(run)
     for row in specs:
         assert_row_matches_literal_rule(row, run, pairing._row_runs(row, columns))
 
 
-def literal_certificate(d, k, factor=literal_factor):
-    """The certificate rebuilt cell by cell from `literal_pairing_entry`:
-    in row order, then column order, each cell of a longer column must be a
-    proven zero, and of a column of the row's length prod(t + 1) on the
-    diagonal and a computed or proven zero elsewhere; the first cell that
-    fails raises the certificate's message.  Returns the fields the
-    certificate reports, the cross-length counts read off the cells."""
+def literal_entry(outcome):
+    """The entry of a cell outcome: a proven-zero reason, None when
+    unevaluated, else a computed value."""
+    if outcome is None:
+        return PairingEntry(UNEVALUATED)
+    if isinstance(outcome, str):
+        return PairingEntry(PROVEN_ZERO, reason=outcome)
+    return PairingEntry(COMPUTED, value=Fraction(outcome))
+
+
+def literal_certificate(d, k, factor=literal_factor, faults=None):
+    """The certificate rebuilt cell by cell from `literal_pairing_entry`,
+    each cell (i, j) of `faults` given that outcome instead: in row order,
+    then column order, each cell of a longer column must be a proven zero,
+    and of a column of the row's length prod(t + 1) on the diagonal and a
+    computed or proven zero elsewhere; the first cell that fails raises the
+    certificate's message.  Returns the fields the certificate reports,
+    the cross-length counts read off the cells."""
     specs = enumerate_P(d, k)
     n = len(specs)
     cells = [[literal_pairing_entry(row, col, factor) for col in specs] for row in specs]
+    for (i, j), outcome in (faults or {}).items():
+        cells[i][j] = literal_entry(outcome)
     lengths = [len(s.blocks) for s in specs]
     for i in range(n):
         for j in range(n):
@@ -753,14 +943,16 @@ def test_row_rule_matches_literal_rule_on_partial_supports(monkeypatch, factor):
     monkeypatch.setattr(pairing, "_component_integral", factor)
     for d, k in ((3, 3), (4, 3)):
         specs = enumerate_P(d, k)
-        columns = pairing._columns(specs)
+        columns = layout(specs)
         for row in specs:
             assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns), factor)
 
 
 def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch):
     """A row below a longer block whose rule output claims a column of that
-    block among its own partition's, computed 0, fails at that column."""
+    block among its own partition's, computed 0, fails at that column: in
+    the naming walk, and in the certificate when the partition's positions
+    claim it."""
     rule = pairing._row_runs
     specs = enumerate_P(4, 3)
     i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
@@ -774,12 +966,14 @@ def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch)
             own = [1, *own]
         return outcomes, own, live
 
-    monkeypatch.setattr(pairing, "enumerate_P", lambda d, k: specs)
     monkeypatch.setattr(pairing, "_row_runs", patched)
     with pytest.raises(CertificateError) as err:
-        rank_certificate(4, 3)
+        pairing._walk(specs, certificate_layout(4, 3))
     assert str(err.value) == f"entry ({i},1) should be proven zero"
     assert patched_rows == [specs[i]]
+    monkeypatch.undo()
+    got = certificate_with_table_faults(monkeypatch, 4, 3, [("positions", i, 1)])
+    assert got == f"entry ({i},1) should be proven zero"
 
 
 @pytest.mark.parametrize("factor,rejects", PARTIAL_SUPPORTS,
@@ -809,7 +1003,7 @@ def test_row_rule_on_a_partition_split_apart():
     """The columns of one set partition need not be contiguous in a run:
     its computed stretch is written at their positions only."""
     specs, run = split_run()
-    positions, _ = pairing._columns(run)[3][((1,), (2,), (3,))]
+    positions, _ = layout(run)[2][((1,), (2,), (3,))]
     assert positions == (0, 2, 4)
     assert_run_matches_literal_rule(specs, run)
     assert_run_matches_literal_rule(specs, run[::-1])
@@ -838,10 +1032,19 @@ def test_row_rule_matches_literal_rule_on_shuffled_runs():
 
 def test_row_rule_rejects_a_run_of_mixed_keys():
     run = enumerate_P(3, 2)[:2] + enumerate_P(3, 1)[:1]
-    columns = pairing._columns(run)
+    columns = layout(run)
     for row in run:
         with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
             pairing._row_runs(row, columns)
+
+
+def test_certificate_rejects_a_layout_of_another_key(monkeypatch):
+    """A layout whose (d, degree) is not the certificate's fails as the
+    rule fails on it, at the first row."""
+    build = pairing._columns
+    monkeypatch.setattr(pairing, "_columns", lambda groups: ((3, 2), *build(groups)[1:]))
+    with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
+        rank_certificate(4, 3)
 
 
 def test_enumerations_are_fresh_lists_with_equal_contents():
