@@ -130,11 +130,10 @@ def _rational(value) -> Fraction:
 
 
 def _coeff_payload(kl_mono, q: Fraction) -> dict:
-    out: dict = {name: {} for name in GENERATOR_NAMES}
+    kappa, lam = {}, {}
     for (kind, index), exp in kl_mono:
-        out[GENERATOR_NAMES[kind]][str(index)] = exp
-    out["rational"] = rational_text(q)
-    return out
+        (lam if kind else kappa)[str(index)] = exp
+    return {"kappa": kappa, "lambda": lam, "rational": rational_text(q)}
 
 
 def _coeff(genus: int, payload) -> tuple:
@@ -167,9 +166,7 @@ def _terms(payload: Mapping) -> list:
 
 def emit_kl(p: KLPoly, provenance: Mapping | None = None) -> dict:
     genus = genus_of(p)
-    terms = []
-    for mono, q in p.terms():
-        terms.append({"coeff": _coeff_payload(mono, q)})
+    terms = [{"coeff": _coeff_payload(mono, q)} for mono, q in p.terms()]
     out = {"schema": SCHEMA, "kind": "kl-class", "genus": genus, "terms": terms}
     if provenance is not None:
         out["provenance"] = dict(_mapping(provenance, "provenance"))

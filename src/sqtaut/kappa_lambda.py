@@ -237,11 +237,13 @@ def _fill_images(parts) -> None:
 
 @lru_cache(maxsize=None)
 def _lambda_table(genus: int) -> tuple:
-    """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials."""
+    """(image of lambda_1, ..., image of lambda_g) as kappa-polynomials.
+    No image coefficient is zero: each is a product of powers of the
+    nonzero B_{k+1} / (k (k+1)) over factorials."""
     check_genus(genus)
     parts = [(((LAMBDA, n), 1),) for n in range(1, genus + 1)]
     _fill_images(parts)
-    return tuple(GradedPoly(genus, {m: Fraction(c, den) for m, c in image.items()})
+    return tuple(GradedPoly._trusted(genus, {m: Fraction(c, den) for m, c in image.items()})
                  for den, image in map(_IMAGES.__getitem__, parts))
 
 
@@ -266,7 +268,7 @@ def lambda_to_kappa(p: KLPoly) -> KLPoly:
         den, table = image
         terms.append((mono[:cut], coeff.numerator, coeff.denominator * den, table))
     common, acc = _common_sum(terms)
-    return GradedPoly(genus, {m: Fraction(c, common) for m, c in acc.items() if c})
+    return GradedPoly._trusted(genus, {m: Fraction(c, common) for m, c in acc.items() if c})
 
 
 def chern_E_dual(genus: int, maxdeg: int) -> KLPoly:

@@ -94,6 +94,7 @@ same values, and the tests use them as the oracle.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, log10
 from types import MappingProxyType
@@ -205,9 +206,10 @@ def _kappa_monomial(p: tuple) -> tuple:
 
 def _dual_hodge_part(genus: int, table, degree: int) -> KLPoly:
     """The degree part of chern_E_dual * table, in one pass: the partition p
-    of the table meets only (-1)^i lambda_i, i = degree - sum(p)."""
-    return GradedPoly(genus, {
-        _kappa_monomial(p) + ((((LAMBDA, i), 1),) if i else ()): (-1) ** i * c
+    of the table meets only (-1)^i lambda_i, i = degree - sum(p).  The
+    table's values are nonzero ints, and each p gives its own monomial."""
+    return GradedPoly._trusted(genus, {
+        _kappa_monomial(p) + ((((LAMBDA, i), 1),) if i else ()): Fraction(-c if i & 1 else c)
         for p, c in table.items() if 0 <= (i := degree - sum(p)) <= genus})
 
 

@@ -14,6 +14,21 @@ property of the value (an optional degree cap carried by the polynomial),
 never global state; the explicit-cap entry point `poly_mul` overrides it
 per operation.
 
+A `GradedPoly` is built one of two ways, which set its fields in one
+place.  `GradedPoly(genus, coeffs, cap)` validates: it copies the table,
+reads every value as a Fraction and drops zeros and terms above the cap;
+every table that comes from outside (readers, constructors, the ring
+operations of `SparseSum`) goes through it.  `GradedPoly._trusted` keeps a
+table as it is, for producers that build it canonical: `poly_mul`,
+`degree_part`, lambda elimination and the relation generators.
+
+Terms print in graded order: by degree, then factor by factor by
+(kind, index, -exp), a shorter monomial first when it is a prefix.  The
+sort key is the flat list [degree, kind, index, -exp, kind, index, -exp,
+...]: every factor fills exactly three places, so comparing two keys
+place by place compares the same fields in the same order as comparing
+(degree, ((gen, -exp), ...)) would, and two monomials never share a key.
+
 `SparseSum` holds the ring operations that `GradedPoly`, `PointedClass`
 and `CurveClass` share: addition, negation, subtraction, powers, equality,
 truncation and the dispatch of `*`, with `accumulate` as the one merge
@@ -58,6 +73,18 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        # one factor: a scan finds its generator or its place
+        factor = m2[0]
+        gen = factor[0]
+        for i, (g, e) in enumerate(m1):
+            if g >= gen:
+                if g == gen:
+                    return (*m1[:i], (gen, e + factor[1]), *m1[i + 1:])
+                return (*m1[:i], factor, *m1[i:])
+        return m1 + m2
     acc = dict(m1)
     for gen, exp in m2:
         acc[gen] = acc.get(gen, 0) + exp
@@ -71,10 +98,16 @@ def mono_degree(m: Monomial) -> int:
     return deg
 
 
-def _mono_sort_key(m: Monomial):
-    # Graded order: total degree first, then exponent-vector comparison
-    # (higher leading exponents print first within a degree).
-    return (mono_degree(m), tuple((gen, -e) for gen, e in m))
+def _mono_sort_key(m: Monomial) -> list:
+    # the flat graded key of the module docstring: higher leading exponents
+    # print first within a degree
+    key = [0]
+    deg = 0
+    for (kind, index), exp in m:
+        deg += index * exp
+        key += kind, index, -exp
+    key[0] = deg
+    return key
 
 
 def combine_caps(a: int | None, b: int | None) -> int | None:
@@ -234,7 +267,8 @@ class GradedPoly(SparseSum):
     """Sparse kappa/lambda polynomial with Rational coefficients at a genus.
 
     `coeffs` maps canonical monomials to nonzero Fractions; a monomial's
-    degree for the cap is its total degree.
+    degree for the cap is its total degree.  The constructor validates its
+    table and `_trusted` does not (module docstring).
     """
 
     _fields = ("genus", "coeffs", "cap")
@@ -249,8 +283,20 @@ class GradedPoly(SparseSum):
             if cap is not None and mono_degree(m) > cap:
                 continue
             clean[m] = c
+        self._set(genus, clean, cap)
+
+    @classmethod
+    def _trusted(cls, genus: int, table: dict, cap: int | None = None) -> "GradedPoly":
+        """A polynomial on `table`, which the caller hands over and
+        guarantees canonical: nonzero Fraction values, canonical monomials,
+        none above the cap."""
+        poly = object.__new__(cls)
+        poly._set(genus, table, cap)
+        return poly
+
+    def _set(self, genus: int, table: dict, cap: int | None) -> None:
         setfield(self, "genus", genus)
-        setfield(self, "coeffs", MappingProxyType(clean))
+        setfield(self, "coeffs", MappingProxyType(table))
         setfield(self, "cap", cap)
 
     _space = property(lambda self: (self.genus,))
@@ -283,7 +329,7 @@ class GradedPoly(SparseSum):
     def degree_part(self, k: int) -> "GradedPoly":
         """The homogeneous component of total degree k."""
         part = {m: c for m, c in self.coeffs.items() if mono_degree(m) == k}
-        return GradedPoly(self.genus, part, None)
+        return GradedPoly._trusted(self.genus, part)
 
     def homogeneous_degrees(self) -> list:
         return sorted({mono_degree(m) for m in self.coeffs})
@@ -340,7 +386,7 @@ def poly_mul(a: GradedPoly, b: GradedPoly, maxdeg: int | None) -> GradedPoly:
     # over a common denominator, so that the pair loop runs on ints
     (da, ia), (db, ib) = _integral(a.coeffs), _integral(b.coeffs)
     acc = {m: Fraction(c, da * db) for m, c in int_mul(ia, ib, maxdeg).items()}
-    return GradedPoly(a.genus, acc, maxdeg)
+    return GradedPoly._trusted(a.genus, acc, maxdeg)
 
 
 # -- decimal text ----------------------------------------------------------

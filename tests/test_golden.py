@@ -24,11 +24,14 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from sqtaut.cli import main
 from sqtaut.jsonio import emit_kl
+from sqtaut.kappa_lambda import _lambda_table, chern_E_dual, lambda_to_kappa
 from sqtaut.relations import prop8_relation, theorem5_class
+from sqtaut.rings import GradedPoly, poly_mul
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 RELATION_GRID_SHA256 = "b175a4630604fcb026e10c8a525d5dd06a13470132dea927a9984ea3ba79cd4d"
@@ -166,32 +169,65 @@ def test_cli_output_matches_golden_corpus():
     assert not mismatched
 
 
-def relation_grid_digest() -> str:
-    """sha256 of the `emit_kl` JSON of every theorem5_class with g <= 16,
-    d <= 6, k <= d + 1 and relation degree 0..g-2 (170 points), then every
-    prop8_relation with 4 <= g <= 12, d <= 5, a, b <= 3, 1 <= c <= 4 and
-    nonnegative Chern and selection degrees (2,861 points)."""
-    digest = hashlib.sha256()
+def relation_grid():
+    """Every theorem5_class with g <= 16, d <= 6, k <= d + 1 and relation
+    degree 0..g-2 (170 points), then every prop8_relation with 4 <= g <= 12,
+    d <= 5, a, b <= 3, 1 <= c <= 4 and nonnegative Chern and selection
+    degrees (2,861 points)."""
     for g in range(2, 17):
         for d in range(1, 7):
             for k in range(1, d + 2):
                 if 0 <= g - 2 * d - 1 + 2 * k <= g - 2:
-                    rel = theorem5_class(g, d, k)
-                    digest.update(json.dumps(emit_kl(rel), sort_keys=True).encode())
+                    yield theorem5_class(g, d, k)
     for g in range(4, 13):
         for d in range(1, 6):
             for a in range(4):
                 for b in range(4):
                     for c in range(1, 5):
                         if g - d - 1 + c >= 0 and g - d - 2 + a + b + c >= 0:
-                            rel = prop8_relation(g, d, a, b, c)
-                            digest.update(json.dumps(emit_kl(rel), sort_keys=True).encode())
+                            yield prop8_relation(g, d, a, b, c)
+
+
+def relation_grid_digest() -> str:
+    """sha256 of the `emit_kl` JSON of every relation of `relation_grid`."""
+    digest = hashlib.sha256()
+    for rel in relation_grid():
+        digest.update(json.dumps(emit_kl(rel), sort_keys=True).encode())
     return digest.hexdigest()
 
 
 def test_relation_grids_match_recorded_digest():
     # the relation generators beyond the benchmark's domain, byte for byte
     assert relation_grid_digest() == RELATION_GRID_SHA256
+
+
+def assert_canonical(p):
+    """p is what validating construction makes of its own table: nonzero
+    Fraction values, canonical monomials and nothing above its cap."""
+    again = GradedPoly(p.genus, dict(p.coeffs), p.cap)
+    assert again == p and again.cap == p.cap
+    assert all(type(c) is Fraction and c for c in p.coeffs.values())
+    for m in p.coeffs:
+        assert m == tuple(sorted(dict(m).items()))
+        assert all(kind in (0, 1) and index >= 1 and exp >= 1
+                   for (kind, index), exp in m)
+
+
+def test_trusted_producers_build_canonical_tables():
+    # theorem5_class, prop8_relation, lambda_to_kappa and degree_part build
+    # their results without the validating constructor
+    genera = set()
+    for rel in relation_grid():
+        assert_canonical(rel)
+        assert_canonical(lambda_to_kappa(rel))
+        assert_canonical(rel.degree_part(rel.degree))
+        genera.add(rel.genus)
+    for g in genera:
+        for image in _lambda_table(g):
+            assert_canonical(image)
+    rel = theorem5_class(8, 3, 2)
+    for cap in (None, 0, 3, 6):
+        assert_canonical(poly_mul(rel, chern_E_dual(8, 4), cap))
 
 
 if __name__ == "__main__":

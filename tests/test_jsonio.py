@@ -198,3 +198,28 @@ def test_genus_is_read_up_to_the_bound():
                      lambda: parse_pointed({**pointed, "genus": genus})):
             with pytest.raises(InputError, match="^genus over 10000$"):
                 read()
+
+
+def test_parse_kl_keeps_no_zero_and_refuses_malformed_coefficients():
+    # outside input reaches a class only through the validating constructor:
+    # a zero coefficient, or terms that cancel, leave no entry in the table,
+    # and the stored values are Fractions
+    g = 4
+    for payload in (kl_payload(g, rational="0", kappa={"1": 2}),
+                    kl_payload(g, rational="0/7"),
+                    {**kl_payload(g, kappa={"2": 1}),
+                     "terms": [{"coeff": {"rational": "3", "kappa": {"2": 1}}},
+                               {"coeff": {"rational": "-3", "kappa": {"2": 1}}}]}):
+        p = parse_kl(payload)
+        assert p == kl_zero(g) and dict(p.coeffs) == {}
+    p = parse_kl(kl_payload(g, rational="6/4", **{"lambda": {"2": 1}}))
+    assert [type(c) for c in p.coeffs.values()] == [Fraction]
+    assert dict(p.coeffs) == {(((1, 2), 1),): Fraction(3, 2)}
+    for bad in ("1/0", "abc", "", "1/2/3", None, [1], {"p": 1}):
+        with pytest.raises(InputError, match="^bad rational "):
+            parse_kl(kl_payload(g, rational=bad, kappa={"1": 1}))
+    for coeff in ({"kappa": {"1": 1}}, {"rational": "1", "kappa": {"x": 1}},
+                  {"rational": "1", "kappa": {"1": 1.5}},
+                  {"rational": "1", "lambda": {"5": 1}}, "1"):
+        with pytest.raises(InputError):
+            parse_kl({**kl_payload(g), "terms": [{"coeff": coeff}]})

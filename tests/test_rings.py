@@ -19,6 +19,8 @@ from sqtaut.rings import (
     int_from_text,
     int_mul,
     int_text,
+    mono_degree,
+    mono_mul,
     poly_mul,
     rational_text,
     series_mul,
@@ -239,6 +241,82 @@ def test_deterministic_term_order():
     assert str(p) == (
         "1 + kappa_1 + lambda_1 + kappa_1^2 + kappa_1*lambda_1 + kappa_2"
     )
+
+
+def nested_sort_key(m):
+    """The earlier sort key of `GradedPoly.terms()`, (degree, ((gen, -exp),
+    ...)), kept as the oracle of the flat one."""
+    return (mono_degree(m), tuple((gen, -e) for gen, e in m))
+
+
+def dict_mono_mul(m1, m2):
+    """The product of two monomials through a dict and a sort."""
+    acc = dict(m1)
+    for gen, exp in m2:
+        acc[gen] = acc.get(gen, 0) + exp
+    return tuple(sorted(acc.items()))
+
+
+def monomials(st, min_size, max_size):
+    """Canonical kappa/lambda monomials of min_size..max_size factors,
+    kinds mixed, indices 1..6, exponents 1..5."""
+    return st.dictionaries(st.tuples(st.integers(0, 1), st.integers(1, 6)),
+                           st.integers(1, 5), min_size=min_size, max_size=max_size
+                           ).map(lambda acc: tuple(sorted(acc.items())))
+
+
+def test_terms_order_matches_the_nested_key_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(monomials(st, 1, 4), unique=True, max_size=40))
+    def check(ms):
+        p = GradedPoly(6, {m: Fraction(i + 1) for i, m in enumerate(ms)})
+        assert [m for m, _ in p.terms()] == sorted(ms, key=nested_sort_key)
+
+    check()
+
+
+KAPPA_1, KAPPA_2, KAPPA_3 = (((0, 1), 1),), (((0, 2), 1),), (((0, 3), 1),)
+LAMBDA_1 = (((1, 1), 1),)
+
+
+@pytest.mark.parametrize("m1,m2,want", [
+    # a merge into an existing generator, on either side
+    ((((0, 1), 2), ((0, 3), 1)), (((0, 3), 2),), (((0, 1), 2), ((0, 3), 3))),
+    ((((0, 3), 2),), (((0, 1), 2), ((0, 3), 1)), (((0, 1), 2), ((0, 3), 3))),
+    # insertion before, between and after the factors
+    (KAPPA_2 + LAMBDA_1, KAPPA_1, KAPPA_1 + KAPPA_2 + LAMBDA_1),
+    (KAPPA_1 + KAPPA_3, (((0, 2), 4),), KAPPA_1 + (((0, 2), 4),) + KAPPA_3),
+    (KAPPA_1 + KAPPA_2, (((0, 5), 1),), KAPPA_1 + KAPPA_2 + (((0, 5), 1),)),
+    # a lambda after kappas, and kappas before a lambda
+    ((((0, 1), 1), ((0, 4), 2)), LAMBDA_1, (((0, 1), 1), ((0, 4), 2)) + LAMBDA_1),
+    (LAMBDA_1, KAPPA_1 + KAPPA_2, KAPPA_1 + KAPPA_2 + LAMBDA_1),
+    # the empty monomial on either side
+    ((), KAPPA_1 + LAMBDA_1, KAPPA_1 + LAMBDA_1),
+    (KAPPA_1 + LAMBDA_1, (), KAPPA_1 + LAMBDA_1),
+    ((), (), ()),
+    # both sides one factor
+    (LAMBDA_1, KAPPA_2, KAPPA_2 + LAMBDA_1),
+    (KAPPA_2, KAPPA_2, (((0, 2), 2),)),
+    # two factors on both sides
+    (KAPPA_1 + LAMBDA_1, KAPPA_1 + KAPPA_3, (((0, 1), 2),) + KAPPA_3 + LAMBDA_1),
+])
+def test_mono_mul_cases(m1, m2, want):
+    assert mono_mul(m1, m2) == want == dict_mono_mul(m1, m2)
+
+
+def test_mono_mul_matches_the_dict_route_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(monomials(st, 0, 4), monomials(st, 0, 4))
+    def check(m1, m2):
+        assert mono_mul(m1, m2) == dict_mono_mul(m1, m2)
+
+    check()
 
 
 def test_values_are_read_only():
