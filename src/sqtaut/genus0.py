@@ -29,6 +29,8 @@ from typing import Sequence
 
 from .rings import InputError
 
+MAX_ADDITIONS = 10_000_000  # coefficient additions of poincare_Q02: d <= 391
+
 
 def poincare_Q02(d: int) -> list:
     """Poincare polynomial of the two-pointed degree-d chain space.
@@ -38,6 +40,11 @@ def poincare_Q02(d: int) -> list:
     """
     if d < 1:
         raise InputError("d must be >= 1")
+    # row n adds sums[n - p] for p = 1..n, one entry each, or 1 for sums[0]
+    additions = d + (d + 1) * d * (d - 1) // 6
+    if additions > MAX_ADDITIONS:
+        raise InputError(f"poincare_Q02({d}) needs {additions:,} coefficient "
+                         f"additions; the limit is {MAX_ADDITIONS:,}")
     # sums[n][j]: coefficient of t^(2j) in Q(n), grouped by the last part p
     sums = [[1]]
     for n in range(1, d + 1):

@@ -33,41 +33,26 @@ lower-triangular with diagonal blocks that are themselves diagonal with
 positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
-Every cell comes from one rule, `_row_runs`, which scores a row against
-a run of columns laid out by `_columns` and returns the row compressed.
-A cell's outcome is a proven-zero reason, None if unevaluated, or the
-int product of the component factors of (tau_i, tau'_i).  The outcome
-depends only on the lengths, except where the column shares the row's
-set partition, so the rule gives one outcome per stretch of
-equal-length columns, read from the layout's tuple for the row's length,
-and, apart, the positions of the row's partition.  Of those columns
-only the live ones, where every component factor is nonzero, get a
-product; every other column of the partition is a computed 0.  The
-enumeration is kept as its groups, per length the set partitions and
-the one exponent list they share, and the layout is built from
-(set partition, exponent list) groups in column order.  It keeps per
-set partition its positions, and one live table per distinct exponent
-list (the exponent tuples of a partition's columns, in column order):
-for row exponents tau, the (rank, product) pairs of the live columns,
-found by looking up in the list each tuple of exponents where the
-factors of tau are nonzero.  The partitions that carry one list share
-its table, and the rule maps each rank to the row's own column through
-its partition's positions.  Every value that rows share is a tuple or a
-range.  A layout, and so its tables, serves one certificate, one
-`PairingMatrix` or one `pairing_entry`; no factor read for one is reused
-by another.
+The enumeration is kept as its groups: per length l, descending, the
+set partitions of length l and the one exponent list they share, since
+l blocks have degree d - l before their exponents.  `pairing_entry`
+applies the four cases to one cell; only the third reads factors.  A
+cell of the third case is nonzero only where every component factor is,
+so a row's nonzero own-partition columns are found as the product of
+its per-component supports, each tuple looked up in the exponent list.
 
-The certificate calls no rule on a correct matrix.  A row's verdict is
-a function of the tables its group of rows shares, so it reads each
-once: per length block the stretch tuple, per partition its positions,
-per live table and row exponents the one entry.  In `enumerate_P` order
-every partition of one length carries the same list, so for its 772
-rows d = k = 5 reads 5 stretch tuples, 52 positions and 175 entries of
-5 live tables, and builds no block monomial.  On any mismatch, `_walk`
-scores the rows one at a time through the rule and expands only a
-failing row, cell by cell, to name the first failing cell in row order,
-then column order; `PairingMatrix.entry` and `pairing_entry` expand the
-rows they read.
+The first, second and fourth cases hold by the rule itself, so the
+certificate checks only the cells of each row against its own
+partition's columns.  Those depend on the partition only through its
+exponent list, which every partition of the length shares: for each
+length and each row exponents tau at rank r of its list, the nonzero
+columns are found once for all partitions of that length and must be
+exactly [(r, prod (t_i + 1))].  A mismatch fails the first partition's
+row of tau first in row order, and the certificate names that row's
+first failing cell in column order.  `PairingMatrix` expands a row at a
+time from the groups.  Each certificate and each matrix reads its
+factors through `_component_integral` into a memo of its own, so no
+factor read for one is reused by another.
 """
 
 from __future__ import annotations
@@ -178,33 +163,11 @@ def _enumeration(d: int, k: int) -> tuple:
                  for l, group in groupby(parts, len))
 
 
-def _by_partition(groups) -> Iterator[tuple]:
-    """The (set partition, exponent list) column groups of an enumeration's
-    groups, in column order."""
-    return ((part, exps) for _, parts, exps in groups for part in parts)
-
-
 # each outcome with no cell-specific data has one shared (frozen) entry
 _TOO_FEW_BLOCKS = PairingEntry(PROVEN_ZERO, reason=REASON_TOO_FEW_BLOCKS)
 _SUPPORT_MISMATCH = PairingEntry(PROVEN_ZERO, reason=REASON_SUPPORT_MISMATCH)
 _UNEVALUATED = PairingEntry(UNEVALUATED)
 _COMPUTED_ZERO = PairingEntry(COMPUTED, value=Fraction(0))
-_REASONS = (REASON_TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH)
-
-
-class _Entries(dict):
-    """`_ENTRIES[outcome]` is the entry of a cell outcome: the shared ones
-    above, and one per computed int value while fewer than 256 are kept."""
-
-    def __missing__(self, value: int) -> PairingEntry:
-        entry = PairingEntry(COMPUTED, value=Fraction(value))
-        if len(self) < 256:
-            self[value] = entry
-        return entry
-
-
-_ENTRIES = _Entries({REASON_TOO_FEW_BLOCKS: _TOO_FEW_BLOCKS, REASON_SUPPORT_MISMATCH: _SUPPORT_MISMATCH,
-                     None: _UNEVALUATED, 0: _COMPUTED_ZERO})
 
 
 @lru_cache(maxsize=256)
@@ -220,14 +183,14 @@ def _component_integral(t: int, tp: int) -> int:
 
 class _Factors(dict):
     """`factors[t]` is the pair (table, support): the tuple of
-    `_component_integral(t, tp)` for tp in `span`, read through the
-    module's `_component_integral` on first use, and the tp where it is
-    nonzero."""
+    `_component_integral(t, tp)` for tp in 0..degree, read on first use,
+    and the tp where it is nonzero.  Each certificate and each matrix
+    keeps one."""
 
     __slots__ = ("span",)
 
-    def __init__(self, span: range) -> None:
-        self.span = span
+    def __init__(self, degree: int) -> None:
+        self.span = range(degree + 1)
 
     def __missing__(self, t: int) -> tuple:
         table = tuple(map(_component_integral, repeat(t), self.span))
@@ -235,110 +198,28 @@ class _Factors(dict):
         return entry
 
 
-class _Live(dict):
-    """The columns of the partitions that carry one exponent list:
-    `index` maps each column's exponent tuple to its rank in the list, and
-    `live[row_exps]` is the tuple of (rank, product) of the columns where
-    every component factor of `factors` is nonzero, in rank order, filled
-    on first use and shared by the rows that need it."""
-
-    __slots__ = ("index", "factors")
-
-    def __init__(self, exps: tuple, factors: _Factors) -> None:
-        self.index = {col: b for b, col in enumerate(exps)}
-        self.factors = factors
-
-    def __missing__(self, row_exps: tuple) -> tuple:
-        # a live column's exponents lie in every component's support
-        tables, supports = zip(*map(self.factors.__getitem__, row_exps))
-        index = self.index
-        live = self[row_exps] = tuple(sorted([(index[col], prod(map(getitem, tables, col)))
-                                              for col in product(*supports) if col in index]))
-        return live
-
-
-def _columns(groups) -> tuple:
-    """A run of distinct columns laid out for `_row_runs`, from its
-    (set partition, exponent list) groups in column order, as (key, runs,
-    parts, stretches): the one (d, degree) of the columns, None unless
-    there is exactly one; the (length, size) of each stretch of
-    consecutive equal-length columns; if the key is one, per set
-    partition its column positions (a range, or a tuple if its groups lie
-    apart) and the `_Live` of its exponent list, one per distinct list,
-    sharing the run's factor table over the exponents 0..degree, and per
-    row length 0..d the outcome of each stretch."""
-    parts, runs, keys, j, listed, sums = {}, [], set(), 0, None, ()
-    for part, exps in groups:
-        l, n = len(part), len(exps)
-        if exps is not listed:
-            listed, sums = exps, set(map(sum, exps))
-        d = sum(map(len, part))  # the labels; a block of size s adds s - 1
-        keys.update(zip(repeat(d), map((d - l).__add__, sums)))
-        if runs and runs[-1][0] == l:
-            runs[-1][1] += n
-        else:
-            runs.append([l, n])
-        span, j = range(j, j + n), j + n
-        if part in parts:  # the partition's columns are split apart
-            js, before = parts[part]
-            span, exps = (*js, *span), before + exps
-        parts[part] = span, exps
-    runs = tuple(map(tuple, runs))
-    key = keys.pop() if len(keys) == 1 else None
-    if key is None:
-        return key, runs, {}, ()
-    stretches = tuple(tuple([(REASON_TOO_FEW_BLOCKS if l < lp else None if l > lp
-                              else REASON_SUPPORT_MISMATCH, size) for lp, size in runs])
-                      for l in range(key[0] + 1))
-    factors, shared, listed = _Factors(range(key[1] + 1)), {}, None
-    for part, (js, exps) in parts.items():
-        if exps is not listed:
-            listed, live = exps, shared.get(exps)
-            if live is None:
-                live = shared[exps] = _Live(exps, factors)
-        parts[part] = js, live
-    return key, runs, parts, stretches
-
-
-def _row_runs(row: BlockMonomial, columns: tuple) -> tuple:
-    """The cell rule: the outcomes of pairing the monomial `row` against
-    the chain stratum of each column of the run `columns`, as (outcomes,
-    own, live): one (outcome, size) per stretch of equal-length columns,
-    in order; the positions of the row's set partition, computed 0 except
-    the (position, product) pairs of `live`, in order, where every
-    component factor is nonzero."""
-    key, _, parts, stretches = columns
-    if (row.d, row.degree) != key:
-        raise InputError("row and column have mismatched (d, k)")
-    outcomes = stretches[len(row.blocks)]
-    part = parts.get(row.blocks)
-    if part is None:
-        return outcomes, (), ()
-    js, live = part
-    return outcomes, js, tuple([(js[b], value) for b, value in live[row.exps]])
-
-
-def _expand(out: tuple, cell=lambda outcome: outcome) -> list:
-    """The row `out` of `_row_runs` in full, one item per column: `cell`
-    of its outcome, the outcome itself by default."""
-    outcomes, own, live = out
-    cells = []
-    for outcome, size in outcomes:
-        cells += [cell(outcome)] * size
-    if len(own) > len(live):  # some columns of the row's partition are 0
-        zero = cell(0)
-        for j in own:
-            cells[j] = zero
-    for j, value in live:
-        cells[j] = cell(value)
-    return cells
+def _nonzero(exps: tuple, index: dict, factors: _Factors) -> list:
+    """The (rank, product) pairs, in rank order, of the columns of one
+    partition where every component factor of the row exponents `exps`
+    is nonzero; `index` maps each column's exponent tuple to its rank in
+    the partition's exponent list."""
+    tables, supports = zip(*map(factors.__getitem__, exps))
+    return sorted([(index[col], prod(map(getitem, tables, col)))
+                   for col in product(*supports) if col in index])
 
 
 def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
     """Evaluate the pairing of the monomial `row` against the chain stratum
-    of the monomial `col`."""
-    columns = _columns(((col.blocks, (col.exps,)),))
-    return _expand(_row_runs(row, columns), _ENTRIES.__getitem__)[0]
+    of the monomial `col`, by the four cases of the module docstring."""
+    if (row.d, row.degree) != (col.d, col.degree):
+        raise InputError("row and column have mismatched (d, k)")
+    l, lp = len(row.blocks), len(col.blocks)
+    if l != lp:
+        return _TOO_FEW_BLOCKS if l < lp else _UNEVALUATED
+    if row.blocks != col.blocks:
+        return _SUPPORT_MISMATCH
+    value = prod(map(_component_integral, row.exps, col.exps))
+    return PairingEntry(COMPUTED, value=Fraction(value)) if value else _COMPUTED_ZERO
 
 
 class DiagonalBlock(Frozen):
@@ -378,17 +259,20 @@ class Certificate(Frozen):
 class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
     column j is the chain stratum of `specs[j]`.  Entries are computed on
-    demand, a row at a time: the first `entry` call lays out the columns,
-    with the live tables the rows share, and `entry(i, j)` keeps
-    the entries of the last row it computed, so `entries()` costs one rule
-    call per row.  Rows shorter than the column are proven zero, rows of
-    its length computed exactly.
+    demand, a row at a time, from the enumeration's groups: the first
+    `entry` call indexes each length's exponent list, and `entry(i, j)`
+    keeps the entries of the last row it computed, so `entries()` expands
+    each row once.  A matrix keeps one factor memo and one entry per
+    computed value.
     """
 
     def __init__(self, d: int, k: int):
         self.d, self.k = d, k
         self.specs = enumerate_P(d, k)
-        self._run = None  # all columns as one run, laid out on the first entry
+        # per row length: (first row, end, list size, exponent index), on the first entry
+        self._lengths = None
+        self._factors = _Factors(k)
+        self._computed = {0: _COMPUTED_ZERO}  # value -> its one entry
         self._i, self._row = None, None  # the last row computed and its entries
 
     @property
@@ -397,118 +281,84 @@ class PairingMatrix:
 
     def entry(self, i: int, j: int) -> PairingEntry:
         if i != self._i:
-            if self._run is None:
-                self._run = _columns(_by_partition(_groups(self.d, self.k)))
-            self._row = _expand(_row_runs(self.specs[i], self._run), _ENTRIES.__getitem__)
+            self._row = self._row_entries(i)
             self._i = i
         return self._row[j]
+
+    def _row_entries(self, i: int) -> list:
+        """Row i in full: proven zero against longer columns, support
+        mismatch against the other partitions of its length, unevaluated
+        against shorter ones, and computed against its own partition."""
+        if self._lengths is None:
+            self._lengths, lo = {}, 0
+            for l, parts, exps in _groups(self.d, self.k):
+                hi = lo + len(parts) * len(exps)
+                self._lengths[l] = lo, hi, len(exps), {t: r for r, t in enumerate(exps)}
+                lo = hi
+        i = range(self.size)[i]  # as `specs` reads it: from the end if negative
+        exps = self.specs[i].exps
+        lo, hi, n, index = self._lengths[len(exps)]
+        start = i - (i - lo) % n  # the row's partition's first column
+        row = [_TOO_FEW_BLOCKS] * lo + [_SUPPORT_MISMATCH] * (hi - lo)
+        row += [_UNEVALUATED] * (self.size - hi)
+        row[start:start + n] = [_COMPUTED_ZERO] * n
+        computed = self._computed
+        for r, value in _nonzero(exps, index, self._factors):
+            entry = computed.get(value)
+            if entry is None:
+                entry = computed[value] = PairingEntry(COMPUTED, value=Fraction(value))
+            row[start + r] = entry
+        return row
 
     def entries(self) -> Iterator[tuple]:
         n = self.size
         return ((i, j, self.entry(i, j)) for i in range(n) for j in range(n))
 
 
-def _reject(i: int, lo: int, expected: int, cells: list) -> None:
-    """Raise the CertificateError of row i's first failing cell, by column;
-    the columns before `lo` lie in longer blocks than the row's."""
-    for j, cell in enumerate(cells):
-        if j < lo:
-            if cell not in _REASONS:
-                raise CertificateError(f"entry ({i},{j}) should be proven zero")
-        elif i == j:
-            if cell is None or cell in _REASONS:
-                raise CertificateError(f"diagonal entry {i} not computed")
-            if cell <= 0 or cell != expected:
-                want = "positive" if cell <= 0 else expected
-                raise CertificateError(f"diagonal entry {i} is {cell}, expected {want}")
-        elif cell not in (0, *_REASONS):  # a zero is computed or proven
+def _reject(i: int, lo: int, expected: int, nonzero: list) -> None:
+    """Raise the CertificateError of row i's first failing cell, by column:
+    its partition's columns start at `lo`, and `nonzero` holds their
+    (rank, product) pairs; every other cell of the row holds by the rule."""
+    values = dict(nonzero)
+    for b in sorted({*values, i - lo}):
+        j, value = lo + b, values.get(b, 0)
+        if j == i:
+            if value <= 0 or value != expected:
+                want = "positive" if value <= 0 else expected
+                raise CertificateError(f"diagonal entry {i} is {value}, expected {want}")
+        elif value:
             raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
-
-
-def _walk(specs: list, columns: tuple) -> None:
-    """Score the monomials `specs`, in order, against their own layout
-    `columns`, one rule call per row: a row passes when its stretches are
-    too-few-blocks for each longer block, then support-mismatch for its
-    own, its own-partition columns lie in its block and its diagonal is
-    its one live cell, prod (t + 1) over its exponents t.  `_reject` raises
-    CertificateError for the first failing cell of any other row, in row
-    order, then column order; a row whose cells all pass is accepted."""
-    key, runs, parts, stretches = columns
-    lo, zeros = 0, ()
-    for b, (l, size) in enumerate(runs):
-        hi = lo + size
-        # the columns through this block, and a correct row's stretches there
-        prefix = key, runs[:b + 1], parts, tuple(o[:b + 1] for o in stretches)
-        correct = zeros + ((REASON_SUPPORT_MISMATCH, size),)
-        # `inside`: the own positions last found in the block; a partition's
-        # rows share them
-        inside = ()
-        for i, row in enumerate(specs[lo:hi], lo):
-            out = _row_runs(row, prefix)
-            outcomes, own, live = out
-            expected = prod(map((1).__add__, row.exps))  # prod (t + 1)
-            if (outcomes != correct or live != ((i, expected),)
-                    or own is not inside and min(own, default=lo) < lo):
-                _reject(i, lo, expected, _expand(out))
-            inside = own
-        lo, zeros = hi, zeros + ((REASON_TOO_FEW_BLOCKS, size),)
 
 
 def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank.
 
-    The columns are laid out once, from the enumeration's groups.  A row's
-    verdict depends only on tables its group of rows shares, so each is
-    read once: per length block, its rows' stretch tuple, which must prove
-    the longer blocks zero and give the support mismatch in its own; per
-    set partition, its positions, which must be its own rows' indices; per
-    live table and row exponents tau at rank r, the entry, which must be
-    ((r, prod (t + 1)),) over the t of tau: the diagonal is the one live
-    cell.  Every cell with row length <= column length is covered by
-    exactly one of these entries, and a block's diagonal is its per-tau
-    values once per partition.  On any mismatch, `_walk` scores the rows
-    one at a time to name the first failing cell, or to accept; a passing
-    certificate calls no rule and builds no block monomial.  For d = k = 5:
-    one layout, 5 stretch tuples, 52 positions, 175 fills of 5 live tables
-    and 36 factor reads, in 1.20-1.22 ms for a process's first call,
-    enumeration included, and 0.70 ms for its second (medians of three
-    sets of 20 processes pinned to one core of a shared 2-vCPU Intel Xeon,
-    Python 3.11.7; 2.92-2.94 and 1.81-1.83 ms with one rule call per row).
+    Walks the enumeration's groups.  Per length, every partition carries
+    the one exponent list, so for each row exponents tau at rank r the
+    nonzero own-partition columns are found once, for all partitions of
+    that length, and must be exactly [(r, prod (t + 1))] over the t of
+    tau: a positive diagonal and computed zeros elsewhere in the block.
+    A block's diagonal is its per-tau values once per partition.  On a
+    mismatch `_reject` names the first failing cell of the first
+    partition's row, which comes first in row order.  For d = k = 5 the
+    certificate finds the nonzero columns 175 times for 772 rows, with 36
+    factor reads, and builds no block monomial.
     """
     if d > MAX_DK or k > MAX_DK:
         raise InputError(f"d and k must be <= {MAX_DK}")
-    groups = _groups(d, k)
-    columns = _columns(_by_partition(groups))
-    key, _, parts, stretches = columns
-    holds = key == (d, k)
-    blocks, lo, within, zeros = [], 0, 0, ()
-    for b, (l, ps, exps) in enumerate(groups):
-        n = len(exps)
-        size = len(ps) * n
+    factors = _Factors(k)
+    blocks, lo, within = [], 0, 0
+    for l, parts, exps in _groups(d, k):
+        size = len(parts) * len(exps)
+        index = {t: r for r, t in enumerate(exps)}
         expected = [prod(map((1).__add__, t)) for t in exps]  # prod (t + 1)
-        # the block's stretch tuple, then per partition its positions and,
-        # once per live table, the entry of each row exponents; in plain
-        # loops, since a comprehension costs a process's first call a frame
-        correct = zeros + ((REASON_SUPPORT_MISMATCH, size),)
-        holds = holds and stretches[l][:b + 1] == correct
-        checked, start = None, lo  # the live table last checked; the partition's first row
-        for part in ps:
-            if not holds:
-                break
-            js, live = parts.get(part, ((), None))
-            holds, start = js == range(start, start + n), start + n
-            if holds and live is not checked:
-                checked = live
-                for r, t in enumerate(exps):
-                    if live[t] != ((r, expected[r]),):
-                        holds = False
-                        break
-        values = [_ENTRIES[v].value for v in expected]
-        blocks.append(DiagonalBlock(l, size, tuple(values * len(ps)), size * (size - 1)))
+        for r, t in enumerate(exps):
+            nonzero = _nonzero(t, index, factors)
+            if nonzero != [(r, expected[r])]:
+                _reject(lo + r, lo, expected[r], nonzero)
+        values = tuple(map(Fraction, expected))
+        blocks.append(DiagonalBlock(l, size, values * len(parts), size * (size - 1)))
         lo, within = lo + size, within + size * size
-        zeros += (REASON_TOO_FEW_BLOCKS, size),
-    if not holds:
-        _walk(enumerate_P(d, k), columns)
     # cells between lengths: proven zero below the blocks, unevaluated above
     cross = (lo * lo - within) // 2
     return Certificate(d, k, lo, tuple(blocks), cross, cross, True)

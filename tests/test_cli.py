@@ -459,8 +459,10 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     ("lambda-to-kappa -", json.dumps(_kl_payload(genus=4, **{"lambda": {"3": 10000}}))),
     ("lambda-to-kappa -", json.dumps(_kl_payload(genus=200, **{"lambda": {"200": 1}}))),
     ("relation --theorem5 -g 200 -d 1 -k 1 --kappa-only", ""),
+    ("betti --d 100000", ""),
+    ("chern-f -g 20 -d 9 --degree 9", ""),
 ], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits",
-        "lambda-power", "lambda-index", "theorem5-kappa-only"])
+        "lambda-power", "lambda-index", "theorem5-kappa-only", "betti-d", "chern-f-terms"])
 def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv, text):
     start = time.perf_counter()
     exits_2_with_one_line(capsys, monkeypatch, argv.split(), text)

@@ -93,6 +93,17 @@ def test_poincare_large_d_is_fast():
     assert got == tpoly([(2 * j, comb(199, j)) for j in range(200)])
 
 
+def test_poincare_additions_are_estimated_before_computing(monkeypatch):
+    from sqtaut import genus0
+
+    assert genus0.MAX_ADDITIONS >= 200 + 201 * 200 * 199 // 6  # poincare_Q02(200) runs
+    monkeypatch.setattr(genus0, "MAX_ADDITIONS", 14)
+    assert poincare_Q02(4) == tpoly([(0, 1), (2, 3), (4, 3), (6, 1)])
+    with pytest.raises(InputError, match=r"^poincare_Q02\(5\) needs 25 coefficient "
+                                         r"additions; the limit is 14$"):
+        poincare_Q02(5)
+
+
 def test_intersect_vanishing_off_dimension():
     assert intersect_M02d(3, 1, 0, (0, 0, 0)) == 0
     assert intersect_M02d(2, 0, 0, (0, 0)) == 0

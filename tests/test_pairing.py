@@ -2,7 +2,6 @@
 block-triangular rank certificate."""
 
 from fractions import Fraction
-from itertools import groupby
 from math import prod
 
 import pytest
@@ -255,118 +254,35 @@ def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
     assert all(type(v) is Fraction for v in diagonal)
 
 
-def layout(run):
-    """`pairing._columns` of a run of monomials, given as its groups of
-    consecutive columns that share a set partition."""
-    return pairing._columns([(blocks, tuple(c.exps for c in cols))
-                             for blocks, cols in groupby(run, lambda c: c.blocks)])
-
-
-def certificate_layout(d, k):
-    """The layout `rank_certificate` builds, from the enumeration's groups."""
-    return pairing._columns(pairing._by_partition(pairing._groups(d, k)))
-
-
-def recording_layout(monkeypatch, reads):
-    """Make the certificate's layout record in `reads` every stretch
-    tuple it reads, as (row length, entries read), every partition it
-    looks up, as (set partition, positions, live table), and every live
-    entry, as (live table, row exponents)."""
-    build = pairing._columns
-
-    class Stretch(tuple):
-        def __getitem__(self, key):
-            reads.append(("stretch", self.length, len(tuple.__getitem__(self, key))))
-            return tuple.__getitem__(self, key)
-
-    class Parts(dict):
-        def get(self, part, default=None):
-            js, live = dict.get(self, part, default)
-            reads.append(("part", part, js, live))
-            return js, live
-
-    def recorded(groups):
-        key, runs, parts, stretches = build(groups)
-        rows = []
-        for length, outcomes in enumerate(stretches):
-            rows.append(Stretch(outcomes))
-            rows[-1].length = length
-        return key, runs, Parts(parts), tuple(rows)
-
-    monkeypatch.setattr(pairing, "_columns", recorded)
-    monkeypatch.setattr(pairing._Live, "__getitem__", lambda live, exps: (
-        reads.append(("live", live, exps)) or dict.__getitem__(live, exps)))
-
-
-def test_certificate_covers_every_checked_cell_once(monkeypatch):
-    """Every cell with row length <= column length is covered by exactly
-    one table entry the certificate reads, and no other cell is: a stretch
-    entry covers the rows of its length against the stretch's columns
-    outside each row's own partition, and a live entry (table, tau) the
-    row (P, tau) against the positions of P, for each partition P read
-    with that table."""
-    for d, k in ((1, 0), (3, 2), (4, 3), (5, 2), (4, 5), (5, 4)):
-        specs = enumerate_P(d, k)
-        reads = []
-        recording_layout(monkeypatch, reads)
-        cert = rank_certificate(d, k)
-        monkeypatch.undo()
-        index = {(s.blocks, s.exps): i for i, s in enumerate(specs)}
-        lengths = [len(s.blocks) for s in specs]
-        starts = [j for j in range(len(specs)) if j == 0 or lengths[j] != lengths[j - 1]]
-        read_with = {}  # the partitions read with each live table
-        for kind, *read in reads:
-            if kind == "part":
-                part, js, live = read
-                read_with.setdefault(id(live), []).append((part, js))
-        covered = []
-        for kind, *read in reads:
-            if kind == "stretch":
-                l, entries = read
-                cols = [j for b in range(entries) for j in range(len(specs))
-                        if lengths[j] == lengths[starts[b]]]
-                covered += [(i, j) for i, s in enumerate(specs) if lengths[i] == l
-                            for j in cols if specs[j].blocks != s.blocks]
-            elif kind == "live":
-                live, exps = read
-                covered += [(index[part, exps], j) for part, js in read_with[id(live)] for j in js]
-        expected = {(i, j) for i in range(len(specs)) for j in range(len(specs))
-                    if lengths[i] <= lengths[j]}
-        assert len(covered) == len(set(covered)) == len(expected)
-        assert set(covered) == expected
-        assert cert.zero_pairs + sum(b.size ** 2 for b in cert.blocks) == len(covered)
-
-
 def test_certificate_expands_no_row_it_accepts(monkeypatch):
-    """A correct certificate is judged from the tables its rows share;
-    no row is expanded cell by cell."""
-    expand = pairing._expand
-    calls = []
-    monkeypatch.setattr(pairing, "_expand", lambda *a: calls.append(a) or expand(*a))
+    """A correct certificate is judged from the nonzero columns per length
+    and row exponents: it builds no entry and names no failing cell."""
+    init = PairingEntry.__init__
+    entries, rejects = [], []
+    monkeypatch.setattr(PairingEntry, "__init__",
+                        lambda self, *a, **kw: entries.append(a) or init(self, *a, **kw))
+    monkeypatch.setattr(pairing, "_reject", lambda *a: rejects.append(a))
     for d, k in ((3, 2), (4, 3), (5, 3)):
         assert rank_certificate(d, k).full_rank
-    assert calls == []
+    assert entries == [] and rejects == []
 
 
 def test_certificate_lays_out_once_and_calls_no_rule(monkeypatch):
-    """A passing certificate lays out the enumeration's groups once, makes
-    no rule call and builds no block monomial."""
-    rule, build = pairing._row_runs, pairing._columns
+    """A passing certificate reads the enumeration's groups once, calls no
+    cell rule and builds no block monomial."""
+    groups_of, rule = pairing._groups, pairing.pairing_entry
     trusted, init = BlockMonomial._trusted, BlockMonomial.__init__
     for d, k in ((1, 0), (3, 2), (4, 3), (5, 5)):
-        groups = pairing._groups(d, k)
-        rows, layouts, monomials = [], [], []
-        monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: rows.append(row) or rule(row, cols))
-        monkeypatch.setattr(pairing, "_columns",
-                            lambda cols: build(layouts.append(list(cols)) or layouts[-1]))
+        reads, cells, monomials = [], [], []
+        monkeypatch.setattr(pairing, "_groups", lambda *a: reads.append(a) or groups_of(*a))
+        monkeypatch.setattr(pairing, "pairing_entry", lambda *a: cells.append(a) or rule(*a))
         monkeypatch.setattr(BlockMonomial, "_trusted",
                             classmethod(lambda cls, *a: monomials.append(a) or trusted(*a)))
         monkeypatch.setattr(BlockMonomial, "__init__",
                             lambda self, *a: monomials.append(a) or init(self, *a))
         assert rank_certificate(d, k).full_rank
         monkeypatch.undo()
-        assert rows == [] and monomials == []
-        assert layouts == [list(pairing._by_partition(groups))]
+        assert reads == [(d, k)] and cells == [] and monomials == []
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(0, 6)])
@@ -381,51 +297,37 @@ def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
 
 
 def test_certificate_shares_live_tables(monkeypatch):
-    """At d = k = 5 the partitions of one length carry one exponent list:
-    one layout, 5 live tables for 52 partitions, one live-table fill per
-    distinct (exponent list, row exponents) and at most 36 factor reads."""
-    build, fill = pairing._columns, pairing._Live.__missing__
-    layouts, fills, reads = [], [], []
-    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(build(cols)) or layouts[-1])
-    monkeypatch.setattr(pairing._Live, "__missing__",
-                        lambda live, exps: fills.append((id(live), exps)) or fill(live, exps))
+    """At d = k = 5 the partitions of one length carry one exponent list,
+    so the certificate finds the nonzero columns once per (length, row
+    exponents): 175 times for 772 rows, with at most 36 factor reads."""
+    find = pairing._nonzero
+    finds, reads = [], []
+    monkeypatch.setattr(pairing, "_nonzero",
+                        lambda exps, *a: finds.append(exps) or find(exps, *a))
     monkeypatch.setattr(pairing, "_component_integral",
                         lambda t, tp: reads.append((t, tp)) or _FACTOR(t, tp))
     assert rank_certificate(5, 5).size == 772
-    assert len(layouts) == 1
-    parts = layouts[0][2]
-    assert len(parts) == 52 and len({id(live) for _, live in parts.values()}) == 5
-    assert len(fills) == len(set(fills)) == 175
+    assert len(finds) == len(set(finds)) == 175
     assert len(reads) <= 36
 
 
 def test_shared_row_values_are_immutable():
-    """The stretch outcomes and live values that rows share are tuples,
-    the own positions a range, and every row's output is a tuple: no
-    caller can change what a later row reads."""
-    specs = enumerate_P(4, 3)
-    columns = certificate_layout(4, 3)
-    outs = [pairing._row_runs(row, columns) for row in specs]
-    for row, out in zip(specs, outs):
-        outcomes, own, live = out
-        assert type(out) is tuple
-        assert all(type(x) is tuple for x in (outcomes, live, *outcomes, *live))
-        assert type(own) is range
-        assert outcomes is columns[3][len(row.blocks)] and own is columns[2][row.blocks][0]
-        with pytest.raises(TypeError):
-            outcomes[0] = (None, 1)
-        with pytest.raises(TypeError):
-            own[0] = 0
-    first = outs[0]
-    assert pairing._row_runs(specs[0], columns) == first
-    assert type(columns[3]) is tuple
-    for _, live in columns[2].values():
-        assert all(type(col) is tuple for col in live.index)
-        assert all(type(pairs) is tuple and all(type(p) is tuple for p in pairs)
-                   for pairs in live.values())
-    entries = [entry for _, live in columns[2].values() for entry in live.factors.values()]
-    assert entries and all(type(entry) is tuple and len(entry) == 2
-                           and all(type(x) is tuple for x in entry) for entry in entries)
+    """The enumeration's groups, which every certificate and matrix of one
+    (d, k) reads, are tuples all the way down, and a matrix's entries are
+    frozen: no caller can change what a later row reads."""
+    for d, k in ((4, 3), (5, 5)):
+        groups = pairing._groups(d, k)
+        assert groups is pairing._groups(d, k) and type(groups) is tuple
+        for group in groups:
+            _, parts, exps = group
+            assert all(type(x) is tuple for x in (group, parts, exps, *parts, *exps))
+            assert all(type(block) is tuple for part in parts for block in part)
+    matrix = PairingMatrix(4, 3)
+    first = [matrix.entry(0, j) for j in range(matrix.size)]
+    with pytest.raises(AttributeError):
+        first[0].value = Fraction(5)
+    assert matrix.entry(1, 1).value == 6
+    assert [matrix.entry(0, j) for j in range(matrix.size)] == first
 
 
 def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
@@ -433,43 +335,12 @@ def test_a_shared_live_table_fails_at_its_first_row(monkeypatch):
     the first such row in row order, with the message of a cell-by-cell
     scan.  With every diagonal factor negated, rows of even length stay
     correct, so (4,3) passes its 4-block and fails the first row of its
-    3-block, whose six partitions share one live table."""
+    3-block, whose six partitions share one exponent list."""
     factor = lambda t, tp: -_FACTOR(t, tp)  # noqa: E731
     want = verdict(lambda: literal_certificate(4, 3, factor))
     assert want == "diagonal entry 20 is -3, expected positive"
-    layouts = []
-    build = pairing._columns
-    monkeypatch.setattr(pairing, "_columns", lambda cols: layouts.append(build(cols)) or layouts[-1])
     monkeypatch.setattr(pairing, "_component_integral", factor)
     assert verdict(lambda: rank_certificate(4, 3)) == want
-    specs = enumerate_P(4, 3)
-    _, live = layouts[0][2][specs[20].blocks]
-    sharing = [b for b, (_, other) in layouts[0][2].items() if other is live]
-    assert len(sharing) == 6 and specs[20].blocks == sharing[0]
-
-
-def test_live_tables_are_not_shared_across_exponent_orders(monkeypatch):
-    """Two partitions whose columns carry the same exponents in different
-    orders get their own live tables, each indexing the exponents in its
-    own order; a third in the first one's order shares the first's, and
-    every cell still matches the literal rule.  With every factor nonzero,
-    a row's live columns come in column order in either run order."""
-    specs = enumerate_P(3, 2)
-    col = {(s.blocks, s.exps): s for s in specs}
-    a, b, c = ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3))
-    run = [col[a, (0, 1)], col[a, (1, 0)], col[b, (1, 0)], col[b, (0, 1)],
-           col[c, (0, 1)], col[c, (1, 0)]]
-    parts = layout(run)[2]
-    assert parts[a][1] is not parts[b][1] and parts[a][1] is parts[c][1]
-    assert parts[a][1].index == {(0, 1): 0, (1, 0): 1}
-    assert parts[b][1].index == {(1, 0): 0, (0, 1): 1}
-    assert_run_matches_literal_rule(specs, run)
-    assert_run_matches_literal_rule(specs, run[::-1])
-    monkeypatch.setattr(pairing, "_component_integral", lambda t, tp: tp + 1)
-    for cols in (run, run[::-1]):
-        columns = layout(cols)
-        lives = [[j for j, _ in pairing._row_runs(row, columns)[2]] for row in specs]
-        assert max(map(len, lives)) == 2 and all(js == sorted(js) for js in lives)
 
 
 def test_a_patched_factor_reaches_the_next_certificate(monkeypatch):
@@ -489,15 +360,30 @@ def test_a_patched_factor_reaches_the_next_certificate(monkeypatch):
 
 
 def test_matrix_computes_each_row_once(monkeypatch):
-    """A row-by-row walk over the grid calls the row rule once per row."""
-    rule = pairing._row_runs
+    """A row-by-row walk over the grid expands each row once."""
+    expand = PairingMatrix._row_entries
     calls = []
-    monkeypatch.setattr(pairing, "_row_runs", lambda row, cols: calls.append(row) or rule(row, cols))
+    monkeypatch.setattr(PairingMatrix, "_row_entries",
+                        lambda self, i: calls.append(i) or expand(self, i))
     matrix = PairingMatrix(4, 2)
     cells = list(matrix.entries())
     assert len(cells) == matrix.size ** 2
-    assert calls == matrix.specs
+    assert calls == list(range(matrix.size))
     assert matrix.entry(0, 1) == pairing_entry(matrix.specs[0], matrix.specs[1])
+
+
+def test_matrix_reads_each_component_factor_once(monkeypatch):
+    """A matrix keeps one factor memo: walking its grid reads each factor
+    (t, tp), t, tp <= k, at most once, and a second matrix reads them
+    again."""
+    calls = []
+    monkeypatch.setattr(pairing, "_component_integral",
+                        lambda t, tp: calls.append((t, tp)) or _FACTOR(t, tp))
+    for _ in range(2):
+        calls.clear()
+        cells = list(PairingMatrix(4, 3).entries())
+        assert calls and len(calls) == len(set(calls)) <= 16
+    assert sum(e.status == COMPUTED for _, _, e in cells) == 20 * 20 + 6 * 6 * 6 + 7 * 4 + 1
 
 
 # -- fault injection: a wrong component factor fails the certificate -------
@@ -519,216 +405,38 @@ def test_certificate_rejects_wrong_component_factors(monkeypatch, factor, messag
     assert str(err.value) == message
 
 
-# Two seams for cell faults: a fault injected cell by cell into the rows the
-# naming walk scores, `pairing._walk`, driven directly; and the same kind of
-# fault injected into a table that rows of the certificate read (a stretch
-# tuple, a live entry or a partition's positions), where the certificate must
-# give the message `literal_certificate` gives for the cells that table fault
-# produces.
-
-def faulty_cells(monkeypatch, specs, faults):
-    """Make the row rule give the outcome faults[(i, j)] for each cell (i, j)
-    of `specs`, and its own outcome elsewhere, on runs that are a prefix of
-    `specs`: a row with a fault comes back as the stretches of equal
-    outcomes of its expanded cells."""
-    rule = pairing._row_runs
-    rows = {id(x): i for i, x in enumerate(specs)}
-
-    def patched(row, columns):
-        out = rule(row, columns)
-        i = rows[id(row)]
-        cells = pairing._expand(out)
-        faulted = [faults.get((i, j), cell) for j, cell in enumerate(cells)]
-        if faulted == cells:
-            return out
-        return [(cell, len(list(g))) for cell, g in groupby(faulted)], (), []
-
-    monkeypatch.setattr(pairing, "_row_runs", patched)
+def overriding(cells):
+    """The component factor with the value cells[(t, tp)] at each (t, tp)
+    of `cells`."""
+    return lambda t, tp: cells.get((t, tp), _FACTOR(t, tp))
 
 
-def walk_with_faults(monkeypatch, d, k, faults):
-    """Drive the certificate's naming walk over the rows of (d, k), each
-    cell (i, j) of `faults` given that outcome."""
-    specs = enumerate_P(d, k)
-    faulty_cells(monkeypatch, specs, faults)
-    pairing._walk(specs, certificate_layout(d, k))
+FIRST_FAILURES = [
+    (4, 3, {(1, 2): -1, (2, 1): -1}, "off-diagonal entry (1,2) is nonzero"),
+    # row 1 is nonzero at column 0, before its wrong diagonal
+    (4, 3, {(1, 0): -1, (2, 3): -1, (2, 2): 7}, "off-diagonal entry (1,0) is nonzero"),
+    # row 0's wrong diagonal comes before its nonzero column 1
+    (4, 3, {(0, 1): -1, (3, 2): -1, (3, 3): 5}, "diagonal entry 0 is 5, expected 4"),
+    # rows 1, 2, 4, ... fail, row 1 first
+    (4, 3, {(1, 1): 0, (2, 2): 7}, "diagonal entry 1 is 0, expected positive"),
+    (4, 3, {(2, 2): 5}, "diagonal entry 1 is 10, expected 6"),
+    # rows 0-19 have four blocks and pass with every diagonal factor
+    # negated; row 20, the first of three blocks, fails
+    (4, 3, {(t, t): -t - 1 for t in range(4)}, "diagonal entry 20 is -3, expected positive"),
+    # rows 0 and 1 have two blocks and pass; row 2, of one block, fails
+    (2, 1, {(0, 0): -1, (1, 1): -2}, "diagonal entry 2 is -1, expected positive"),
+]
 
 
-SPECS_4_3 = enumerate_P(4, 3)
-
-
-def diagonal(i, specs=SPECS_4_3):
-    """The diagonal value prod (t + 1) of row i."""
-    return prod(t + 1 for t in specs[i].exps)
-
-
-def table_fault(specs, fault):
-    """A fault in a table rows of the certificate of `specs` read, as a
-    function of the layout, with the cells it gives them:
-      ("live", i, pairs): the live entry row i reads holds the (rank,
-        outcome) `pairs`; every partition of row i's length shares its
-        table, so each of their rows with row i's exponents gets these
-        outcomes at its own columns of those ranks and computed 0 at the
-        others;
-      ("positions", i, c): row i's partition also claims column c, computed
-        0 in each of its rows;
-      ("stretch", l, b, outcome): the stretch tuple of the rows of length l
-        gives block b `outcome`, in every cell outside the row's own
-        partition."""
-    kind, *args = fault
-    lengths = [len(s.blocks) for s in specs]
-    if kind == "live":
-        i, pairs = args
-        row = specs[i]
-
-        def change(columns):
-            columns[2][row.blocks][1][row.exps] = pairs
-            return columns
-        cells = {}
-        for part in {s.blocks for s in specs if len(s.blocks) == len(row.blocks)}:
-            own = [j for j, s in enumerate(specs) if s.blocks == part]
-            r = next(j for j in own if specs[j].exps == row.exps)
-            cells.update({(r, j): 0 for j in own})
-            cells.update({(r, own[b]): outcome for b, outcome in pairs})
-    elif kind == "positions":
-        i, c = args
-        part = specs[i].blocks
-
-        def change(columns):
-            js, live = columns[2][part]
-            columns[2][part] = (*js, c), live
-            return columns
-        cells = {(r, c): 0 for r, s in enumerate(specs) if s.blocks == part}
-    else:
-        l, b, outcome = args
-
-        def change(columns):
-            key, runs, parts, stretches = columns
-            faulted = list(stretches[l])
-            faulted[b] = outcome, faulted[b][1]
-            return key, runs, parts, stretches[:l] + (tuple(faulted),) + stretches[l + 1:]
-        block = sorted(set(lengths), reverse=True)[b]
-        cells = {(i, j): outcome for i in range(len(specs)) if lengths[i] == l
-                 for j in range(len(specs)) if lengths[j] == block
-                 and specs[j].blocks != specs[i].blocks}
-    return change, cells
-
-
-def certificate_with_table_faults(monkeypatch, d, k, faults):
-    """The verdict of the certificate of (d, k) with the table faults
-    `faults` injected into its layout, checked against the verdict of
-    `literal_certificate` on the cells they give."""
-    specs = enumerate_P(d, k)
-    changes, cells = [], {}
-    for fault in faults:
-        change, faulted = table_fault(specs, fault)
-        changes.append(change)
-        cells.update(faulted)
-    want = verdict(lambda: literal_certificate(d, k, faults=cells))
-    build = pairing._columns
-
-    def faulty_layout(groups):
-        columns = build(groups)
-        for change in changes:
-            columns = change(columns)
-        return columns
-
-    monkeypatch.setattr(pairing, "_columns", faulty_layout)
-    got = verdict(lambda: rank_certificate(d, k))
-    assert got == want
-    return got
-
-
-def test_certificate_rejects_an_uncomputed_diagonal_cell(monkeypatch):
-    with pytest.raises(CertificateError) as err:
-        walk_with_faults(monkeypatch, 4, 3, {(2, 2): None})
-    assert str(err.value) == "diagonal entry 2 not computed"
-
-
-def test_certificate_rejects_an_uncomputed_diagonal_live_entry(monkeypatch):
-    got = certificate_with_table_faults(monkeypatch, 4, 3, [("live", 2, ((2, None),))])
-    assert got == "diagonal entry 2 not computed"
-
-
-def test_certificate_rejects_a_computed_zero_below_the_blocks(monkeypatch):
-    i = next(i for i, s in enumerate(SPECS_4_3) if len(s.blocks) < len(SPECS_4_3[0].blocks))
-    with pytest.raises(CertificateError) as err:
-        walk_with_faults(monkeypatch, 4, 3, {(i, 1): 0})
-    assert str(err.value) == f"entry ({i},1) should be proven zero"
-
-
-def test_certificate_rejects_a_computed_zero_stretch_below_the_blocks(monkeypatch):
-    """Rows 20-55 have three blocks; their stretch over the four-block
-    columns 0-19 computed 0 fails at row 20's first column."""
-    got = certificate_with_table_faults(monkeypatch, 4, 3, [("stretch", 3, 0, 0)])
-    assert got == "entry (20,0) should be proven zero"
-
-
-@pytest.mark.parametrize("reason", [pairing.REASON_TOO_FEW_BLOCKS,
-                                    pairing.REASON_SUPPORT_MISMATCH])
-def test_certificate_accepts_a_proven_zero_inside_a_block(monkeypatch, reason):
-    """An off-diagonal cell of a length block's own rows may be a proven
-    zero instead of a computed one."""
-    walk_with_faults(monkeypatch, 4, 3, {(3, 5): reason, (5, 3): reason})
-
-
-@pytest.mark.parametrize("reason", [pairing.REASON_TOO_FEW_BLOCKS,
-                                    pairing.REASON_SUPPORT_MISMATCH])
-def test_certificate_accepts_proven_zero_tables_inside_a_block(monkeypatch, reason):
-    """Live entries with a proven zero off the diagonal, and a block's own
-    stretch with either reason, leave the certificate as it is."""
-    clean = certificate_fields(rank_certificate(4, 3))
-    faults = [("live", 3, ((3, diagonal(3)), (5, reason))),
-              ("live", 5, ((3, reason), (5, diagonal(5)))), ("stretch", 3, 1, reason)]
-    assert certificate_with_table_faults(monkeypatch, 4, 3, faults) == clean
-
-
-def test_certificate_rejects_an_unevaluated_cell_inside_a_block(monkeypatch):
-    with pytest.raises(CertificateError) as err:
-        walk_with_faults(monkeypatch, 4, 3, {(3, 5): None})
-    assert str(err.value) == "off-diagonal entry (3,5) is nonzero"
-
-
-def test_certificate_rejects_an_unevaluated_live_entry_inside_a_block(monkeypatch):
-    fault = ("live", 3, ((3, diagonal(3)), (5, None)))
-    got = certificate_with_table_faults(monkeypatch, 4, 3, [fault])
-    assert got == "off-diagonal entry (3,5) is nonzero"
-
-
-@pytest.mark.parametrize("faults,message", [
-    ({(2, 1): None, (2, 2): None}, "off-diagonal entry (2,1) is nonzero"),
-    ({(2, 2): None, (2, 4): 7}, "diagonal entry 2 not computed"),
-    ({(2, 2): 5, (2, 3): 1}, "diagonal entry 2 is 5, expected 6"),
-    ({(2, 4): -1, (3, 3): 0}, "off-diagonal entry (2,4) is nonzero"),
-    ({(3, 3): 0}, "diagonal entry 3 is 0, expected positive"),
-    # rows 0-19 have four blocks, 20 and 21 three: row 20 fails first
-    ({(20, 20): 0, (21, 1): 0}, "diagonal entry 20 is 0, expected positive"),
-])
-def test_certificate_names_the_first_failing_cell(monkeypatch, faults, message):
-    """With several faults, the first in row order, then column order, is
-    the one reported."""
-    with pytest.raises(CertificateError) as err:
-        walk_with_faults(monkeypatch, 4, 3, faults)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("faults,message", [
-    ([("live", 2, ((1, None), (2, None)))], "off-diagonal entry (2,1) is nonzero"),
-    ([("live", 2, ((2, None), (4, 7)))], "diagonal entry 2 not computed"),
-    ([("live", 2, ((2, 5), (3, 1)))], "diagonal entry 2 is 5, expected 6"),
-    ([("live", 2, ((2, diagonal(2)), (4, -1))), ("live", 3, ())],
-     "off-diagonal entry (2,4) is nonzero"),
-    ([("live", 3, ())], "diagonal entry 3 is 0, expected positive"),
-    # the six partitions of three blocks (rows 20-55) share row 20's live
-    # entry, and the second of them (rows 26-31) claims column 1: row 20
-    # fails first
-    ([("live", 20, ()), ("positions", 26, 1)], "diagonal entry 20 is 0, expected positive"),
-    ([("positions", 26, 1), ("stretch", 2, 1, None)], "entry (26,1) should be proven zero"),
-])
-def test_certificate_tables_name_the_first_failing_cell(monkeypatch, faults, message):
-    """With several table faults, the certificate names the first failing
-    cell of the cells they give, in row order, then column order."""
-    assert certificate_with_table_faults(monkeypatch, 4, 3, faults) == message
+@pytest.mark.parametrize("d,k,cells,message", FIRST_FAILURES,
+                         ids=[message for *_, message in FIRST_FAILURES])
+def test_certificate_names_the_first_failing_cell(monkeypatch, d, k, cells, message):
+    """With several failing cells, the certificate names the first in row
+    order, then column order, as a cell-by-cell scan does."""
+    factor = overriding(cells)
+    assert verdict(lambda: literal_certificate(d, k, factor)) == message
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    assert verdict(lambda: rank_certificate(d, k)) == message
 
 
 def test_component_factor_must_be_an_integer(monkeypatch):
@@ -798,39 +506,20 @@ def test_entries_match_literal_rule(d, k):
             assert type(got.value) is type(want.value)
 
 
-def assert_row_matches_literal_rule(row, run, out, factor=literal_factor):
-    """A compressed row of `_row_runs` against the literal entries of `row`
-    and the columns `run`: expanded, each cell is the literal entry's reason
-    for a proven zero, None when unevaluated, the int value if computed;
-    `own` holds exactly the columns of the row's partition, and `live`
-    exactly those of them with a nonzero value."""
-    cells = pairing._expand(out)
-    assert len(cells) == len(run)
-    for col, cell in zip(run, cells):
-        want = literal_pairing_entry(row, col, factor)
-        if want.status == "computed":
-            assert type(cell) is int and cell == want.value, (row, col)
-        else:
-            assert cell == want.reason, (row, col)
-    _, own, live = out
-    assert list(own) == [j for j, col in enumerate(run) if col.blocks == row.blocks]
-    assert [j for j, _ in live] == [j for j in own if cells[j] != 0]
+def assert_rows_match_literal_rule(d, k, factor=literal_factor):
+    """Every cell of `PairingMatrix(d, k)`, its rows expanded in order,
+    against the literal entry of its row and column."""
+    matrix = PairingMatrix(d, k)
+    for i, j, got in matrix.entries():
+        want = literal_pairing_entry(matrix.specs[i], matrix.specs[j], factor)
+        assert (got.status, got.value, got.reason) == (want.status, want.value, want.reason), (i, j)
+        assert type(got.value) is type(want.value)
 
 
 @pytest.mark.parametrize("d,k", LITERAL_GRIDS)
 def test_row_rule_matches_literal_rule(d, k):
-    """The row rule's outcome for every cell, compressed and expanded."""
-    specs = enumerate_P(d, k)
-    columns = layout(specs)
-    for row in specs:
-        assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns))
-
-
-def assert_run_matches_literal_rule(specs, run):
-    """Every row of `specs` against the column run `run`, cell by cell."""
-    columns = layout(run)
-    for row in specs:
-        assert_row_matches_literal_rule(row, run, pairing._row_runs(row, columns))
+    """The matrix's rows, expanded from the enumeration's groups."""
+    assert_rows_match_literal_rule(d, k)
 
 
 def literal_entry(outcome):
@@ -939,41 +628,10 @@ PARTIAL_SUPPORT_IDS = ["zero-exponent", "zero-exponent-diagonal-kept", "neighbou
 @pytest.mark.parametrize("factor", [f for f, _ in PARTIAL_SUPPORTS],
                          ids=PARTIAL_SUPPORT_IDS)
 def test_row_rule_matches_literal_rule_on_partial_supports(monkeypatch, factor):
-    """Live columns off the diagonal get the product of their own factors."""
+    """Nonzero columns off the diagonal get the product of their own factors."""
     monkeypatch.setattr(pairing, "_component_integral", factor)
     for d, k in ((3, 3), (4, 3)):
-        specs = enumerate_P(d, k)
-        columns = layout(specs)
-        for row in specs:
-            assert_row_matches_literal_rule(row, specs, pairing._row_runs(row, columns), factor)
-
-
-def test_certificate_rejects_own_partition_columns_below_the_blocks(monkeypatch):
-    """A row below a longer block whose rule output claims a column of that
-    block among its own partition's, computed 0, fails at that column: in
-    the naming walk, and in the certificate when the partition's positions
-    claim it."""
-    rule = pairing._row_runs
-    specs = enumerate_P(4, 3)
-    i = next(i for i, s in enumerate(specs) if len(s.blocks) < len(specs[0].blocks))
-    assert len(specs[1].blocks) == len(specs[0].blocks)
-    patched_rows = []
-
-    def patched(row, columns):
-        outcomes, own, live = rule(row, columns)
-        if row is specs[i]:
-            patched_rows.append(row)
-            own = [1, *own]
-        return outcomes, own, live
-
-    monkeypatch.setattr(pairing, "_row_runs", patched)
-    with pytest.raises(CertificateError) as err:
-        pairing._walk(specs, certificate_layout(4, 3))
-    assert str(err.value) == f"entry ({i},1) should be proven zero"
-    assert patched_rows == [specs[i]]
-    monkeypatch.undo()
-    got = certificate_with_table_faults(monkeypatch, 4, 3, [("positions", i, 1)])
-    assert got == f"entry ({i},1) should be proven zero"
+        assert_rows_match_literal_rule(d, k, factor)
 
 
 @pytest.mark.parametrize("factor,rejects", PARTIAL_SUPPORTS,
@@ -990,61 +648,43 @@ def test_partial_supports_fail_at_the_first_failing_cell(monkeypatch, d, k, fact
     assert isinstance(got, str) == rejects
 
 
-def split_run():
-    """The specs of d = 3, k = 2 and a run in which the columns of the
-    partition {1}{2}{3} are split apart by other columns."""
-    specs = enumerate_P(3, 2)
-    own = [s for s in specs if s.blocks == ((1,), (2,), (3,))]
-    other = [s for s in specs if s.blocks != ((1,), (2,), (3,))]
-    return specs, [own[0], other[0], own[1], other[-1], own[2]]
-
-
-def test_row_rule_on_a_partition_split_apart():
-    """The columns of one set partition need not be contiguous in a run:
-    its computed stretch is written at their positions only."""
-    specs, run = split_run()
-    positions, _ = layout(run)[2][((1,), (2,), (3,))]
-    assert positions == (0, 2, 4)
-    assert_run_matches_literal_rule(specs, run)
-    assert_run_matches_literal_rule(specs, run[::-1])
-
-
 def test_row_rule_matches_literal_rule_on_shuffled_runs():
+    """A matrix read cell by cell in any order matches the literal rule:
+    the row it keeps is always the row asked for."""
     pytest.importorskip("hypothesis")
-    from hypothesis import example, given, settings, strategies as st
+    from hypothesis import given, settings, strategies as st
 
     @st.composite
-    def runs(draw):
+    def reads(draw):
         d, k = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-        specs = enumerate_P(d, k)
-        order = draw(st.permutations(range(len(specs))))
-        keep = draw(st.integers(1, len(specs)))
-        return specs, [specs[j] for j in order[:keep]]
+        n = len(enumerate_P(d, k))
+        cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=40))
+        return d, k, cells
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(runs())
-    @example(split_run())
+    @given(reads())
     def check(drawn):
-        assert_run_matches_literal_rule(*drawn)
+        d, k, cells = drawn
+        matrix = PairingMatrix(d, k)
+        for i, j in cells:
+            got = matrix.entry(i, j)
+            want = literal_pairing_entry(matrix.specs[i], matrix.specs[j])
+            assert (got.status, got.value, got.reason) == (want.status, want.value, want.reason)
 
     check()
 
 
 def test_row_rule_rejects_a_run_of_mixed_keys():
+    """The rule scores a row only against columns of its own (d, k)."""
     run = enumerate_P(3, 2)[:2] + enumerate_P(3, 1)[:1]
-    columns = layout(run)
     for row in run:
-        with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
-            pairing._row_runs(row, columns)
-
-
-def test_certificate_rejects_a_layout_of_another_key(monkeypatch):
-    """A layout whose (d, degree) is not the certificate's fails as the
-    rule fails on it, at the first row."""
-    build = pairing._columns
-    monkeypatch.setattr(pairing, "_columns", lambda groups: ((3, 2), *build(groups)[1:]))
-    with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
-        rank_certificate(4, 3)
+        for col in run:
+            if (row.d, row.degree) == (col.d, col.degree):
+                assert pairing_entry(row, col).status == COMPUTED
+            else:
+                with pytest.raises(InputError, match=r"^row and column have mismatched \(d, k\)$"):
+                    pairing_entry(row, col)
 
 
 def test_enumerations_are_fresh_lists_with_equal_contents():
@@ -1062,13 +702,30 @@ def test_enumerations_beyond_the_certificate_range_are_not_kept():
     assert pairing._enumeration.cache_info() == calls
 
 
-def test_matrix_lays_out_columns_on_first_entry():
+def test_matrix_lays_out_columns_on_first_entry(monkeypatch):
+    """A matrix indexes each length's exponent list on its first entry,
+    from the enumeration's groups, and only then."""
+    groups_of = pairing._groups
+    reads = []
+    monkeypatch.setattr(pairing, "_groups", lambda *a: reads.append(a) or groups_of(*a))
     matrix = PairingMatrix(3, 2)
     assert matrix.size == len(matrix.specs) == 13
-    assert matrix._run is None
+    assert matrix._lengths is None and reads == [(3, 2)]  # the enumeration
     first = matrix.entry(0, 0)
-    assert matrix._run is not None
+    assert sorted(matrix._lengths) == [1, 2, 3] and reads == [(3, 2)] * 2
+    list(matrix.entries())
+    assert reads == [(3, 2)] * 2
     assert first == pairing_entry(matrix.specs[0], matrix.specs[0])
+
+
+def test_matrix_reads_negative_indices_from_the_end():
+    matrix = PairingMatrix(4, 3)
+    specs = matrix.specs
+    assert matrix.entry(-1, -1) == pairing_entry(specs[-1], specs[-1])
+    assert [matrix.entry(-36, j) for j in range(matrix.size)] == [
+        pairing_entry(specs[-36], col) for col in specs]
+    with pytest.raises(IndexError):
+        matrix.entry(matrix.size, 0)
 
 
 def test_computed_values_share_one_entry():

@@ -298,6 +298,28 @@ def test_chern_F_times_chern_B_is_dual_hodge():
     assert time.perf_counter() - start < 1.0
 
 
+def test_chern_F_term_count_is_its_number_of_terms():
+    """The closed form sum_l S(d, l) C(m - d + 2l, l) counts the block
+    monomials chern_F writes down."""
+    from sqtaut.pointed import _chern_F_terms
+
+    for d in range(6):
+        for m in range(7):
+            assert _chern_F_terms(d, m) == len(_chern_F_cached.__wrapped__(6, d, m).terms), (d, m)
+    assert _chern_F_terms(7, 6) == 44_508 and _chern_F_terms(8, 7) == 379_252
+
+
+def test_chern_F_terms_are_counted_before_computing(monkeypatch):
+    from sqtaut import pointed
+
+    monkeypatch.setattr(pointed, "MAX_TERMS", 19)
+    assert len(chern_F(4, 2, 4).terms) == 19
+    # 26 terms; the count stops at its l = d part, C(7, 2) = 21, already past 19
+    with pytest.raises(InputError, match=r"^chern_F\(4, 2, 5\) has 21 block-monomial terms "
+                                         r"or more; the limit is 19$"):
+        chern_F(4, 2, 5)
+
+
 def test_epsilon_push_examples():
     g = 4
     assert epsilon_push(pc_one(g, 2)) == 0
