@@ -122,10 +122,10 @@ def cmd_betti(args):
 
 def cmd_intersect(args):
     from .genus0 import intersect_M02d
-    y = args.y if args.y is not None else [0] * args.d
-    value = intersect_M02d(args.d, args.x1, args.x2, y)
+    value = intersect_M02d(args.d, args.x1, args.x2, args.y)  # checks its work first
+    y = [0] * args.d if args.y is None else args.y
     return (lambda: rational_text(value),
-            lambda: emit_rational(value, d=args.d, x1=args.x1, x2=args.x2, y=list(y)))
+            lambda: emit_rational(value, d=args.d, x1=args.x1, x2=args.x2, y=y))
 
 
 def cmd_pairing(args):

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .rings import InputError
 
-MAX_ADDITIONS = 10_000_000  # coefficient additions of poincare_Q02: d <= 391
+MAX_ADDITIONS = 10_000_000  # coefficient additions: poincare_Q02 (d <= 391), intersect_M02d
 
 
 def poincare_Q02(d: int) -> list:
@@ -58,16 +58,21 @@ def poincare_Q02(d: int) -> list:
     return out
 
 
-def intersect_M02d(d: int, x1: int, x2: int, y: Sequence[int]) -> Fraction:
+def intersect_M02d(d: int, x1: int, x2: int, y: Sequence[int] | None = None) -> Fraction:
     """Integral of psi1^x1 psi2^x2 prod_j psihat_j^y_j over the
-    two-heavy-point space with d light points.
+    two-heavy-point space with d light points; y = None is all zero.
 
     Computed by the point-forgetting recursion; vanishes off dimension
     x1 + x2 + sum(y) = d - 1.
     """
     if d < 1:
         raise InputError("d must be >= 1")
-    y = tuple(y)
+    # y has d entries, and each of d - 1 levels adds min(x1, x2) + 1 states
+    additions = d * (max(min(x1, x2), 0) + 1)
+    if additions > MAX_ADDITIONS:
+        raise InputError(f"intersect_M02d({d}, {x1}, {x2}) needs {additions:,} coefficient "
+                         f"additions; the limit is {MAX_ADDITIONS:,}")
+    y = (0,) * d if y is None else tuple(y)
     if len(y) != d:
         raise InputError(f"need {d} light exponents, got {len(y)}")
     if any(v < 0 for v in y) or x1 < 0 or x2 < 0:

@@ -2,12 +2,11 @@
 strata in genus zero, with the block-triangular rank certificate.
 
 For d light points and degree k, the rows and the columns of the matrix
-are both indexed by the block monomials of `pointed` of degree k: a set
-partition P of {1..d} into l blocks (l >= d-k, blocks ordered by least
-element) with an exponent tuple tau of length l, sum(tau) = k - d + l.
-Row [P, tau] is the monomial X[P, tau] = prod_i psihat_{P_i}^{tau_i}
-D_{P_i} on the space with two heavy points, extended here to
-m = 4 + k - d + 2l heavy points.
+are both indexed by the block monomials of degree k, in the groups of
+`pointed.block_groups`: a set partition P of {1..d} into l blocks with
+an exponent tuple tau of length l, sum(tau) = k - d + l.  Row [P, tau] is
+the monomial X[P, tau] = prod_i psihat_{P_i}^{tau_i} D_{P_i} on the space
+with two heavy points, extended here to m = 4 + k - d + 2l heavy points.
 
 The paired functional Y[P', tau'] integrates against a chain stratum: a
 curve with components R_0 - R_1 - ... - R_{l'} - R_{l'+1} in a chain,
@@ -33,41 +32,34 @@ lower-triangular with diagonal blocks that are themselves diagonal with
 positive entries, which certifies that the X[P, tau] pair independently
 against the functionals: full rank.
 
-The enumeration is kept as its groups: per length l, descending, the
-set partitions of length l and the one exponent list they share, since
-l blocks have degree d - l before their exponents.  `pairing_entry`
-applies the four cases to one cell; only the third reads factors.  A
-cell of the third case is nonzero only where every component factor is,
-so a row's nonzero own-partition columns are found as the product of
-its per-component supports, each tuple looked up in the exponent list.
+`pairing_entry` applies the four cases to one cell; only the third reads
+factors, and its cell is nonzero only where every component factor is, so
+a row's nonzero own-partition columns are the product of its
+per-component supports, each tuple looked up in the exponent list.
 
-The first, second and fourth cases hold by the rule itself, so the
-certificate checks only the cells of each row against its own
-partition's columns.  Those depend on the partition only through its
-exponent list, which every partition of the length shares: for each
-length and each row exponents tau at rank r of its list, the nonzero
-columns are found once for all partitions of that length and must be
-exactly [(r, prod (t_i + 1))].  A mismatch fails the first partition's
-row of tau first in row order, and the certificate names that row's
-first failing cell in column order.  `PairingMatrix` expands a row at a
-time from the groups.  Each certificate and each matrix reads its
-factors through `_component_integral` into a memo of its own, so no
-factor read for one is reused by another.
+The certificate checks only the cells of each row against its own
+partition's columns, since the other cases hold by the rule itself.  Those
+depend on the partition only through the exponent list of its length: for
+each length and row exponents tau at rank r, the nonzero columns are found
+once and must be exactly [(r, prod (t_i + 1))].  A mismatch names the first
+failing cell, in column order, of the first partition's row of tau.
+`PairingMatrix` expands a row at a time.  Each certificate and matrix reads
+its factors through `_component_integral` into a memo of its own, bounded,
+as the enumeration is, by `pointed.MAX_LABELS`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, groupby, product, repeat
+from itertools import compress, product, repeat
 from math import prod
 from operator import getitem
 from typing import Iterator
 
 from .genus0 import psi_integral_M0n
-from .pointed import BlockMonomial
-from .rings import (CertificateError, DomainError, Frozen, InputError,
-                    iter_weak_compositions, set_partitions, setfield)
+from .pointed import BlockMonomial, block_groups, check_labels
+from .rings import CertificateError, DomainError, Frozen, InputError, setfield
 
 PROVEN_ZERO = "proven-zero"
 COMPUTED = "computed"
@@ -75,8 +67,6 @@ UNEVALUATED = "unevaluated"
 
 REASON_TOO_FEW_BLOCKS = "fewer diagonal blocks than interior components"
 REASON_SUPPORT_MISMATCH = "diagonal supports miss the stratum's light blocks"
-
-MAX_DK = 5  # the largest d and k that rank_certificate accepts
 
 
 class ChainStratum(Frozen):
@@ -135,32 +125,9 @@ class PairingEntry(Frozen):
 
 def enumerate_P(d: int, k: int) -> list:
     """The block monomials of degree k on d light points, the index of both
-    rows and columns: number of blocks descending, then lexicographic in
-    (blocks, exps).  Each call returns a fresh list, built from the
-    enumeration's groups; for d, k <= MAX_DK, the range of
-    `rank_certificate`, the groups are kept per (d, k) for the life of the
-    process."""
+    rows and columns, in the order of `block_groups`, as a fresh list."""
     return [BlockMonomial._trusted(d, blocks, t)
-            for _, parts, exps in _groups(d, k) for blocks in parts for t in exps]
-
-
-def _groups(d: int, k: int) -> tuple:
-    """The enumeration of (d, k) as its groups, kept when d, k <= MAX_DK."""
-    if d < 1 or k < 0:
-        raise InputError("need d >= 1 and k >= 0")
-    if d <= MAX_DK and k <= MAX_DK:
-        return _enumeration(d, k)
-    return _enumeration.__wrapped__(d, k)
-
-
-@lru_cache(maxsize=MAX_DK * (MAX_DK + 1))  # every key _groups passes
-def _enumeration(d: int, k: int) -> tuple:
-    """Per length l, descending, the triple (l, the set partitions of length
-    l in order, their exponent list): l blocks have degree d - l before
-    their exponents, so the partitions of one length share one list."""
-    parts = sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
-    return tuple((l, tuple(group), tuple(iter_weak_compositions(k - d + l, l)))
-                 for l, group in groupby(parts, len))
+            for _, parts, exps in block_groups(d, k) for blocks in parts for t in exps]
 
 
 # each outcome with no cell-specific data has one shared (frozen) entry
@@ -184,12 +151,14 @@ def _component_integral(t: int, tp: int) -> int:
 class _Factors(dict):
     """`factors[t]` is the pair (table, support): the tuple of
     `_component_integral(t, tp)` for tp in 0..degree, read on first use,
-    and the tp where it is nonzero.  Each certificate and each matrix
-    keeps one."""
+    and the tp where it is nonzero.  Each certificate and matrix keeps one,
+    weighed as (k + 1)^2 integrals of k + 4 points, each point a label."""
 
     __slots__ = ("span",)
 
     def __init__(self, degree: int) -> None:
+        check_labels(f"reading the component integrals of degree {degree}",
+                     (degree + 1) ** 2 * (degree + 4))
         self.span = range(degree + 1)
 
     def __missing__(self, t: int) -> tuple:
@@ -259,12 +228,10 @@ class Certificate(Frozen):
 class PairingMatrix:
     """Rows and columns: the block monomials `specs` of `enumerate_P`;
     column j is the chain stratum of `specs[j]`.  Entries are computed on
-    demand, a row at a time, from the enumeration's groups: the first
-    `entry` call indexes each length's exponent list, and `entry(i, j)`
-    keeps the entries of the last row it computed, so `entries()` expands
-    each row once.  A matrix keeps one factor memo and one entry per
-    computed value.
-    """
+    demand, a row at a time: the first `entry` call indexes each length's
+    exponent list, and `entry(i, j)` keeps the entries of the last row it
+    computed, so `entries()` expands each row once.  A matrix keeps one
+    factor memo and one entry per computed value."""
 
     def __init__(self, d: int, k: int):
         self.d, self.k = d, k
@@ -291,7 +258,7 @@ class PairingMatrix:
         against shorter ones, and computed against its own partition."""
         if self._lengths is None:
             self._lengths, lo = {}, 0
-            for l, parts, exps in _groups(self.d, self.k):
+            for l, parts, exps in block_groups(self.d, self.k):
                 hi = lo + len(parts) * len(exps)
                 self._lengths[l] = lo, hi, len(exps), {t: r for r, t in enumerate(exps)}
                 lo = hi
@@ -331,24 +298,13 @@ def _reject(i: int, lo: int, expected: int, nonzero: list) -> None:
 
 
 def rank_certificate(d: int, k: int) -> Certificate:
-    """Verify block triangularity and positive diagonal; certify full rank.
-
-    Walks the enumeration's groups.  Per length, every partition carries
-    the one exponent list, so for each row exponents tau at rank r the
-    nonzero own-partition columns are found once, for all partitions of
-    that length, and must be exactly [(r, prod (t + 1))] over the t of
-    tau: a positive diagonal and computed zeros elsewhere in the block.
-    A block's diagonal is its per-tau values once per partition.  On a
-    mismatch `_reject` names the first failing cell of the first
-    partition's row, which comes first in row order.  For d = k = 5 the
-    certificate finds the nonzero columns 175 times for 772 rows, with 36
-    factor reads, and builds no block monomial.
-    """
-    if d > MAX_DK or k > MAX_DK:
-        raise InputError(f"d and k must be <= {MAX_DK}")
+    """Verify block triangularity and positive diagonal; certify full rank,
+    once per length and row exponents as the module docstring says.  For
+    d = k = 5 it finds the nonzero columns 175 times for 772 rows, with 36
+    factor reads, and builds no block monomial."""
     factors = _Factors(k)
     blocks, lo, within = [], 0, 0
-    for l, parts, exps in _groups(d, k):
+    for l, parts, exps in block_groups(d, k):
         size = len(parts) * len(exps)
         index = {t: r for r, t in enumerate(exps)}
         expected = [prod(map((1).__add__, t)) for t in exps]  # prod (t + 1)

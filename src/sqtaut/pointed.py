@@ -38,17 +38,22 @@ inverted.  By fact 1 of `relations`, chern_B^{-1} is the sum over set
 partitions P of {1..d} of prod_{S in P} D_S * g_{|S|}(psihat_S), g_s a
 one-variable series, so `chern_F` writes c(F_d) down term by term: the
 block monomial (P, t) has coefficient chern_E_dual * prod_{S in P}
-[x^{t_S}] g_{|S|}, over the set partitions with at least d - maxdeg
-blocks.  Pushing its Chern class of degree (g - d - 1) + 2k to the base
-gives the Theorem 5 relation (`pushed_chern`), which
+[x^{t_S}] g_{|S|}.  Pushing its Chern class of degree (g - d - 1) + 2k to
+the base gives the Theorem 5 relation (`pushed_chern`), which
 `relations.theorem5_class` computes without block monomials.
+
+`block_groups(d, k)` enumerates the block monomials of degree k, for
+`chern_F` (every k <= maxdeg) and for the matrix of `pairing`;
+`block_labels` counts them in closed form, and past MAX_LABELS they are
+refused before anything is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import groupby
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -372,46 +377,71 @@ def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
     return PointedClass(genus, a.d, acc, trunc)
 
 
-# -- Chern classes of the obstruction theory -----------------------------
+# -- enumeration ---------------------------------------------------------
 
-MAX_TERMS = 100_000  # block monomials of chern_F: (14, 7, 6) has 44,508, in about 1.5 s
+MAX_LABELS = 500_000  # (7, 7) writes 489,588; chern_F at d = 1 stops at 100,000 terms
 
 
-def _chern_F_terms(d: int, maxdeg: int) -> int:
-    """The number of block monomials of chern_F(genus, d, maxdeg): per
-    length l >= d - maxdeg, S(d, l) set partitions times C(maxdeg - d + 2l, l)
-    exponent tuples of total at most maxdeg - d + l.  Past MAX_TERMS, the
-    count may stop at a part of the sum that is already larger."""
-    # the l = d term alone, C(maxdeg + d, d), built up to MAX_TERMS
-    top = 1
-    for i in range(1, min(d, maxdeg) + 1):
-        top = top * (max(d, maxdeg) + i) // i
-        if top > MAX_TERMS:
+def block_labels(d: int, lo: int, hi: int) -> int:
+    """The labels that the block monomials of degree lo..hi on d light
+    points write: d each, plus 4 for its own record (object, exponents and,
+    in c(F_d), coefficient), which d alone undercounts at small d.  Per
+    length l: S(d, l) partitions times the l-tuples of total lo-d+l..hi-d+l.
+    Past MAX_LABELS the count may stop at a part already larger."""
+    # the l = d part, C(hi + d - 1, d - 1) tuples of total hi: most refusals
+    top, r = d + 4, min(hi, d - 1)
+    for i in range(1, r + 1):
+        top = top * (hi + d - 1 - r + i) // i
+        if top > MAX_LABELS:
             return top
-    if d == 0 or maxdeg == 0:
-        return 1
-    # row[j] = S(n, n - j) for j = 0..maxdeg, from n = 0 up to d
-    row = [1] + [0] * maxdeg
+    # row[j] = S(n, n - j) for j = 0..r, from n = 0 up to d
+    row = [1] + [0] * r
     for n in range(1, d + 1):
-        row = [1] + [(n - j) * row[j - 1] + row[j] for j in range(1, maxdeg + 1)]
-    return sum(row[j] * comb(maxdeg + d - 2 * j, d - j) for j in range(min(maxdeg, d - 1) + 1))
+        row = [1] + [(n - j) * row[j - 1] + row[j] for j in range(1, r + 1)]
+    # d - j blocks: the (d - j)-tuples of total at most hi - j, less those under lo - j
+    monomials = sum(s * (comb(hi + d - 2 * j, d - j)
+                         - (comb(lo + d - 2 * j - 1, d - j) if lo > j else 0))
+                    for j, s in enumerate(row))
+    return (d + 4) * monomials
 
+
+def check_labels(what: str, labels: int) -> None:
+    if labels > MAX_LABELS:
+        raise InputError(f"{what} writes {labels:,} labels or more; "
+                         f"the limit is {MAX_LABELS:,}")
+
+
+@lru_cache(maxsize=64)
+def block_groups(d: int, k: int) -> tuple:
+    """The block monomials of degree k on d >= 1 light points: per length l,
+    descending, the triple (l, the set partitions of length l, the exponent
+    list they share, since l blocks have degree d - l before exponents),
+    each in lexicographic order.  Kept per (d, k), tuples all the way down."""
+    if d < 1 or k < 0:
+        raise InputError("need d >= 1 and k >= 0")
+    check_labels(f"enumerating the block monomials of degree {k} on {d} points",
+                 block_labels(d, k, k))
+    parts = sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
+    return tuple((l, tuple(group), tuple(iter_weak_compositions(k - d + l, l)))
+                 for l, group in groupby(parts, len))
+
+
+# -- Chern classes of the obstruction theory -----------------------------
 
 @lru_cache(maxsize=64)
 def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
     dual = chern_E_dual(genus, maxdeg)
     if d == 0:
         return pc_from_kl(genus, 0, dual).truncate(maxdeg)
-    series = [None] + [_block_series(s, maxdeg) for s in range(1, d + 1)]
+    # a block of s points has degree s - 1, so no block has more than maxdeg + 1
+    series = [None] + [_block_series(s, maxdeg) for s in range(1, min(d, maxdeg + 1) + 1)]
     terms = {}
-    # a partition into l blocks has degree d - l before its exponents
-    for blocks in set_partitions(d, d - maxdeg):
-        for total in range(maxdeg - d + len(blocks) + 1):
-            for exps in iter_weak_compositions(total, len(blocks)):
-                coeff = Fraction(1)
-                for block, t in zip(blocks, exps):
-                    coeff *= series[len(block)][t]
-                terms[BlockMonomial._trusted(d, blocks, exps)] = dual.scale(coeff)
+    for k in range(maxdeg + 1):
+        for _, parts, exps_list in block_groups(d, k):
+            for blocks in parts:
+                for exps in exps_list:
+                    coeff = prod(series[len(b)][t] for b, t in zip(blocks, exps))
+                    terms[BlockMonomial._trusted(d, blocks, exps)] = dual.scale(coeff)
     return PointedClass(genus, d, terms, maxdeg)
 
 
@@ -426,10 +456,7 @@ def chern_F(genus: int, d: int, maxdeg: int) -> PointedClass:
         raise InputError("d must be >= 0")
     if maxdeg < 0:
         raise InputError("negative truncation degree")
-    terms = _chern_F_terms(d, maxdeg)
-    if terms > MAX_TERMS:
-        raise InputError(f"chern_F({genus}, {d}, {maxdeg}) has {terms:,} block-monomial "
-                         f"terms or more; the limit is {MAX_TERMS:,}")
+    check_labels(f"chern_F({genus}, {d}, {maxdeg})", block_labels(d, 0, maxdeg))
     return _chern_F_cached(genus, d, maxdeg)
 
 

@@ -552,39 +552,50 @@ def check_set_partition(blocks, exps, d: int) -> None:
 
 def set_partitions(d: int, min_parts: int = 1) -> Iterator[tuple]:
     """Set partitions of {1..d} into at least `min_parts` parts, each part a
-    tuple of increasing labels and parts ordered by least element.  A branch
-    stops as soon as its remaining labels cannot open enough parts."""
+    tuple of increasing labels and parts ordered by least element: each
+    label joins every earlier part in turn, then opens a new one.  It joins
+    only where enough parts can still open, so every branch yields, and only
+    a join recurses: the depth is at most d - min_parts."""
     if d < 1:
         raise InputError("d must be >= 1")
 
     def rec(x, parts):
-        if len(parts) + d - x + 1 < min_parts:
-            return
-        if x > d:
-            yield tuple(tuple(p) for p in parts)
-            return
-        for part in parts:
-            part.append(x)
-            yield from rec(x + 1, parts)
-            part.pop()
-        parts.append([x])
-        yield from rec(x + 1, parts)
-        parts.pop()
+        opened = 0
+        while x <= d:
+            if len(parts) + d - x >= min_parts:
+                for part in parts:
+                    part.append(x)
+                    yield from rec(x + 1, parts)
+                    part.pop()
+            parts.append([x])  # the last choice for x: no recursion
+            opened += 1
+            x += 1
+        yield tuple(map(tuple, parts))
+        del parts[len(parts) - opened:]
 
-    yield from rec(1, [])
+    if min_parts <= d:
+        yield from rec(1, [])
 
 
 def iter_weak_compositions(total: int, parts: int) -> Iterator[tuple]:
-    """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
+    """All tuples of `parts` nonnegative integers summing to `total`, lex
+    order: the next moves one unit of the last nonzero entry one place left
+    and the rest of it to the end, until (total, 0, ..., 0)."""
     if parts < 0 or total < 0:
         raise InputError("negative arguments")
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in iter_weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
+    c = [0] * parts
+    c[-1] = total
+    while True:
+        yield tuple(c)
+        j = parts - 1
+        while j and not c[j]:
+            j -= 1
+        if not j:
+            return
+        rest, c[j] = c[j] - 1, 0
+        c[j - 1] += 1
+        c[-1] = rest

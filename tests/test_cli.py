@@ -461,12 +461,31 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     ("relation --theorem5 -g 200 -d 1 -k 1 --kappa-only", ""),
     ("betti --d 100000", ""),
     ("chern-f -g 20 -d 9 --degree 9", ""),
+    ("chern-f -g 2 -d 300 --degree 1", ""),
+    ("pairing --d 8 --k 8", ""),
+    ("pairing --d 2 --k 1000", ""),
+    ("intersect --d 100000 --x1 50000 --x2 49999", ""),
+    ("intersect --d 1000000000000 --x1 0 --x2 0", ""),
 ], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits",
-        "lambda-power", "lambda-index", "theorem5-kappa-only", "betti-d", "chern-f-terms"])
+        "lambda-power", "lambda-index", "theorem5-kappa-only", "betti-d", "chern-f-terms",
+        "chern-f-labels", "pairing-labels", "pairing-factors", "intersect-x", "intersect-d"])
 def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv, text):
     start = time.perf_counter()
     exits_2_with_one_line(capsys, monkeypatch, argv.split(), text)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv,head", [
+    ("chern-f -g 2 -d 1500 --degree 0", "1"),
+    ("pairing --d 7 --k 7 --json", "{"),
+    ("pairing --d 100000 --k 0", "pairing matrix d=100000 k=0: 1 rows"),
+])
+def test_admitted_edges_of_the_label_bound_run(capsys, argv, head):
+    start = time.perf_counter()
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith(head)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_prop8_with_many_meeting_products_of_low_degree_runs(capsys):

@@ -104,6 +104,21 @@ def test_poincare_additions_are_estimated_before_computing(monkeypatch):
         poincare_Q02(5)
 
 
+def test_intersect_additions_are_estimated_before_computing(monkeypatch):
+    from sqtaut import genus0
+
+    # d (min(x1, x2) + 1): the exponents, then up to min(x1, x2) + 1 states a level
+    monkeypatch.setattr(genus0, "MAX_ADDITIONS", 20)
+    assert intersect_M02d(5, 3, 1) == intersect_M02d(5, 3, 1, (0,) * 5) == comb(4, 1)
+    with pytest.raises(InputError, match=r"^intersect_M02d\(7, 3, 3\) needs 28 coefficient "
+                                         r"additions; the limit is 20$"):
+        intersect_M02d(7, 3, 3)
+    with pytest.raises(InputError, match=r"^intersect_M02d\(21, 0, 20\) needs 21 "):
+        intersect_M02d(21, 0, 20, iter(()))  # refused before y is read
+    with pytest.raises(InputError, match=r"^intersect_M02d\(21, -1, 0\) needs 21 "):
+        intersect_M02d(21, -1, 0)
+
+
 def test_intersect_vanishing_off_dimension():
     assert intersect_M02d(3, 1, 0, (0, 0, 0)) == 0
     assert intersect_M02d(2, 0, 0, (0, 0)) == 0

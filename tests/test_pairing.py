@@ -19,10 +19,10 @@ from sqtaut.pairing import (
     enumerate_P,
     pairing_entry,
     rank_certificate,
-    set_partitions,
 )
-from sqtaut.pointed import BlockMonomial
-from sqtaut.rings import DomainError, InputError
+from sqtaut import pointed
+from sqtaut.pointed import BlockMonomial, block_labels
+from sqtaut.rings import DomainError, InputError, set_partitions
 
 
 # -- oracle: |P[d,k]| = sum_l S(d,l) * C(k-d+2l-1, l-1) -------------------
@@ -202,12 +202,24 @@ def test_certificates_spot_checks():
 
 
 def test_certificate_bound(monkeypatch):
-    with pytest.raises(InputError, match=r"^d and k must be <= 5$"):
-        rank_certificate(6, 1)
-    with pytest.raises(InputError, match=r"^d and k must be <= 5$"):
-        rank_certificate(2, 7)
-    monkeypatch.setattr(pairing, "MAX_DK", 6)
-    assert rank_certificate(6, 1).full_rank
+    """The enumeration and the factor reads are both held to MAX_LABELS,
+    counted before anything is built; (7, 7) fits and (8, 8) does not."""
+    for d, k in ((6, 6), (7, 7)):
+        assert rank_certificate(d, k).size == count_by_formula(d, k)
+    assert block_labels(7, 7, 7) == 11 * count_by_formula(7, 7) <= pointed.MAX_LABELS
+    with pytest.raises(InputError, match=r"^enumerating the block monomials of degree 8 on "
+                                         r"8 points writes 4,551,024 labels or more; "
+                                         r"the limit is 500,000$"):
+        rank_certificate(8, 8)
+    with pytest.raises(InputError, match=r"^reading the component integrals of degree 100 "
+                                         r"writes 1,060,904 labels or more"):
+        rank_certificate(1, 100)
+    with pytest.raises(InputError, match=r"^need d >= 1 and k >= 0$"):
+        rank_certificate(0, 1)
+    monkeypatch.setattr(pointed, "MAX_LABELS", block_labels(6, 1, 1) - 1)
+    pointed.block_groups.cache_clear()  # a kept enumeration is not counted again
+    with pytest.raises(InputError, match=r"^enumerating the block monomials of degree 1 on 6"):
+        enumerate_P(6, 1)
 
 
 def test_pairing_index_validation():
@@ -223,6 +235,7 @@ def test_pairing_index_validation():
 
 # -- count oracle: the certificate's shape follows from |P[d,k]| by length --
 
+# each point with the limit set to the labels of (bound, bound)
 CERTIFIED = [(d, k, 5) for d in range(1, 6) for k in range(0, 6)] + [(6, 1, 6)]
 
 
@@ -232,7 +245,7 @@ def rows_of_length(d, k, l):
 
 @pytest.mark.parametrize("d,k,bound", CERTIFIED)
 def test_certificate_counts_match_formula(monkeypatch, d, k, bound):
-    monkeypatch.setattr(pairing, "MAX_DK", bound)
+    monkeypatch.setattr(pointed, "MAX_LABELS", block_labels(bound, bound, bound))
     cert = rank_certificate(d, k)
     lengths = [l for l in range(d, 0, -1) if rows_of_length(d, k, l)]
     n = {l: rows_of_length(d, k, l) for l in lengths}
@@ -270,11 +283,12 @@ def test_certificate_expands_no_row_it_accepts(monkeypatch):
 def test_certificate_lays_out_once_and_calls_no_rule(monkeypatch):
     """A passing certificate reads the enumeration's groups once, calls no
     cell rule and builds no block monomial."""
-    groups_of, rule = pairing._groups, pairing.pairing_entry
+    groups_of, rule = pairing.block_groups, pairing.pairing_entry
     trusted, init = BlockMonomial._trusted, BlockMonomial.__init__
     for d, k in ((1, 0), (3, 2), (4, 3), (5, 5)):
         reads, cells, monomials = [], [], []
-        monkeypatch.setattr(pairing, "_groups", lambda *a: reads.append(a) or groups_of(*a))
+        monkeypatch.setattr(pairing, "block_groups",
+                            lambda *a: reads.append(a) or groups_of(*a))
         monkeypatch.setattr(pairing, "pairing_entry", lambda *a: cells.append(a) or rule(*a))
         monkeypatch.setattr(BlockMonomial, "_trusted",
                             classmethod(lambda cls, *a: monomials.append(a) or trusted(*a)))
@@ -316,8 +330,8 @@ def test_shared_row_values_are_immutable():
     (d, k) reads, are tuples all the way down, and a matrix's entries are
     frozen: no caller can change what a later row reads."""
     for d, k in ((4, 3), (5, 5)):
-        groups = pairing._groups(d, k)
-        assert groups is pairing._groups(d, k) and type(groups) is tuple
+        groups = pointed.block_groups(d, k)
+        assert groups is pointed.block_groups(d, k) and type(groups) is tuple
         for group in groups:
             _, parts, exps = group
             assert all(type(x) is tuple for x in (group, parts, exps, *parts, *exps))
@@ -694,20 +708,12 @@ def test_enumerations_are_fresh_lists_with_equal_contents():
     assert enumerate_P(4, 3) == b
 
 
-def test_enumerations_beyond_the_certificate_range_are_not_kept():
-    d = pairing.MAX_DK + 1
-    calls = pairing._enumeration.cache_info()
-    a, b = enumerate_P(d, 1), enumerate_P(d, 1)
-    assert a == b and len(a) == count_by_formula(d, 1)
-    assert pairing._enumeration.cache_info() == calls
-
-
 def test_matrix_lays_out_columns_on_first_entry(monkeypatch):
     """A matrix indexes each length's exponent list on its first entry,
     from the enumeration's groups, and only then."""
-    groups_of = pairing._groups
+    groups_of = pairing.block_groups
     reads = []
-    monkeypatch.setattr(pairing, "_groups", lambda *a: reads.append(a) or groups_of(*a))
+    monkeypatch.setattr(pairing, "block_groups", lambda *a: reads.append(a) or groups_of(*a))
     matrix = PairingMatrix(3, 2)
     assert matrix.size == len(matrix.specs) == 13
     assert matrix._lengths is None and reads == [(3, 2)]  # the enumeration

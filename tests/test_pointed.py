@@ -299,25 +299,49 @@ def test_chern_F_times_chern_B_is_dual_hodge():
 
 
 def test_chern_F_term_count_is_its_number_of_terms():
-    """The closed form sum_l S(d, l) C(m - d + 2l, l) counts the block
-    monomials chern_F writes down."""
-    from sqtaut.pointed import _chern_F_terms
+    """block_labels counts d + 4 labels for each block monomial that
+    block_groups enumerates, one degree at a time, and for each term that
+    chern_F writes down, over every degree up to its truncation."""
+    from sqtaut.pointed import block_groups, block_labels
 
+    for d in range(1, 7):
+        for k in range(7):
+            rows = sum(len(parts) * len(exps) for _, parts, exps in block_groups(d, k))
+            assert block_labels(d, k, k) == (d + 4) * rows, (d, k)
+            assert block_labels(d, 1, k) == (d + 4) * sum(
+                len(parts) * len(exps) for j in range(1, k + 1)
+                for _, parts, exps in block_groups(d, j)), (d, k)
     for d in range(6):
         for m in range(7):
-            assert _chern_F_terms(d, m) == len(_chern_F_cached.__wrapped__(6, d, m).terms), (d, m)
-    assert _chern_F_terms(7, 6) == 44_508 and _chern_F_terms(8, 7) == 379_252
+            terms = len(_chern_F_cached.__wrapped__(6, d, m).terms)
+            assert block_labels(d, 0, m) == (d + 4) * terms, (d, m)
+    assert block_labels(7, 0, 6) == 11 * 44_508 and block_labels(8, 0, 7) == 12 * 379_252
 
 
 def test_chern_F_terms_are_counted_before_computing(monkeypatch):
     from sqtaut import pointed
 
-    monkeypatch.setattr(pointed, "MAX_TERMS", 19)
+    monkeypatch.setattr(pointed, "MAX_LABELS", 6 * 19)
     assert len(chern_F(4, 2, 4).terms) == 19
-    # 26 terms; the count stops at its l = d part, C(7, 2) = 21, already past 19
-    with pytest.raises(InputError, match=r"^chern_F\(4, 2, 5\) has 21 block-monomial terms "
-                                         r"or more; the limit is 19$"):
+    with pytest.raises(InputError, match=r"^chern_F\(4, 2, 5\) writes 156 labels "
+                                         r"or more; the limit is 114$"):  # 26 terms
         chern_F(4, 2, 5)
+    # past the limit the count stops in its l = d part: here after one factor
+    assert pointed.block_labels(10 ** 6, 0, 10 ** 6) == (10 ** 6 + 4) * (10 ** 6 + 1)
+
+
+def test_chern_F_builds_only_what_its_degree_reaches(monkeypatch):
+    """At d = 1500 and degree 0 chern_F is the one unit monomial: it builds
+    no block series past one point, and the enumeration opens one part per
+    label without recursing."""
+    from sqtaut import pointed
+
+    built = []
+    series = pointed._block_series
+    monkeypatch.setattr(pointed, "_block_series", lambda s, n: built.append(s) or series(s, n))
+    one = chern_F(3, 1500, 0)
+    assert built == [1] and str(one) == "1"
+    assert one == pc_one(3, 1500)
 
 
 def test_epsilon_push_examples():

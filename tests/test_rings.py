@@ -19,11 +19,13 @@ from sqtaut.rings import (
     int_from_text,
     int_mul,
     int_text,
+    iter_weak_compositions,
     mono_degree,
     mono_mul,
     poly_mul,
     rational_text,
     series_mul,
+    set_partitions,
     truncated_inverse,
 )
 
@@ -379,3 +381,61 @@ def test_decimal_text_of_any_length():
     num, den = rational_text(big).split("/")
     assert Fraction(int_from_text(num[1:]), int_from_text(den)) == -big
     assert rational_text(Fraction(-3, 4)) == "-3/4" and rational_text(5) == "5"
+
+
+# -- enumerators: the earlier recursive forms are the order oracles --------
+
+def recursive_set_partitions(d, min_parts=1):
+    """Every label tries each earlier part, then a new one; a branch is cut
+    one level after it can no longer open enough parts."""
+    def rec(x, parts):
+        if len(parts) + d - x + 1 < min_parts:
+            return
+        if x > d:
+            yield tuple(tuple(p) for p in parts)
+            return
+        for part in parts:
+            part.append(x)
+            yield from rec(x + 1, parts)
+            part.pop()
+        parts.append([x])
+        yield from rec(x + 1, parts)
+        parts.pop()
+
+    yield from rec(1, [])
+
+
+def recursive_weak_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_weak_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def test_enumerators_keep_the_recursive_order():
+    for d in range(1, 9):
+        for m in range(-1, d + 2):
+            assert list(set_partitions(d, m)) == list(recursive_set_partitions(d, m)), (d, m)
+    for total in range(9):
+        for parts in range(9):
+            assert list(iter_weak_compositions(total, parts)) == list(
+                recursive_weak_compositions(total, parts)), (total, parts)
+
+
+def test_enumerators_do_not_recurse_per_label():
+    # a label opening a part and a zero entry cost no stack frame, so
+    # neither depth grows past the interpreter's limit with d
+    assert list(set_partitions(3000, 3000)) == [tuple((j,) for j in range(1, 3001))]
+    first = next(set_partitions(3000, 2999))
+    assert first[0] == (1, 2) and len(first) == 2999
+    assert list(iter_weak_compositions(0, 3000)) == [(0,) * 3000]
+    ones = list(iter_weak_compositions(1, 3000))
+    assert len(ones) == 3000 and ones[0][-1] == ones[-1][0] == 1
+    with pytest.raises(InputError):
+        next(set_partitions(0))
