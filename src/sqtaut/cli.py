@@ -197,7 +197,9 @@ def cmd_pairing(args):
 
 
 def cmd_conifold(args):
-    from .conifold import conifold_F, conifold_N
+    from .conifold import check_scaling, conifold_F, conifold_N
+    if args.d is not None:
+        check_scaling(args.max_genus, args.d)
     series = conifold_F(args.max_genus)
     genera = range(1, args.max_genus + 1)
     payload = {

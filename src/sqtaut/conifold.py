@@ -19,11 +19,14 @@ exponent is negative and the value is the exact rational N_{1,1}/d.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, log10
 
-from .rings import Frozen, InputError, series_mul, setfield, truncated_inverse
+from .rings import Frozen, InputError, series_mul, truncated_inverse
 
 MAX_PRODUCTS = 40_000  # coefficient products of conifold_F: max_genus <= 199
+# digits that the powers of d in N_{g,d}, 1 <= g <= max_genus, write: max_genus
+# 199 at d < 2^167 (about 10^50), or 22 at d of 4,300 digits, the most `int` reads
+MAX_DIGITS = 2_000_000
 
 
 class LocalSeries(Frozen):
@@ -40,9 +43,7 @@ class LocalSeries(Frozen):
             raise InputError("max_genus must be >= 1")
         if len(coeffs) != max_genus:
             raise InputError("need one coefficient per genus")
-        setfield(self, "max_genus", max_genus)
-        setfield(self, "coeffs", coeffs)
-        setfield(self, "constant_term", constant_term)
+        self._set(max_genus, coeffs, constant_term)
 
     def N1(self, g: int) -> Fraction:
         """N_{g,1}."""
@@ -68,6 +69,16 @@ def conifold_F(max_genus: int) -> LocalSeries:
     inv = truncated_inverse(_sine_square_series(max_genus), max_genus)
     coeffs = tuple(inv[g] / Fraction(4) ** g for g in range(1, max_genus + 1))
     return LocalSeries(max_genus, coeffs, inv[0])
+
+
+def check_scaling(max_genus: int, d: int) -> None:
+    """Refuse N_{g,d} for 1 <= g <= max_genus past MAX_DIGITS, weighed
+    before any power is taken: d^(2g-3) writes |2g - 3| times the digits
+    of d, which sum to 1 + (max_genus - 1)^2 times them."""
+    digits = int((1 + (max_genus - 1) ** 2) * d.bit_length() * log10(2))
+    if digits > MAX_DIGITS:
+        raise InputError(f"N[g,d] for g <= {max_genus} at a d of {d.bit_length()} bits writes "
+                         f"about {digits:,} digits; the limit is {MAX_DIGITS:,}")
 
 
 def conifold_N(g: int, d: int, series: LocalSeries) -> Fraction:

@@ -44,7 +44,6 @@ from .rings import (
     SparseSum,
     accumulate,
     combine_caps,
-    setfield,
 )
 
 
@@ -84,10 +83,7 @@ class CurveClass(SparseSum):
                 coeff = coeff.truncate(combine_caps(coeff.cap, cap))
             if not coeff.is_zero:
                 clean[key] = coeff
-        setfield(self, "genus", genus)
-        setfield(self, "d", d)
-        setfield(self, "terms", MappingProxyType(clean))
-        setfield(self, "cap", cap)
+        self._set(genus, d, MappingProxyType(clean), cap)
 
     _space = property(lambda self: (self.genus, self.d))
     _table = property(lambda self: self.terms)

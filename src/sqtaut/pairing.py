@@ -59,7 +59,7 @@ from typing import Iterator
 
 from .genus0 import psi_integral_M0n
 from .pointed import BlockMonomial, block_groups, check_labels
-from .rings import CertificateError, DomainError, Frozen, InputError, setfield
+from .rings import CertificateError, DomainError, Frozen, InputError
 
 PROVEN_ZERO = "proven-zero"
 COMPUTED = "computed"
@@ -78,13 +78,6 @@ class ChainStratum(Frozen):
     """
 
     _fields = ("monomial", "heavy_labels", "light_blocks", "psi_labels")
-
-    def __init__(self, monomial: BlockMonomial, heavy_labels: tuple,
-                 light_blocks: tuple, psi_labels: tuple) -> None:
-        setfield(self, "monomial", monomial)
-        setfield(self, "heavy_labels", heavy_labels)
-        setfield(self, "light_blocks", light_blocks)
-        setfield(self, "psi_labels", psi_labels)
 
     @classmethod
     def from_spec(cls, mono: BlockMonomial) -> "ChainStratum":
@@ -118,9 +111,7 @@ class PairingEntry(Frozen):
 
     def __init__(self, status: str, value: Fraction | None = None,
                  reason: str | None = None) -> None:
-        setfield(self, "status", status)
-        setfield(self, "value", value)
-        setfield(self, "reason", reason)
+        self._set(status, value, reason)
 
 
 def enumerate_P(d: int, k: int) -> list:
@@ -192,16 +183,10 @@ def pairing_entry(row: BlockMonomial, col: BlockMonomial) -> PairingEntry:
 
 
 class DiagonalBlock(Frozen):
-    """Evidence for one l = l' block: diagonal values and zero off-diagonal."""
+    """Evidence for one l = l' block: diagonal values (Fractions in row
+    order) and zero off-diagonal."""
 
     _fields = ("length", "size", "diagonal", "off_diagonal_checked")
-
-    def __init__(self, length: int, size: int, diagonal: tuple,
-                 off_diagonal_checked: int) -> None:
-        setfield(self, "length", length)
-        setfield(self, "size", size)
-        setfield(self, "diagonal", diagonal)  # Fractions in row order
-        setfield(self, "off_diagonal_checked", off_diagonal_checked)
 
 
 class Certificate(Frozen):
@@ -213,16 +198,6 @@ class Certificate(Frozen):
     """
 
     _fields = ("d", "k", "size", "blocks", "zero_pairs", "unevaluated_pairs", "full_rank")
-
-    def __init__(self, d: int, k: int, size: int, blocks: tuple, zero_pairs: int,
-                 unevaluated_pairs: int, full_rank: bool) -> None:
-        setfield(self, "d", d)
-        setfield(self, "k", k)
-        setfield(self, "size", size)
-        setfield(self, "blocks", blocks)
-        setfield(self, "zero_pairs", zero_pairs)
-        setfield(self, "unevaluated_pairs", unevaluated_pairs)
-        setfield(self, "full_rank", full_rank)
 
 
 class PairingMatrix:

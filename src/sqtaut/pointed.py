@@ -83,7 +83,6 @@ from .rings import (
     mono_mul,
     poly_mul,
     set_partitions,
-    setfield,
 )
 
 
@@ -103,13 +102,6 @@ class BlockMonomial(Frozen):
             raise InputError("d must be >= 0")
         check_set_partition(blocks, exps, d)
         self._set(d, blocks, exps)
-
-    @classmethod
-    def _trusted(cls, d: int, blocks: tuple, exps: tuple) -> "BlockMonomial":
-        """A monomial whose canonical form the caller guarantees."""
-        mono = object.__new__(cls)
-        mono._set(d, blocks, exps)
-        return mono
 
     def _set(self, d: int, blocks: tuple, exps: tuple) -> None:
         # the four fields in one write; the blocks cover d labels, and a
@@ -201,10 +193,7 @@ class PointedClass(SparseSum):
             if coeff.is_zero:
                 continue
             clean[mono] = coeff
-        setfield(self, "genus", genus)
-        setfield(self, "d", d)
-        setfield(self, "terms", MappingProxyType(clean))
-        setfield(self, "cap", cap)
+        self._set(genus, d, MappingProxyType(clean), cap)
 
     _space = property(lambda self: (self.genus, self.d))
     _table = property(lambda self: self.terms)
@@ -436,8 +425,10 @@ def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
     # a block of s points has degree s - 1, so no block has more than maxdeg + 1
     series = [None] + [_block_series(s, maxdeg) for s in range(1, min(d, maxdeg + 1) + 1)]
     terms = {}
+    # the result is cached, so its degrees stay out of the shared LRU, which
+    # a high degree would flush (the pairing's enumerations included)
     for k in range(maxdeg + 1):
-        for _, parts, exps_list in block_groups(d, k):
+        for _, parts, exps_list in block_groups.__wrapped__(d, k):
             for blocks in parts:
                 for exps in exps_list:
                     coeff = prod(series[len(b)][t] for b, t in zip(blocks, exps))

@@ -14,13 +14,14 @@ property of the value (an optional degree cap carried by the polynomial),
 never global state; the explicit-cap entry point `poly_mul` overrides it
 per operation.
 
-A `GradedPoly` is built one of two ways, which set its fields in one
-place.  `GradedPoly(genus, coeffs, cap)` validates: it copies the table,
-reads every value as a Fraction and drops zeros and terms above the cap;
-every table that comes from outside (readers, constructors, the ring
-operations of `SparseSum`) goes through it.  `GradedPoly._trusted` keeps a
-table as it is, for producers that build it canonical: `poly_mul`,
-`degree_part`, lambda elimination and the relation generators.
+A `GradedPoly` is built one of two ways, both through `GradedPoly._set`.
+`GradedPoly(genus, coeffs, cap)` validates: it copies the table, reads
+every value as a Fraction and drops zeros and terms above the cap; every
+table that comes from outside (readers, constructors, the ring operations
+of `SparseSum`) goes through it.  `GradedPoly._trusted(genus, table, cap)`,
+the `Frozen` constructor that validates nothing, keeps a table as it is,
+for producers that build it canonical: `poly_mul`, `degree_part`, lambda
+elimination and the relation generators.
 
 Terms print in graded order: by degree, then factor by factor by
 (kind, index, -exp), a shorter monomial first when it is a prefix.  The
@@ -129,24 +130,55 @@ def accumulate(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-# Sets a field of a Frozen value; only its __init__ (or a trusted
-# constructor) calls this, once per field.
+# Sets a field of a Frozen value; only the `_set` methods below call this.
 setfield = object.__setattr__
 
 
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its fields, in order, in `_fields` and sets each one
-    once, in its own `__init__`, with `setfield`, or all at once with
-    `__dict__.update` (`BlockMonomial`, which is built most often; on
-    CPython 3.11 its attribute reads, hashes and comparisons time the same
-    either way).  After that, assigning or deleting an attribute raises
-    AttributeError.  Values of the same class compare equal and hash alike
-    when their fields do, and print as `Name(field=value, ...)`.
+    A subclass names its fields, in order, in `_fields`, and nowhere else.
+    `Frozen(*values, **named)` binds them as a call would, positional
+    first, then by name, and raises TypeError naming the fields when a
+    count or a name does not fit.  `cls._trusted(*values)` builds a value
+    on the fields in order and validates nothing, for producers that
+    guarantee them.  Both set the fields through `_set(*values)`, once: a
+    subclass with checks or defaults writes its own `__init__` and ends it
+    in `self._set(...)`, and one that stores a field in another form
+    overrides `_set` (`GradedPoly`, whose table is read-only, and
+    `BlockMonomial`, which stores its derived `degree` as well).  After
+    that, assigning or deleting an attribute raises AttributeError.
+    Values of the same class compare equal and hash alike when their
+    fields do, and print as `Name(field=value, ...)`.
     """
 
     _fields: tuple = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # bound as a call binds them: positional first, then by name
+            bound = dict(zip(fields, values))
+            if (len(values) > len(fields) or not named.keys() <= set(fields) - bound.keys()
+                    or len(bound) + len(named) != len(fields)):
+                raise TypeError(f"{type(self).__qualname__} takes the fields "
+                                f"({', '.join(fields)}); got {len(values)} by position "
+                                f"and ({', '.join(named)}) by name")
+            bound.update(named)
+            values = [bound[name] for name in fields]
+        self._set(*values)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value on `values`, the fields in order, which the caller
+        guarantees valid: no constructor check runs."""
+        value = object.__new__(cls)
+        value._set(*values)
+        return value
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            setfield(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -285,16 +317,7 @@ class GradedPoly(SparseSum):
             clean[m] = c
         self._set(genus, clean, cap)
 
-    @classmethod
-    def _trusted(cls, genus: int, table: dict, cap: int | None = None) -> "GradedPoly":
-        """A polynomial on `table`, which the caller hands over and
-        guarantees canonical: nonzero Fraction values, canonical monomials,
-        none above the cap."""
-        poly = object.__new__(cls)
-        poly._set(genus, table, cap)
-        return poly
-
-    def _set(self, genus: int, table: dict, cap: int | None) -> None:
+    def _set(self, genus: int, table: dict, cap: int | None = None) -> None:
         setfield(self, "genus", genus)
         setfield(self, "coeffs", MappingProxyType(table))
         setfield(self, "cap", cap)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 from time import perf_counter
-from typing import Callable
 
 from .conifold import conifold_F, conifold_N
 from .curve import (
@@ -46,7 +45,7 @@ from .pointed import (
     pushed_chern,
 )
 from .relations import prop8_relation, rank_F, theorem5_class
-from .rings import Frozen, InputError, series_mul, setfield
+from .rings import Frozen, InputError, series_mul
 
 
 class CheckResult(Frozen):
@@ -54,27 +53,12 @@ class CheckResult(Frozen):
 
     _fields = ("check_id", "statement", "passed", "details", "elapsed")
 
-    def __init__(self, check_id: str, statement: str, passed: bool,
-                 details: tuple, elapsed: float) -> None:
-        setfield(self, "check_id", check_id)
-        setfield(self, "statement", statement)
-        setfield(self, "passed", passed)
-        setfield(self, "details", details)
-        setfield(self, "elapsed", elapsed)
-
 
 class Check(Frozen):
-    """A named check: `run()` returns (passed, details)."""
+    """A named check: `run()` returns (passed, details); `budget` is its
+    documented runtime bound in seconds."""
 
     _fields = ("check_id", "aliases", "statement", "budget", "run")
-
-    def __init__(self, check_id: str, aliases: tuple, statement: str,
-                 budget: float, run: Callable) -> None:
-        setfield(self, "check_id", check_id)
-        setfield(self, "aliases", aliases)
-        setfield(self, "statement", statement)
-        setfield(self, "budget", budget)  # documented runtime bound in seconds
-        setfield(self, "run", run)
 
 
 # -- individual checks ----------------------------------------------------

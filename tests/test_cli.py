@@ -250,6 +250,12 @@ def test_conifold_output(capsys):
     assert payload["constant_term"] == "1"
 
 
+def test_conifold_at_the_highest_genus_runs_with_a_small_d(capsys):
+    assert main("conifold --max-genus 199 --d 99".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 200 and lines[199].startswith("N[199,1] = ")
+
+
 def test_conifold_beyond_the_int_str_digit_limit():
     # N[160,1] has a 666-digit denominator; 640 is the lowest limit Python allows
     series = conifold_F(160)
@@ -466,9 +472,11 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     ("pairing --d 2 --k 1000", ""),
     ("intersect --d 100000 --x1 50000 --x2 49999", ""),
     ("intersect --d 1000000000000 --x1 0 --x2 0", ""),
+    ("conifold --max-genus 199 --d " + "9" * 1000, ""),
 ], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits",
         "lambda-power", "lambda-index", "theorem5-kappa-only", "betti-d", "chern-f-terms",
-        "chern-f-labels", "pairing-labels", "pairing-factors", "intersect-x", "intersect-d"])
+        "chern-f-labels", "pairing-labels", "pairing-factors", "intersect-x", "intersect-d",
+        "conifold-d"])
 def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv, text):
     start = time.perf_counter()
     exits_2_with_one_line(capsys, monkeypatch, argv.split(), text)

@@ -7,6 +7,7 @@ import pytest
 
 from sqtaut.conifold import (
     LocalSeries,
+    check_scaling,
     conifold_F,
     conifold_N,
 )
@@ -103,3 +104,12 @@ def test_series_size_is_estimated_before_computing(monkeypatch):
     with pytest.raises(InputError, match=r"^conifold_F\(4\) needs about 25 coefficient "
                                          r"products; the limit is 16$"):
         conifold_F(4)
+
+
+def test_scaled_digits_are_weighed_from_bit_lengths():
+    # 1 + 198^2 powers of d's digits: 167 bits admit, 170 bits (10^51 - 1) do not
+    check_scaling(199, 2 ** 167 - 1)
+    check_scaling(1, 10 ** 4000)  # N_{1,d} writes d once
+    with pytest.raises(InputError, match=r"^N\[g,d\] for g <= 199 at a d of 170 bits writes "
+                                         r"about 2,006,319 digits; the limit is 2,000,000$"):
+        check_scaling(199, 10 ** 51 - 1)

@@ -1,7 +1,8 @@
 """The value types are immutable records: fixed fields, field equality.
 
-Every class here is built on `rings.Frozen`: its fields are set once by its
-constructor, and assigning or deleting an attribute raises AttributeError.
+Every class here is built on `rings.Frozen`: it names its fields in
+`_fields`, they are set once, by its constructor or by `_trusted`, and
+assigning or deleting an attribute raises AttributeError.
 The three ring classes (`GradedPoly`, `PointedClass`, `CurveClass`) compare
 through `SparseSum.__eq__` and are unhashable; the records compare and hash
 by their fields.
@@ -157,6 +158,49 @@ def test_keyword_construction_and_defaults():
     assert repr(series) == (
         "LocalSeries(max_genus=1, coeffs=(Fraction(1, 12),), "
         "constant_term=Fraction(1, 1))")
+
+
+@pytest.mark.parametrize("name", list(values()))
+def test_every_value_is_rebuilt_from_its_fields(name):
+    value = values()[name]
+    cls, fields = type(value), value._values()
+    assert cls(*fields) == value
+    assert cls(**dict(zip(value._fields, fields))) == value
+    if cls is GradedPoly:  # its `_set` takes a table and stores it read-only
+        fields = (value.genus, dict(value.coeffs), value.cap)
+    assert cls._trusted(*fields) == value
+
+
+# the records whose constructor is `Frozen`'s own
+BOUND = ["ChainStratum", "DiagonalBlock", "Certificate", "CheckResult", "Check"]
+
+
+@pytest.mark.parametrize("name", BOUND)
+def test_fields_that_do_not_bind_raise_type_error_naming_them(name):
+    value = values()[name]
+    cls, fields, first = type(value), value._values(), value._fields[0]
+    message = rf"^{cls.__name__} takes the fields \({', '.join(value._fields)}\); got "
+    for args, named in [
+        (fields + (None,), {}),                    # too many values
+        (fields[:-1], {}),                         # a field missing
+        (fields, {"extra": None}),                 # an unknown name
+        (fields, {first: fields[0]}),              # a field given twice
+    ]:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **named)
+
+
+def test_records_print_their_fields_in_order():
+    spec = BlockMonomial(2, ((1,), (2,)), (0, 1))
+    assert repr(ChainStratum.from_spec(spec)) == (
+        "ChainStratum(monomial=BlockMonomial(d=2, blocks=((1,), (2,)), exps=(0, 1)), "
+        "heavy_labels=((1, 2), (3,), (4, 5), (6, 7)), light_blocks=((), (1,), (2,), ()), "
+        "psi_labels=(3, 4))")
+    assert repr(rank_certificate(2, 1)) == (
+        "Certificate(d=2, k=1, size=3, blocks=(DiagonalBlock(length=2, size=2, "
+        "diagonal=(Fraction(2, 1), Fraction(2, 1)), off_diagonal_checked=2), "
+        "DiagonalBlock(length=1, size=1, diagonal=(Fraction(1, 1),), off_diagonal_checked=0)), "
+        "zero_pairs=2, unevaluated_pairs=2, full_rank=True)")
 
 
 @pytest.mark.parametrize("build,message", [

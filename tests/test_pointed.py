@@ -344,6 +344,21 @@ def test_chern_F_builds_only_what_its_degree_reaches(monkeypatch):
     assert one == pc_one(3, 1500)
 
 
+def test_chern_F_keeps_the_shared_enumerations():
+    """chern_F walks its degrees outside the LRU of block_groups, so a
+    degree past its 64 entries leaves the pairing's enumeration kept."""
+    from sqtaut import pointed
+    from sqtaut.pairing import rank_certificate
+
+    pointed._chern_F_cached.cache_clear()
+    rank_certificate(5, 5)
+    chern_F(2, 1, 200)
+    before = pointed.block_groups.cache_info()
+    rank_certificate(5, 5)
+    after = pointed.block_groups.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_epsilon_push_examples():
     g = 4
     assert epsilon_push(pc_one(g, 2)) == 0
