@@ -236,7 +236,7 @@ def cmd_verify_paper(args):
     from .verify import run_all
     checks = [
         {"id": r.check_id, "statement": r.statement, "passed": r.passed,
-         "details": list(r.details)}
+         "details": list(r.details), "elapsed_s": round(r.elapsed, 3), "budget_s": r.budget}
         for r in run_all(args.only)
     ]
     payload = {
@@ -249,7 +249,8 @@ def cmd_verify_paper(args):
     def text() -> str:
         lines = []
         for c in checks:
-            lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['id']}")
+            lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['id']} "
+                         f"({c['elapsed_s']:.2f} s, budget {c['budget_s']:g} s)")
             lines.append(f"      {c['statement']}")
             for detail in c["details"]:
                 lines.append(f"      - {detail}")

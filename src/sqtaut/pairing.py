@@ -38,20 +38,23 @@ a row's nonzero own-partition columns are the product of its
 per-component supports, each tuple looked up in the exponent list.
 
 The certificate checks only the cells of each row against its own
-partition's columns, since the other cases hold by the rule itself.  Those
-depend on the partition only through the exponent list of its length: for
-each length and row exponents tau at rank r, the nonzero columns are found
-once and must be exactly [(r, prod (t_i + 1))].  A mismatch names the first
-failing cell, in column order, of the first partition's row of tau.
-`PairingMatrix` expands a row at a time.  Each certificate and matrix reads
-its factors through `_component_integral` into a memo of its own, bounded,
-as the enumeration is, by `pointed.MAX_LABELS`.
+partition's columns, since the other cases hold by the rule itself.  A
+cell is the product of its component factors, so the factor tables prove
+them all: if, for each row exponent t (each t <= k, or k alone at d = 1),
+the factor of t is nonzero only at column exponent t, where it is t + 1,
+each row's one nonzero such cell is its diagonal, prod (t_i + 1).  Only
+if that proof fails are the rows searched, once per length and row
+exponents, to name the first failing cell in row order, then column
+order, or to accept.  `PairingMatrix` expands a row at a time from the
+enumeration's groups.  Each certificate and matrix reads its factors
+through `_component_integral` into a memo of its own, bounded, as the
+enumeration is, by `pointed.MAX_LABELS`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, product, repeat
 from math import prod
 from operator import getitem
@@ -201,25 +204,29 @@ class Certificate(Frozen):
 
 
 class PairingMatrix:
-    """Rows and columns: the block monomials `specs` of `enumerate_P`;
-    column j is the chain stratum of `specs[j]`.  Entries are computed on
-    demand, a row at a time: the first `entry` call indexes each length's
-    exponent list, and `entry(i, j)` keeps the entries of the last row it
+    """Rows and columns: the block monomials `specs` of `enumerate_P`,
+    built on first read; column j is the chain stratum of `specs[j]`.
+    Entries are computed on demand, a row at a time, from the enumeration's
+    length groups: `entry(i, j)` keeps the entries of the last row it
     computed, so `entries()` expands each row once.  A matrix keeps one
     factor memo and one entry per computed value."""
 
     def __init__(self, d: int, k: int):
         self.d, self.k = d, k
-        self.specs = enumerate_P(d, k)
-        # per row length: (first row, end, list size, exponent index), on the first entry
-        self._lengths = None
+        # per row length, descending: (first row, end, exponent list, exponent index)
+        self._lengths, lo = [], 0
+        for _, parts, exps in block_groups(d, k):
+            hi = lo + len(parts) * len(exps)
+            self._lengths.append((lo, hi, exps, {t: r for r, t in enumerate(exps)}))
+            lo = hi
+        self.size = lo
         self._factors = _Factors(k)
         self._computed = {0: _COMPUTED_ZERO}  # value -> its one entry
         self._i, self._row = None, None  # the last row computed and its entries
 
-    @property
-    def size(self) -> int:
-        return len(self.specs)
+    @cached_property
+    def specs(self) -> list:
+        return enumerate_P(self.d, self.k)
 
     def entry(self, i: int, j: int) -> PairingEntry:
         if i != self._i:
@@ -231,21 +238,15 @@ class PairingMatrix:
         """Row i in full: proven zero against longer columns, support
         mismatch against the other partitions of its length, unevaluated
         against shorter ones, and computed against its own partition."""
-        if self._lengths is None:
-            self._lengths, lo = {}, 0
-            for l, parts, exps in block_groups(self.d, self.k):
-                hi = lo + len(parts) * len(exps)
-                self._lengths[l] = lo, hi, len(exps), {t: r for r, t in enumerate(exps)}
-                lo = hi
         i = range(self.size)[i]  # as `specs` reads it: from the end if negative
-        exps = self.specs[i].exps
-        lo, hi, n, index = self._lengths[len(exps)]
+        lo, hi, exps, index = next(g for g in self._lengths if i < g[1])
+        n = len(exps)
         start = i - (i - lo) % n  # the row's partition's first column
         row = [_TOO_FEW_BLOCKS] * lo + [_SUPPORT_MISMATCH] * (hi - lo)
         row += [_UNEVALUATED] * (self.size - hi)
         row[start:start + n] = [_COMPUTED_ZERO] * n
         computed = self._computed
-        for r, value in _nonzero(exps, index, self._factors):
+        for r, value in _nonzero(exps[i - start], index, self._factors):
             entry = computed.get(value)
             if entry is None:
                 entry = computed[value] = PairingEntry(COMPUTED, value=Fraction(value))
@@ -272,22 +273,28 @@ def _reject(i: int, lo: int, expected: int, nonzero: list) -> None:
             raise CertificateError(f"off-diagonal entry ({i},{j}) is nonzero")
 
 
+_fraction = lru_cache(maxsize=256)(Fraction)  # diagonal values repeat across lengths and calls
+
+
 def rank_certificate(d: int, k: int) -> Certificate:
     """Verify block triangularity and positive diagonal; certify full rank,
-    once per length and row exponents as the module docstring says.  For
-    d = k = 5 it finds the nonzero columns 175 times for 772 rows, with 36
-    factor reads, and builds no block monomial."""
+    from the component factors as the module docstring says.  For d = k = 5
+    it makes 36 factor reads, searches no row and builds no block monomial."""
     factors = _Factors(k)
+    # each own-partition cell is a product of these; rows hold every t <= k, or k at d = 1
+    proven = all(factors[t][1] == (t,) and factors[t][0][t] == t + 1
+                 for t in (factors.span if d > 1 else (k,)))
     blocks, lo, within = [], 0, 0
     for l, parts, exps in block_groups(d, k):
         size = len(parts) * len(exps)
-        index = {t: r for r, t in enumerate(exps)}
         expected = [prod(map((1).__add__, t)) for t in exps]  # prod (t + 1)
-        for r, t in enumerate(exps):
-            nonzero = _nonzero(t, index, factors)
-            if nonzero != [(r, expected[r])]:
-                _reject(lo + r, lo, expected[r], nonzero)
-        values = tuple(map(Fraction, expected))
+        if not proven:  # name the first failing cell, if any
+            index = {t: r for r, t in enumerate(exps)}
+            for r, t in enumerate(exps):
+                nonzero = _nonzero(t, index, factors)
+                if nonzero != [(r, expected[r])]:
+                    _reject(lo + r, lo, expected[r], nonzero)
+        values = tuple(map(_fraction, expected))
         blocks.append(DiagonalBlock(l, size, values * len(parts), size * (size - 1)))
         lo, within = lo + size, within + size * size
     # cells between lengths: proven zero below the blocks, unevaluated above

@@ -42,17 +42,16 @@ block monomial (P, t) has coefficient chern_E_dual * prod_{S in P}
 the base gives the Theorem 5 relation (`pushed_chern`), which
 `relations.theorem5_class` computes without block monomials.
 
-`block_groups(d, k)` enumerates the block monomials of degree k, for
-`chern_F` (every k <= maxdeg) and for the matrix of `pairing`;
-`block_labels` counts them in closed form, and past MAX_LABELS they are
-refused before anything is built.
+`block_groups(d, k)` enumerates the block monomials of degree k for the
+pairing, and its unchecked step for `chern_F` (every k <= maxdeg), from
+set partitions kept per (d, length); `block_labels` counts them in closed
+form, and past MAX_LABELS they are refused before anything is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -410,9 +409,28 @@ def block_groups(d: int, k: int) -> tuple:
         raise InputError("need d >= 1 and k >= 0")
     check_labels(f"enumerating the block monomials of degree {k} on {d} points",
                  block_labels(d, k, k))
-    parts = sorted(set_partitions(d, d - k), key=lambda p: (-len(p), p))
-    return tuple((l, tuple(group), tuple(iter_weak_compositions(k - d + l, l)))
-                 for l, group in groupby(parts, len))
+    return _block_groups(d, k)
+
+
+@lru_cache(maxsize=16)
+def _partitions(d: int) -> dict:
+    """Per length l, the set partitions of {1..d} into l parts, sorted: the
+    lengths d down to the least any call has asked for, shared across k."""
+    return {}
+
+
+def _block_groups(d: int, k: int) -> tuple:
+    """`block_groups` without its checks, for a caller that has made them.
+    The lengths not yet kept come from one `set_partitions(d, d - k)`."""
+    kept, lo = _partitions(d), max(d - k, 1)
+    if lo not in kept:
+        new = {}
+        for part in set_partitions(d, lo):
+            if len(part) not in kept:
+                new.setdefault(len(part), []).append(part)
+        kept.update((l, tuple(sorted(parts))) for l, parts in new.items())
+    return tuple((l, kept[l], tuple(iter_weak_compositions(k - d + l, l)))
+                 for l in range(d, lo - 1, -1))
 
 
 # -- Chern classes of the obstruction theory -----------------------------
@@ -425,10 +443,10 @@ def _chern_F_cached(genus: int, d: int, maxdeg: int) -> PointedClass:
     # a block of s points has degree s - 1, so no block has more than maxdeg + 1
     series = [None] + [_block_series(s, maxdeg) for s in range(1, min(d, maxdeg + 1) + 1)]
     terms = {}
-    # the result is cached, so its degrees stay out of the shared LRU, which
-    # a high degree would flush (the pairing's enumerations included)
+    # chern_F has checked every degree, and the result is cached, so its
+    # degrees stay out of the shared LRU, which a high degree would flush
     for k in range(maxdeg + 1):
-        for _, parts, exps_list in block_groups.__wrapped__(d, k):
+        for _, parts, exps_list in _block_groups(d, k):
             for blocks in parts:
                 for exps in exps_list:
                     coeff = prod(series[len(b)][t] for b, t in zip(blocks, exps))

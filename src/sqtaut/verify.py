@@ -49,9 +49,10 @@ from .rings import Frozen, InputError, series_mul
 
 
 class CheckResult(Frozen):
-    """Outcome of one named check."""
+    """Outcome of one named check, with its run time and the budget of
+    its check, both in seconds."""
 
-    _fields = ("check_id", "statement", "passed", "details", "elapsed")
+    _fields = ("check_id", "statement", "passed", "details", "elapsed", "budget")
 
 
 class Check(Frozen):
@@ -529,7 +530,8 @@ def run_check(check: Check) -> CheckResult:
     start = perf_counter()
     passed, details = check.run()
     elapsed = perf_counter() - start
-    return CheckResult(check.check_id, check.statement, passed, tuple(details), elapsed)
+    return CheckResult(check.check_id, check.statement, passed, tuple(details), elapsed,
+                       check.budget)
 
 
 def run_all(only: str | None = None) -> list:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
 import io
+import itertools
 import json
 import os
 import re
@@ -290,10 +291,16 @@ def test_lambda_to_kappa_preserves_provenance(capsys, tmp_path):
     assert parse_kl(payload) == lambda_to_kappa(p)
 
 
-def test_verify_paper_filtering(capsys):
+def fix_clock(monkeypatch):
+    """Make every check take 0.25 s by the clock of `sqtaut.verify`."""
+    monkeypatch.setattr(verify, "perf_counter", itertools.count(0, 0.25).__next__)
+
+
+def test_verify_paper_filtering(capsys, monkeypatch):
+    fix_clock(monkeypatch)
     code, out = run(capsys, "verify-paper", "--only", "lemma4")
     assert code == 0
-    assert out.splitlines()[0] == "PASS  betti"
+    assert out.splitlines()[0] == "PASS  betti (0.25 s, budget 1 s)"
     assert out.strip().endswith("1/1 checks passed")
     code, out = run(capsys, "verify-paper", "--only", "genus6", "--json")
     payload = json.loads(out)
@@ -303,13 +310,29 @@ def test_verify_paper_filtering(capsys):
     assert run(capsys, "verify-paper", "--only", "nonsense")[0] == 2
 
 
+def test_verify_paper_reports_time_and_budget(capsys):
+    """Each check reports its run time and its budget, in seconds: numbers
+    in the JSON, a suffix of its line in the text."""
+    code, out = run(capsys, "verify-paper", "--only", "lemma4", "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    for field in ("elapsed_s", "budget_s"):
+        assert type(check[field]) is float and check[field] >= 0, field
+    assert check["budget_s"] == verify.lookup("lemma4").budget
+    code, out = run(capsys, "verify-paper", "--only", "genus6")
+    assert re.fullmatch(r"PASS  relation-genus6 \(\d+\.\d\d s, budget 5 s\)",
+                        out.splitlines()[0])
+
+
 def test_failing_check_exits_1_and_still_reports(capsys, monkeypatch):
     failing = verify.Check("always-fails", (), "A check that fails.", 1.0,
                            lambda: (False, ("forced failure",)))
     monkeypatch.setattr(verify, "CHECKS", (failing,))
+    fix_clock(monkeypatch)
     code, out = run(capsys, "verify-paper")
     assert code == 1
-    assert out.splitlines() == ["FAIL  always-fails", "      A check that fails.",
+    assert out.splitlines() == ["FAIL  always-fails (0.25 s, budget 1 s)",
+                                "      A check that fails.",
                                 "      - forced failure", "0/1 checks passed"]
     code, out = run(capsys, "verify-paper", "--json")
     assert code == 1

@@ -1,7 +1,8 @@
 """Byte-level golden corpus for the command line.
 
 Each case runs `sqtaut.cli.main` in process and compares the exit code and
-the sha256 of stdout with `golden/cli.json`.  An argument of the form
+the sha256 of stdout with `golden/cli.json`; the clock of `sqtaut.verify`
+is fixed, so that every check reports 0.25 s.  An argument of the form
 `@ID` is replaced by a file holding the stdout of the earlier case ID, and
 a case with a `stdin` entry reads that case's stdout from standard input,
 so `push`, `mult` and `lambda-to-kappa` consume outputs that are pinned
@@ -21,12 +22,15 @@ entries from the file first.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+from sqtaut import verify
 from sqtaut.cli import main
 from sqtaut.jsonio import emit_kl
 from sqtaut.kappa_lambda import _lambda_table, chern_E_dual, lambda_to_kappa
@@ -114,6 +118,10 @@ CASES = (
     ("pairing-5-3-json", ["pairing", "--d", "5", "--k", "3", "--json"], None),
     ("pairing-4-4", ["pairing", "--d", "4", "--k", "4"], None),
     ("pairing-5-5-json", ["pairing", "--d", "5", "--k", "5", "--json"], None),
+    # entry grids with several set partitions per length
+    ("pairing-3-5-json", ["pairing", "--d", "3", "--k", "5", "--json"], None),
+    ("pairing-4-2-json", ["pairing", "--d", "4", "--k", "2", "--json"], None),
+    ("pairing-3-5", ["pairing", "--d", "3", "--k", "5"], None),
     ("verify-genus6", ["verify-paper", "--only", "genus6"], None),
     ("verify-lemma4-json", ["verify-paper", "--only", "lemma4", "--json"], None),
 )
@@ -131,7 +139,8 @@ def run_corpus(wanted=None) -> dict:
                 needed.add(stdin_from)
     outputs: dict = {}
     results: dict = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    fixed_clock = mock.patch.object(verify, "perf_counter", itertools.count(0, 0.25).__next__)
+    with tempfile.TemporaryDirectory() as tmp, fixed_clock:
         for case_id, argv, stdin_from in CASES:
             if case_id not in needed:
                 continue

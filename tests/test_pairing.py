@@ -311,18 +311,22 @@ def test_certificate_reads_each_component_factor_once(monkeypatch, d, k):
 
 
 def test_certificate_shares_live_tables(monkeypatch):
-    """At d = k = 5 the partitions of one length carry one exponent list,
-    so the certificate finds the nonzero columns once per (length, row
-    exponents): 175 times for 772 rows, with at most 36 factor reads."""
-    find = pairing._nonzero
-    finds, reads = [], []
-    monkeypatch.setattr(pairing, "_nonzero",
-                        lambda exps, *a: finds.append(exps) or find(exps, *a))
+    """At d = k = 5 the certificate proves every own-partition cell from
+    the factor tables t = 0..5 that all 772 rows share: it searches no row,
+    makes at most 36 factor reads and builds no block monomial."""
+    finds, reads, monomials = [], [], []
+    trusted, init = BlockMonomial._trusted, BlockMonomial.__init__
+    monkeypatch.setattr(pairing, "_nonzero", lambda *a: finds.append(a))
+    monkeypatch.setattr(pairing, "_reject", lambda *a: finds.append(a))
     monkeypatch.setattr(pairing, "_component_integral",
                         lambda t, tp: reads.append((t, tp)) or _FACTOR(t, tp))
+    monkeypatch.setattr(BlockMonomial, "_trusted",
+                        classmethod(lambda cls, *a: monomials.append(a) or trusted(*a)))
+    monkeypatch.setattr(BlockMonomial, "__init__",
+                        lambda self, *a: monomials.append(a) or init(self, *a))
     assert rank_certificate(5, 5).size == 772
-    assert len(finds) == len(set(finds)) == 175
-    assert len(reads) <= 36
+    assert finds == [] and monomials == []
+    assert len(reads) == len(set(reads)) <= 36
 
 
 def test_shared_row_values_are_immutable():
@@ -451,6 +455,57 @@ def test_certificate_names_the_first_failing_cell(monkeypatch, d, k, cells, mess
     assert verdict(lambda: literal_certificate(d, k, factor)) == message
     monkeypatch.setattr(pairing, "_component_integral", factor)
     assert verdict(lambda: rank_certificate(d, k)) == message
+
+
+def per_row_verdict(d, k, factor):
+    """The verdict of a search of every row against its own partition's
+    columns: the message of the first failing cell, in row order, then
+    column order, or None when every row holds."""
+    specs = enumerate_P(d, k)
+    for i, row in enumerate(specs):
+        want = prod(t + 1 for t in row.exps)
+        for j, col in enumerate(specs):
+            if col.blocks != row.blocks:
+                continue
+            value = prod(factor(t, tp) for t, tp in zip(row.exps, col.exps))
+            if j == i and (value <= 0 or value != want):
+                expected = "positive" if value <= 0 else want
+                return f"diagonal entry {i} is {value}, expected {expected}"
+            if j != i and value:
+                return f"off-diagonal entry ({i},{j}) is nonzero"
+    return None
+
+
+FACTOR_FAULTS = {
+    # row exponent 2 against column exponent 0 needs a larger column
+    # exponent elsewhere, whose factor is zero: no cell fails
+    "off-diagonal-unreached": {(2, 0): 5},
+    "swapped-pair": {(0, 1): 1, (1, 0): 1},
+    "wrong-diagonal": {(2, 2): 5},
+    "zero-diagonal": {(1, 1): 0},
+}
+
+
+@pytest.mark.parametrize("fault", list(FACTOR_FAULTS))
+def test_certificate_matches_a_per_row_search_under_faults(monkeypatch, fault):
+    """Under a wrong component factor the proof from the factor tables
+    fails, and the certificate gives the verdict and message of a search
+    of every row: it rejects at the same first failing cell, or accepts
+    with the same certificate as without the fault."""
+    factor = overriding(FACTOR_FAULTS[fault])
+    points = [(d, k) for d in range(1, 5) for k in range(5)]
+    clean = {point: rank_certificate(*point) for point in points}
+    monkeypatch.setattr(pairing, "_component_integral", factor)
+    verdicts = []
+    for d, k in points:
+        want = per_row_verdict(d, k, factor)
+        got = verdict(lambda: rank_certificate(d, k))
+        assert got == (want or certificate_fields(clean[d, k])), (d, k)
+        verdicts.append(want)
+    if fault == "off-diagonal-unreached":
+        assert verdicts == [None] * len(points)
+    else:
+        assert any(verdicts) and None in verdicts
 
 
 def test_component_factor_must_be_an_integer(monkeypatch):
@@ -709,19 +764,21 @@ def test_enumerations_are_fresh_lists_with_equal_contents():
 
 
 def test_matrix_lays_out_columns_on_first_entry(monkeypatch):
-    """A matrix indexes each length's exponent list on its first entry,
-    from the enumeration's groups, and only then."""
-    groups_of = pairing.block_groups
-    reads = []
+    """A matrix reads its size and rows from the enumeration's groups, once,
+    and builds no block monomial until `specs` is read."""
+    groups_of, trusted = pairing.block_groups, BlockMonomial._trusted
+    reads, monomials = [], []
     monkeypatch.setattr(pairing, "block_groups", lambda *a: reads.append(a) or groups_of(*a))
+    monkeypatch.setattr(BlockMonomial, "_trusted",
+                        classmethod(lambda cls, *a: monomials.append(a) or trusted(*a)))
     matrix = PairingMatrix(3, 2)
-    assert matrix.size == len(matrix.specs) == 13
-    assert matrix._lengths is None and reads == [(3, 2)]  # the enumeration
-    first = matrix.entry(0, 0)
-    assert sorted(matrix._lengths) == [1, 2, 3] and reads == [(3, 2)] * 2
-    list(matrix.entries())
-    assert reads == [(3, 2)] * 2
-    assert first == pairing_entry(matrix.specs[0], matrix.specs[0])
+    assert matrix.size == 13 and reads == [(3, 2)]
+    cells = list(matrix.entries())
+    assert reads == [(3, 2)] and monomials == []
+    specs = matrix.specs
+    assert len(monomials) == len(specs) == 13 and reads == [(3, 2)] * 2
+    assert matrix.specs is specs and len(monomials) == 13
+    assert [e for _, _, e in cells] == [pairing_entry(r, c) for r in specs for c in specs]
 
 
 def test_matrix_reads_negative_indices_from_the_end():

@@ -359,6 +359,46 @@ def test_chern_F_keeps_the_shared_enumerations():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+def test_block_groups_share_partitions_across_degrees(monkeypatch):
+    """The set partitions of each length are enumerated once per d and
+    shared across k: in any order of calls, each gives the groups of one
+    sorted enumeration, enumerates no more partitions than
+    set_partitions(d, d - k), and none once its lengths are kept."""
+    from sqtaut import pointed, rings
+
+    yielded = []
+    monkeypatch.setattr(pointed, "set_partitions",
+                        lambda *a: (yielded.append(a) or p for p in rings.set_partitions(*a)))
+    pointed._partitions.cache_clear()
+    pointed.block_groups.cache_clear()
+    for d in range(1, 7):
+        least = d + 1  # the least length kept so far
+        for k in (3, 0, 5, 1, 6, 2, 4):
+            yielded.clear()
+            parts = sorted(rings.set_partitions(d, d - k), key=lambda p: (-len(p), p))
+            assert pointed.block_groups(d, k) == tuple(
+                (l, tuple(group), tuple(rings.iter_weak_compositions(k - d + l, l)))
+                for l, group in itertools.groupby(parts, len)), (d, k)
+            assert len(yielded) <= len(parts)
+            if max(d - k, 1) >= least:
+                assert yielded == [], (d, k)
+            least = min(least, max(d - k, 1))
+    pointed.block_groups.cache_clear()
+
+
+def test_chern_F_counts_its_labels_once(monkeypatch):
+    """chern_F checks the labels of every degree at once and then walks
+    the degrees unchecked: one block_labels call for all 2,001."""
+    from sqtaut import pointed
+
+    calls = []
+    count = pointed.block_labels
+    monkeypatch.setattr(pointed, "block_labels", lambda *a: calls.append(a) or count(*a))
+    pointed._chern_F_cached.cache_clear()
+    assert len(chern_F(2, 1, 2000).terms) == 2001
+    assert calls == [(1, 0, 2000)]
+
+
 def test_epsilon_push_examples():
     g = 4
     assert epsilon_push(pc_one(g, 2)) == 0
