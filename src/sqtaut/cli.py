@@ -36,7 +36,7 @@ from .jsonio import (
     parse_kl,
     parse_pointed,
 )
-from .rings import CertificateError, InputError, format_series, rational_text
+from .rings import CertificateError, InputError, format_series, int_from_text, rational_text
 
 
 def _write_out(args, text: str) -> None:
@@ -59,6 +59,20 @@ def _load_payload(path: str) -> dict:
             return json.load(fh)
     except RecursionError:
         raise InputError("JSON input is nested too deeply") from None
+
+
+def _integer(text: str) -> int:
+    """An integer option: a sign and ASCII digits of any length, read past
+    Python's int-to-str digit limit, or else whatever int() reads."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.isascii() and digits.isdigit():
+        n = int_from_text(digits)
+        return -n if body[0] == "-" else n
+    try:
+        return int(text)
+    except ValueError:  # argparse's own wording for a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 # -- commands: each returns (text, payload[, exit code]) -------------------
@@ -104,9 +118,10 @@ def cmd_push(args):
 
 
 def cmd_mult(args):
-    from .pointed import pc_mul
+    from .pointed import check_pairs, pc_mul
     a = parse_pointed(_load_payload(args.file1))
     b = parse_pointed(_load_payload(args.file2))
+    check_pairs(a, b)
     product = pc_mul(a, b)
     if args.trunc is not None:
         product = product.truncate(args.trunc)
@@ -276,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--theorem5", action="store_true", help="Chern-degree family, parameter -k")
     which.add_argument("--prop8", action="store_true", help="section-calculus family, parameters -a -b -c")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-d", type=int, required=True, help="number of light points")
-    p.add_argument("-k", type=int, help="degree step above the bundle rank")
-    p.add_argument("-a", type=int, help="power of the section sum")
-    p.add_argument("-b", type=int, help="power of the relative cotangent class")
-    p.add_argument("-c", type=int, help="Chern degree above the bundle rank")
+    p.add_argument("-g", "--genus", type=_integer, required=True)
+    p.add_argument("-d", type=_integer, required=True, help="number of light points")
+    p.add_argument("-k", type=_integer, help="degree step above the bundle rank")
+    p.add_argument("-a", type=_integer, help="power of the section sum")
+    p.add_argument("-b", type=_integer, help="power of the relative cotangent class")
+    p.add_argument("-c", type=_integer, help="Chern degree above the bundle rank")
     p.add_argument("--kappa-only", action="store_true", help="eliminate lambda classes")
     p.set_defaults(func=cmd_relation)
 
     p = sub.add_parser("chern-f", parents=[common], help="one graded piece of the obstruction-bundle Chern class")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("-g", "--genus", type=_integer, required=True)
+    p.add_argument("-d", type=_integer, required=True)
+    p.add_argument("--degree", type=_integer, required=True)
     p.set_defaults(func=cmd_chern_f)
 
     p = sub.add_parser("push", parents=[common], help="integrate a pointed class over the light points")
@@ -298,28 +313,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", parents=[common], help="product of two pointed classes")
     p.add_argument("file1", help="pointed-class JSON file")
     p.add_argument("file2", help="pointed-class JSON file")
-    p.add_argument("--trunc", type=int, help="truncate the product above this degree")
+    p.add_argument("--trunc", type=_integer, help="truncate the product above this degree")
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("betti", parents=[common], help="Poincare polynomial of the two-pointed chain space")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("intersect", parents=[common], help="two-heavy-point integral with d light points")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x1", type=int, required=True)
-    p.add_argument("--x2", type=int, required=True)
-    p.add_argument("--y", type=int, nargs="*", help="light exponents, default all zero")
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--x1", type=_integer, required=True)
+    p.add_argument("--x2", type=_integer, required=True)
+    p.add_argument("--y", type=_integer, nargs="*", help="light exponents, default all zero")
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("pairing", parents=[common], help="pairing matrix and its full-rank certificate")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("conifold", parents=[common], help="local invariants from the sine series")
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--d", type=int, help="also print degree-d values")
+    p.add_argument("--max-genus", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, help="also print degree-d values")
     p.set_defaults(func=cmd_conifold)
 
     p = sub.add_parser("lambda-to-kappa", parents=[common], help="eliminate lambda classes from a serialized class")

@@ -338,6 +338,25 @@ def _merge_monomials(m1: BlockMonomial, m2: BlockMonomial):
                                   tuple(e for _, e in pairs)), sign
 
 
+MAX_PAIRS = 50_000  # block pairs plus coefficient-term pairs of one `mult`
+
+
+def check_pairs(a: PointedClass, b: PointedClass) -> None:
+    """Raise InputError when pc_mul(a, b) may pass MAX_PAIRS, weighed before
+    anything is merged.  Each pair of terms makes one merge, of about
+    blocks(m1) * blocks(m2) steps, and one coefficient product of
+    terms(c1) * terms(c2), so the pairs sum to A_blocks * B_blocks +
+    A_terms * B_terms over the two operands' totals."""
+    def totals(c: PointedClass) -> tuple:
+        return (sum(len(m.blocks) for m in c.terms),
+                sum(len(coeff.coeffs) for coeff in c.terms.values()))
+    (a_blocks, a_terms), (b_blocks, b_terms) = totals(a), totals(b)
+    pairs = a_blocks * b_blocks + a_terms * b_terms
+    if pairs > MAX_PAIRS:
+        raise InputError(f"the product takes {pairs:,} block and coefficient pairs; "
+                         f"the limit is {MAX_PAIRS:,}")
+
+
 def pc_mul(a: PointedClass, b: PointedClass) -> PointedClass:
     """Product in canonical form; bilinear over kappa/lambda coefficients."""
     if not isinstance(a, PointedClass) or not isinstance(b, PointedClass):

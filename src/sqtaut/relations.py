@@ -80,7 +80,13 @@ The relation is the degree-R part of
 
 O(d^2 a^2) products of series of length R + 2 and O(d^2) polynomial
 products of degree <= R, against one term per set partition of the light
-points and exponent pattern in c(F_d).
+points and exponent pattern in c(F_d).  Many of these terms vanish: A_n
+carries x^b, so eps(A_n) has no kappa_t for t < b - 1; for b = 0 the
+first term is w_0 kappa_{-1} = 0; and for a = 0 only w_0 = 1 + (-1)^c
+is left, so Prop. 8 with a = 0 and c odd is identically 0.  A product
+with eps(A) runs over its nonzero coefficients only, and a term whose
+eps(A) is 0 reads no table, so E_{d-n} is not built for it (E_d for
+b = 0, none at all for a = 0 and c odd).
 
 Both routes are integral (g_1 = 1/(1 - x), the division by 1 - (s+1) x,
 kappa_0 = 2g - 2, surj(j, m), w_j and binomial weights keep integers;
@@ -176,13 +182,23 @@ def _with_parts(p: tuple, maxdeg: int) -> tuple:
 def _push_products(genus: int, terms, maxdeg: int) -> dict:
     """sum weight * eps(series) * E_rest over the (weight, series, rest)
     triples of terms, in degrees <= maxdeg, as a partition -> int table;
-    each series is given through x^{maxdeg+1} (fact 2)."""
+    each series is given through x^{maxdeg+1} (fact 2).  Only the nonzero
+    coefficients of eps(series) are multiplied, and a term whose eps(series)
+    is 0 reads no table, so E_rest is not built for it."""
     acc: dict = {}
     for weight, series, rest in terms:
-        # eps(series) as the linear form in kappa_0 = 2g - 2, kappa_1, ...
-        form = [weight * c for c in (series[1] * (2 * genus - 2), *series[2:])]
+        # eps(series) as the linear form in kappa_0 = 2g - 2, kappa_1, ...:
+        # its entry t meets the partition of index t of _with_parts
+        form = [(t, f) for t, c in enumerate((series[1] * (2 * genus - 2), *series[2:]))
+                if (f := weight * c)]
+        if not form:
+            continue
         for p, c in _pushed_partition(genus, rest, maxdeg).items():
-            for q, f in zip(_with_parts(p, maxdeg), form):
+            parts = _with_parts(p, maxdeg)
+            for t, f in form:
+                if t >= len(parts):
+                    break
+                q = parts[t]
                 acc[q] = acc.get(q, 0) + c * f
     return {p: c for p, c in acc.items() if c}
 

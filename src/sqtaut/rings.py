@@ -480,7 +480,8 @@ def format_poly(p: GradedPoly) -> str:
 def series_mul(a: list, b: list, maxdeg: int) -> list:
     """Product of two coefficient lists up to degree maxdeg; ints stay ints."""
     size = max(0, min(len(a) + len(b) - 1, maxdeg + 1))
-    out = [sum(0 * x for x in (*a[:1], *b[:1]))] * size
+    # 0 times the first entries: an int for ints, a Fraction if either is one
+    out = [0 * (a[0] if a else 0) * (b[0] if b else 0)] * size
     for i, x in enumerate(a[:size]):
         if x:
             for j, y in enumerate(b[:size - i]):

@@ -479,6 +479,15 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     exits_2_with_one_line(capsys, monkeypatch, argv, text)
 
 
+def _d1_payload(terms):
+    """A pointed class on one light point: psihat_1^t, t < terms, each with
+    coefficient 1, so that it holds `terms` blocks and coefficient terms."""
+    return {"schema": "sq-taut/1", "kind": "pointed-class", "genus": 2, "d": 1,
+            "terms": [{"partition": [[1]], "exponents": [t],
+                       "coeff": {"kappa": {}, "lambda": {}, "rational": "1"}}
+                      for t in range(terms)]}
+
+
 @pytest.mark.parametrize("argv,text", [
     ("relation --theorem5 -g 100000 -d 2 -k 1 --kappa-only", ""),
     ("relation --prop8 -g 100000000 -d 1 -a 0 -b 1 -c 2", ""),
@@ -496,13 +505,19 @@ def test_deep_json_and_bad_provenance_exit_2_with_one_line(capsys, monkeypatch,
     ("intersect --d 100000 --x1 50000 --x2 49999", ""),
     ("intersect --d 1000000000000 --x1 0 --x2 0", ""),
     ("conifold --max-genus 199 --d " + "9" * 1000, ""),
+    # 159 * 159 block pairs and as many coefficient pairs: 50,562 > MAX_PAIRS
+    ("mult - {stdin}", json.dumps(_d1_payload(159))),
 ], ids=["theorem5-genus", "prop8-genus", "conifold-genus", "theorem5-d", "theorem5-digits",
         "lambda-power", "lambda-index", "theorem5-kappa-only", "betti-d", "chern-f-terms",
         "chern-f-labels", "pairing-labels", "pairing-factors", "intersect-x", "intersect-d",
-        "conifold-d"])
-def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, argv, text):
+        "conifold-d", "mult-pairs"])
+def test_oversized_work_exits_2_with_one_line_before_computing(capsys, monkeypatch, tmp_path,
+                                                               argv, text):
+    # {stdin} names a file holding the same text as stdin
+    copy = tmp_path / "stdin.json"
+    copy.write_text(text, encoding="utf-8")
     start = time.perf_counter()
-    exits_2_with_one_line(capsys, monkeypatch, argv.split(), text)
+    exits_2_with_one_line(capsys, monkeypatch, argv.format(stdin=copy).split(), text)
     assert time.perf_counter() - start < 1.0
 
 
@@ -517,6 +532,43 @@ def test_admitted_edges_of_the_label_bound_run(capsys, argv, head):
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.startswith(head)
     assert time.perf_counter() - start < 2.0
+
+
+def test_mult_at_its_pair_bound_runs(capsys, tmp_path):
+    # 125 * 200 block pairs and as many coefficient pairs: MAX_PAIRS exactly
+    files = []
+    for name, terms in (("a.json", 125), ("b.json", 200)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(_d1_payload(terms)), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["mult", *map(str, files)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("1 + 2*psih_{1} + ")
+    assert captured.out.endswith(" + 2*psih_{1}^322 + psih_{1}^323\n")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_integer_options_are_read_past_the_lowest_digit_limit(capsys, monkeypatch):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        nines = "9" * 1000
+        for argv in (f"conifold --max-genus 199 --d {nines}",
+                     f"relation --theorem5 -g -{nines} -d 1 -k 1",
+                     f"betti --d -{nines}"):
+            exits_2_with_one_line(capsys, monkeypatch, argv.split(), "")
+        assert cli._integer("-" + nines) == -cli._integer(nines) == 1 - 10 ** 1000
+        assert cli._integer(" +" + "0" * 999 + "7 ") == 7
+        assert main(["betti", "--d", "0" * 999 + "3"]) == 0
+        assert capsys.readouterr().out == "1 + 2*t^2 + t^4\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main("relation --theorem5 -g x -d 1 -k 1".split()) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument -g/--genus: invalid int value: 'x'\n")
+    assert main("betti --d 1_0".split()) == 0  # what int() reads is read as before
 
 
 def test_prop8_with_many_meeting_products_of_low_degree_runs(capsys):

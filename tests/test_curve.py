@@ -35,6 +35,7 @@ from sqtaut.pointed import (
     pc_psihat,
     pc_zero,
 )
+from sqtaut import relations
 from sqtaut.relations import _meeting_series, prop8_relation, rank_F, theorem5_class
 from sqtaut.rings import InputError
 
@@ -308,6 +309,74 @@ def test_prop8_degree():
     assert rel.homogeneous_degrees() == [5]
     rel2 = prop8_relation(6, 1, 0, 1, 2)
     assert rel2.homogeneous_degrees() == [5]
+
+
+def record_tables(monkeypatch) -> list:
+    """The (genus, n, maxdeg) of every E_n table that relations reads from
+    now on; the recursion inside the tables reads through the record too."""
+    calls = []
+    original = relations._pushed_partition
+
+    def recorded(genus, n, maxdeg):
+        calls.append((genus, n, maxdeg))
+        return original(genus, n, maxdeg)
+    monkeypatch.setattr(relations, "_pushed_partition", recorded)
+    return calls
+
+
+def test_prop8_with_a_0_and_odd_c_is_zero_and_reads_no_table(monkeypatch):
+    # w_0 = 1 + (-1)^c vanishes and no other w_j exists, so every form is 0
+    calls = record_tables(monkeypatch)
+    for g, d, b, c in ((8, 3, 2, 1), (8, 3, 0, 3), (12, 4, 3, 5), (5, 1, 1, 1)):
+        assert prop8_relation(g, d, 0, b, c).is_zero, (g, d, b, c)
+    assert calls == []
+    assert not prop8_relation(8, 3, 0, 2, 2).is_zero  # even c: w_0 = 2
+    assert calls
+
+
+def test_prop8_with_b_0_reads_no_table_of_all_points(monkeypatch):
+    # A_0 = w_0 x^0 pushes to kappa_{-1} = 0, so E_d is never read
+    calls = record_tables(monkeypatch)
+    for g, d, a, c in ((8, 3, 2, 1), (8, 4, 2, 1), (7, 3, 3, 2), (6, 2, 1, 2)):
+        R = g - 2 * d - 2 + a + c
+        rel = prop8_relation(g, d, a, 0, c)
+        assert rel == pushed_product_prop8(g, d, a, 0, c), (g, d, a, c)
+        assert (g, d, R) not in calls and (g, d - 1, R) in calls, (g, d, a, c)
+
+
+def push_products_term_by_term(genus, terms, maxdeg):
+    """sum weight * eps(series) * E_rest with every coefficient written out,
+    zeros included: the definition _push_products computes."""
+    acc = {}
+    for weight, series, rest in terms:
+        coeffs = [series[1] * (2 * genus - 2), *series[2:]]
+        for p, c in relations._pushed_partition(genus, rest, maxdeg).items():
+            for t in range(maxdeg - sum(p) + 1):
+                q = tuple(sorted(p + (t,), reverse=True)) if t else p
+                acc[q] = acc.get(q, 0) + c * weight * coeffs[t]
+    return {p: c for p, c in acc.items() if c}
+
+
+def test_push_products_skips_zero_coefficients_only(monkeypatch):
+    genus, maxdeg = 7, 5
+    shapes = {  # coefficients of x^0..x^6; x^0 never pushes
+        "first": [9, 0, 2, -3, 1, 4, 5],
+        "interior": [0, 3, 0, -2, 0, 0, 7],
+        "trailing": [1, -1, 4, 0, 0, 0, 0],
+        "zero": [6, 0, 0, 0, 0, 0, 0],
+        "full": [2, 1, -2, 3, 5, -1, 2],
+    }
+    rng = random.Random(5)
+    for i in range(20):
+        shapes[f"random-{i}"] = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(7)]
+    for name, series in shapes.items():
+        for rest in range(4):
+            terms = [(3, series, rest), (2, shapes["full"], 1)]
+            want = push_products_term_by_term(genus, terms, maxdeg)
+            assert relations._push_products(genus, terms, maxdeg) == want, (name, rest)
+    calls = record_tables(monkeypatch)
+    assert relations._push_products(genus, [(5, shapes["zero"], 9)], maxdeg) == {}
+    assert calls == []
 
 
 def test_curve_class_leaves_caller_tables_alone():

@@ -171,6 +171,15 @@ def test_series_mul_keeps_coefficient_type():
     fracs = series_mul([Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(0)], 4)
     assert fracs == [0, 1, 0]
     assert all(type(c) is Fraction for c in fracs)
+    # slots that no product reaches keep 0 of the type of the first entries
+    ints = series_mul([0, 0, 1], [0, 2], 3)
+    assert ints == [0, 0, 0, 2] and all(type(c) is int for c in ints)
+    for a, b in (([Fraction(0), 0, 1], [0, 2]), ([0, 0, 1], [Fraction(0), 2]),
+                 ([], [Fraction(1), Fraction(2)]), ([Fraction(1), 3], [])):
+        out = series_mul(a, b, 3)
+        assert out == series_mul([int(c) for c in a], [int(c) for c in b], 3)
+        assert all(type(c) is Fraction for c in out), (a, b)
+    assert series_mul([], [1, 2], 3) == [0] and series_mul([], [], 3) == []
 
 
 def test_int_mul_takes_ints_only():
